@@ -39,6 +39,7 @@ from .automata import (
     load_automaton,
     Violation,
     DeterminismReport,
+    NotDeterministicError,
     check_l_deterministic,
     eliminate_eps_input_transitions,
     RunTrace,
@@ -74,7 +75,6 @@ from .compression import (
     RatioEstimate,
     TransducerHalted,
     DecodeDeadEnd,
-    NotDeterministicError,
     plain_ratio,
     conditional_ratio,
     TransducerOutputSource,

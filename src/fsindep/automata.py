@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .words import Alphabet, FiniteWord
+from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
 Label = tuple  # k-tuple of symbol tuples; () is the empty word
@@ -111,6 +111,9 @@ class KAutomaton:
         self._out = {s: [] for s in self.states}
         for t in self.transitions:
             self._out[t.source].append(t)
+        # per input-tape count: DeterminismReport, CompiledAutomaton
+        self._reports = {}
+        self._compiled = {}
 
     def out(self, state: str) -> Sequence[Transition]:
         return self._out[state]
@@ -210,6 +213,10 @@ def _read_pattern(t: Transition, ell: int) -> tuple:
     return tuple(j for j in range(ell) if t.label[j])
 
 
+class NotDeterministicError(ValueError):
+    """An operation needed a deterministic machine and got something else."""
+
+
 def check_l_deterministic(M: KAutomaton, ell: int) -> DeterminismReport:
     """Check the per-state determinism conditions on the first ell tapes."""
     ell = int(ell)
@@ -239,6 +246,21 @@ def check_l_deterministic(M: KAutomaton, ell: int) -> DeterminismReport:
     return DeterminismReport(ell, not violations, tuple(violations))
 
 
+def _require_deterministic(M: KAutomaton, ell: int) -> None:
+    """Raise NotDeterministicError unless M is ell-deterministic.
+
+    The report is computed once per (machine, ell) and kept on M.
+    """
+    report = M._reports.get(ell)
+    if report is None:
+        report = M._reports[ell] = check_l_deterministic(M, ell)
+    if not report.deterministic:
+        kinds = sorted({v.kind for v in report.violations})
+        raise NotDeterministicError(
+            f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # silent-transition elimination
 
@@ -253,10 +275,7 @@ def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
     that the initial state is always kept.  Returns M itself when there
     is nothing to do.
     """
-    report = check_l_deterministic(M, ell)
-    if not report.deterministic:
-        kinds = sorted({v.kind for v in report.violations})
-        raise ValueError(f"automaton is not deterministic on {ell} input tapes: {kinds}")
+    _require_deterministic(M, ell)
 
     def is_silent(s: str) -> bool:
         outs = M.out(s)
@@ -328,7 +347,283 @@ def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# running
+# compiled form and the run engine
+
+_WINDOW = 8192  # input symbols the engine takes from a source at a time
+_CHUNK = 16  # lock-step chunk length, i.e. gathers per window and pass
+_LOCKSTEP_MIN = 256  # smaller budgets run the scalar loop (measured crossover)
+
+
+class _Run:
+    """Where a run stands; both engines advance it in place."""
+
+    __slots__ = (
+        "q", "consumed", "steps", "chunks", "out_total",
+        "checkpoints", "next_cp", "path", "reason",
+    )
+
+    def __init__(self, q: int, ell: int, record_path: bool):
+        self.q = q
+        self.consumed = [0] * ell
+        self.steps = 0
+        self.chunks = []  # tagged output arrays, in order
+        self.out_total = 0
+        self.checkpoints = []
+        self.next_cp = 1
+        self.path = [q] if record_path else None
+        self.reason = None  # halt reason, None while running or after a clean stop
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledAutomaton:
+    """Dense tables of an ell-deterministic machine; see :func:`compile`.
+
+    States are numbered in ``M.states`` order, and number ``sink = |Q|``
+    is a dead sink that every missing transition leads to.  ``read[q]``
+    is -1 for a state without transitions, else a bit mask of the input
+    tapes it reads (bit 1: tape 1, bit 2: tape 2; 0: silent).  A state
+    reading one tape looks up ``delta[q, a]``, one reading both
+    ``delta[q, a1 * b + a2]``, a silent one ``delta[q, 0]``.  Output
+    symbols are tagged ``tape * b + symbol`` (output tapes counted from
+    0) and lie back to back in ``pool``; transition (q, key) writes
+    ``pool[out_off[q, key] : out_off[q, key] + out_len[q, key]]``.
+    ``delta_list`` and ``emit_list`` hold the same tables flat (index
+    ``q * b**ell + key``) as Python lists for the scalar loop.
+    """
+
+    states: tuple
+    initial: int
+    ell: int
+    b: int
+    n_out: int
+    read: list
+    delta: np.ndarray
+    out_len: np.ndarray
+    out_off: np.ndarray
+    pool: np.ndarray
+    delta_list: list
+    emit_list: list
+    has_silent: bool
+
+    def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
+        """Step r until n tape-1 symbols are consumed or the run halts.
+
+        Long ell=1 runs without silent states or path recording go
+        through the lock-step engine first; the scalar loop always
+        finishes, so every halt and the trailing flush happen there.
+        """
+        if (
+            self.ell == 1
+            and not self.has_silent
+            and r.path is None
+            and n - r.consumed[0] >= _LOCKSTEP_MIN
+        ):
+            self._lockstep(r, inputs[0], min(n - r.consumed[0], max_steps - r.steps))
+        self._scalar(r, inputs, n, max_steps)
+
+    def outputs(self, r: _Run, alphabet: Alphabet) -> tuple:
+        """The run's output words, one per output tape."""
+        tagged = np.concatenate(r.chunks) if r.chunks else self.pool[:0]
+        if self.n_out == 1:
+            return (FiniteWord(alphabet, tagged),)
+        tape, sym = np.divmod(tagged, self.b)
+        return tuple(FiniteWord(alphabet, sym[tape == j]) for j in range(self.n_out))
+
+    def _scalar(self, r, inputs, n, max_steps):
+        read, delta, emit = self.read, self.delta_list, self.emit_list
+        b, sink = self.b, len(self.states)
+        width = b**self.ell
+        src0 = inputs[0]
+        src1 = inputs[1] if self.ell == 2 else None
+        q, steps, path = r.q, r.steps, r.path
+        c0 = r.consumed[0]
+        c1 = r.consumed[1] if src1 is not None else 0
+        out, out_total = [], r.out_total
+        checkpoints, next_cp = r.checkpoints, r.next_cp
+        buf0, i0, buf1, i1, size1 = [], 0, [], 0, 64
+        silent = 0
+        reason = None
+        while True:
+            pat = read[q]
+            if pat < 0:
+                if c0 < n:
+                    reason = "no-transition"
+                break  # else the budget is met and the machine has nowhere to go
+            if pat & 1 and c0 >= n:
+                break  # budget reached cleanly
+            if steps >= max_steps:
+                reason = "step-budget"
+                break
+            if pat:
+                key = 0
+                if pat & 1:
+                    if i0 == len(buf0):
+                        buf0, i0 = src0.take_available(min(_WINDOW, n - c0)).tolist(), 0
+                        if not buf0:
+                            reason = "input-exhausted"
+                            break
+                    key = buf0[i0]
+                if pat & 2:
+                    if i1 == len(buf1):
+                        buf1, i1 = src1.take_available(size1).tolist(), 0
+                        size1 = min(2 * size1, _WINDOW)
+                        if not buf1:
+                            reason = "input-exhausted"
+                            break
+                    key = key * b + buf1[i1]
+                j = q * width + key
+                p = delta[j]
+                if p == sink:
+                    reason = "no-transition"
+                    break
+                if pat & 1:
+                    i0 += 1
+                    c0 += 1
+                if pat & 2:
+                    i1 += 1
+                    c1 += 1
+                silent = 0
+            else:
+                silent += 1
+                if silent > sink:
+                    reason = "silent-cycle"
+                    break
+                j = q * width
+                p = delta[j]
+            e = emit[j]
+            if e:
+                out.extend(e)
+                out_total += len(e)
+            q = p
+            if path is not None:
+                path.append(q)
+            steps += 1
+            if pat & 1 and c0 == next_cp:
+                checkpoints.append((c0, out_total))
+                next_cp *= 2
+        # what was taken but not consumed goes back to the sources
+        if i0 < len(buf0):
+            src0._unread(buf0[i0:])
+        if i1 < len(buf1):
+            src1._unread(buf1[i1:])
+        r.q, r.steps, r.out_total, r.next_cp, r.reason = q, steps, out_total, next_cp, reason
+        r.consumed[0] = c0
+        if src1 is not None:
+            r.consumed[1] = c1
+        if out:
+            r.chunks.append(np.array(out, dtype=self.pool.dtype))
+
+    def _lockstep(self, r, src, count):
+        """Consume up to count symbols of src in lock-step windows.
+
+        Each window is cut into chunks; every chunk runs from all states
+        at once (one gather per position), the chunk start states are
+        stitched in order, and a second pass gathers the states the run
+        really visits.  The window stops before the first missing
+        transition, whose symbols go back to src for the scalar loop.
+        """
+        b, sink = self.b, len(self.states)
+        nb = self.delta.ravel() * b  # next state, premultiplied by b
+        out_len, out_off = self.out_len.ravel(), self.out_off.ravel()
+        every = np.arange(sink + 1) * b
+        done = 0
+        while done < count:
+            raw = src.take_available(min(_WINDOW, count - done))
+            m = raw.size
+            if m == 0:
+                break
+            a = raw.astype(np.intp)
+            c = -(-m // _CHUNK)
+            A = np.zeros(c * _CHUNK, dtype=np.intp)
+            A[:m] = a
+            A = A.reshape(c, _CHUNK)
+            starts = [r.q * b]
+            if c > 1:
+                S = np.broadcast_to(every, (c - 1, sink + 1))
+                for t in range(_CHUNK):
+                    S = nb[S + A[:-1, t, None]]
+                for row in S.tolist():
+                    starts.append(row[starts[-1] // b])
+            cur = np.array(starts, dtype=np.intp)
+            before = np.empty((_CHUNK, c), dtype=np.intp)
+            for t in range(_CHUNK):
+                before[t] = cur
+                cur = nb[cur + A[:, t]]
+            idx = before.T.reshape(-1)[:m] + a  # flat (state, symbol) index per step
+            if nb[idx[-1]] == sink * b:  # the sink absorbs, so the run died in here
+                idx = idx[: int(np.argmax(nb[idx] == sink * b))]
+                src._unread(raw[idx.size :])
+            k = idx.size
+            if k:
+                lens = out_len[idx]
+                cum = np.cumsum(lens)
+                total = int(cum[-1])
+                at = np.repeat(out_off[idx] - cum + lens, lens) + np.arange(total)
+                r.chunks.append(self.pool[at])
+                c0 = r.consumed[0]
+                while r.next_cp <= c0 + k:
+                    r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
+                    r.next_cp *= 2
+                r.q = int(nb[idx[-1]]) // b
+                r.consumed[0] += k
+                r.steps += k
+                r.out_total += total
+                done += k
+            if k < m:
+                break
+
+
+def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
+    """Dense tables of the ell-deterministic machine M, built once and cached on M.
+
+    Raises NotDeterministicError when M is not ell-deterministic.
+    """
+    ell = int(ell)
+    C = M._compiled.get(ell)
+    if C is not None:
+        return C
+    _require_deterministic(M, ell)
+    b, n_states = M.alphabet.size, len(M.states)
+    width, n_out = b**ell, M.k - ell
+    read = [-1] * (n_states + 1)
+    delta = np.full((n_states + 1, width), n_states, dtype=np.intp)
+    out_len = np.zeros((n_states + 1, width), dtype=np.intp)
+    out_off = np.zeros((n_states + 1, width), dtype=np.intp)
+    emit = [()] * ((n_states + 1) * width)
+    pool = []
+    for q, s in enumerate(M.states):
+        outs = M.out(s)
+        if not outs:
+            continue
+        pat = _read_pattern(outs[0], ell)
+        read[q] = sum(1 << j for j in pat)
+        for t in outs:
+            key = 0
+            for j in pat:
+                key = key * b + t.label[j][0]
+            tags = tuple(j * b + a for j in range(n_out) for a in t.label[ell + j])
+            delta[q, key] = M._id[t.target]
+            out_len[q, key] = len(tags)
+            out_off[q, key] = len(pool)
+            pool.extend(tags)
+            emit[q * width + key] = tags
+    C = CompiledAutomaton(
+        states=M.states,
+        initial=M._id[M.initial[0]],
+        ell=ell,
+        b=b,
+        n_out=n_out,
+        read=read,
+        delta=delta,
+        out_len=out_len,
+        out_off=out_off,
+        pool=np.array(pool, dtype=_dtype_for(max(n_out, 1) * b)),
+        delta_list=delta.ravel().tolist(),
+        emit_list=emit,
+        has_silent=0 in read,
+    )
+    M._compiled[ell] = C
+    return C
 
 
 @dataclass
@@ -356,19 +651,6 @@ class RunTrace:
         return self.outputs[0]
 
 
-def _engine_tables(M: KAutomaton, ell: int):
-    """Per-state read patterns and the (state, read symbols) lookup table."""
-    pattern = {}
-    table = {}
-    for s in M.states:
-        outs = M.out(s)
-        pattern[s] = _read_pattern(outs[0], ell) if outs else None
-        for t in outs:
-            key = tuple(t.label[j][0] for j in pattern[s])
-            table[s, key] = t
-    return pattern, table
-
-
 def run(
     M: KAutomaton,
     ell: int,
@@ -384,12 +666,17 @@ def run(
     firing (so trailing output is flushed) and the run stops just before
     consuming symbol n + 1.  Stopping early sets ``halted`` with a reason:
     'no-transition', 'input-exhausted', 'silent-cycle' or 'step-budget'.
+    Each input source is left just after its last consumed symbol.
+
+    Engine: the machine is compiled once (:func:`compile`).  A run with
+    one input tape, no silent states, ``record_path`` off and a budget of
+    at least ``_LOCKSTEP_MIN`` symbols goes through the lock-step engine,
+    which runs windows of input from every state at once; every other run,
+    and the end of every run (halts and the trailing flush), goes through
+    one scalar loop over the compiled tables.  Both give the same trace.
     """
-    report = check_l_deterministic(M, ell)
-    if not report.deterministic:
-        kinds = sorted({v.kind for v in report.violations})
-        raise ValueError(f"run needs a deterministic automaton; violations: {kinds}")
-    if len(inputs) != ell:
+    C = compile(M, ell)
+    if len(inputs) != C.ell:
         raise ValueError(f"expected {ell} input sources, got {len(inputs)}")
     for src in inputs:
         if src.alphabet != M.alphabet:
@@ -399,79 +686,19 @@ def run(
         raise ValueError("budget must be nonnegative")
     if max_steps is None:
         max_steps = 64 * n + 4 * len(M.states) + 64
-
-    pattern, table = _engine_tables(M, ell)
-
-    state = M.initial[0]
-    consumed = [0] * ell
-    out_lists = [[] for _ in range(M.k - ell)]
-    out_total = 0
-    checkpoints = []
-    next_cp = 1
-    path = [state] if record_path else None
-    steps = 0
-    silent_streak = 0
-    halted = False
-    reason = None
-
-    while True:
-        pat = pattern[state]
-        if pat is None:
-            if consumed[0] >= n:
-                break  # budget met; the machine merely has nowhere left to go
-            halted, reason = True, "no-transition"
-            break
-        if 0 in pat and consumed[0] >= n:
-            break  # budget reached cleanly
-        if steps >= max_steps:
-            halted, reason = True, "step-budget"
-            break
-        if pat:
-            key = tuple(inputs[j].peek() for j in pat)
-            if any(a is None for a in key):
-                halted, reason = True, "input-exhausted"
-                break
-            t = table.get((state, key))
-            if t is None:
-                halted, reason = True, "no-transition"
-                break
-            for j in pat:
-                inputs[j].pop()
-                consumed[j] += 1
-            silent_streak = 0
-        else:
-            silent_streak += 1
-            if silent_streak > len(M.states):
-                halted, reason = True, "silent-cycle"
-                break
-            t = M.out(state)[0]
-        for j in range(M.k - ell):
-            comp = t.label[ell + j]
-            if comp:
-                out_lists[j].extend(comp)
-                out_total += len(comp)
-        state = t.target
-        if record_path:
-            path.append(state)
-        steps += 1
-        if pat and 0 in pat and consumed[0] == next_cp:
-            checkpoints.append((next_cp, out_total))
-            next_cp *= 2
-
-    if not checkpoints or checkpoints[-1] != (consumed[0], out_total):
-        checkpoints.append((consumed[0], out_total))
-    outputs = tuple(
-        FiniteWord(M.alphabet, np.array(lst, dtype=np.int64)) for lst in out_lists
-    )
+    r = _Run(C.initial, C.ell, record_path)
+    C.advance(r, inputs, n, max_steps)
+    if not r.checkpoints or r.checkpoints[-1] != (r.consumed[0], r.out_total):
+        r.checkpoints.append((r.consumed[0], r.out_total))
     return RunTrace(
-        final_state=state,
-        consumed=tuple(consumed),
-        outputs=outputs,
-        checkpoints=checkpoints,
-        halted=halted,
-        halt_reason=reason,
-        steps=steps,
-        path=path,
+        final_state=M.states[r.q],
+        consumed=tuple(r.consumed),
+        outputs=C.outputs(r, M.alphabet),
+        checkpoints=r.checkpoints,
+        halted=r.reason is not None,
+        halt_reason=r.reason,
+        steps=r.steps,
+        path=None if r.path is None else [M.states[q] for q in r.path],
     )
 
 

@@ -18,6 +18,7 @@ dependence on the reference).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -27,10 +28,11 @@ import numpy as np
 from .words import Alphabet, FiniteWord
 from .sources import LiteralSource, WordSource, SourceExhausted, constant_source
 from .automata import (
+    _WINDOW,
     KAutomaton,
     RunTrace,
-    _engine_tables,
-    check_l_deterministic,
+    _Run,
+    compile,
     run,
 )
 
@@ -41,19 +43,6 @@ class TransducerHalted(RuntimeError):
 
 class DecodeDeadEnd(RuntimeError):
     """A compressed stream walked off the code tree (corrupt or mismatched)."""
-
-
-class NotDeterministicError(ValueError):
-    """An operation needed a deterministic machine and got something else."""
-
-
-def _require_deterministic(M: KAutomaton, ell: int):
-    report = check_l_deterministic(M, ell)
-    if not report.deterministic:
-        kinds = sorted({v.kind for v in report.violations})
-        raise NotDeterministicError(
-            f"need determinism on {ell} input tapes; violations: {kinds}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +116,6 @@ def plain_ratio(
     """
     if T.k != 2:
         raise ValueError("plain ratio needs a 2-tape transducer")
-    _require_deterministic(T, 1)
     trace = run(T, 1, [x], n, max_steps=max_steps, record_path=False)
     return _estimate_from_trace(trace)
 
@@ -147,7 +135,6 @@ def conditional_ratio(
     """
     if C.k != 3:
         raise ValueError("conditional ratio needs a 3-tape machine")
-    _require_deterministic(C, 2)
     trace = run(C, 2, [x, y], n, max_steps=max_steps, record_path=False)
     return _estimate_from_trace(trace)
 
@@ -160,56 +147,41 @@ class TransducerOutputSource(WordSource):
     """The output stream T(x) of a deterministic 2-tape transducer.
 
     Ends (becomes exhausted) when x ends or T has no matching
-    transition; a silent cycle also ends the stream.
+    transition; a silent cycle also ends the stream, exactly where
+    :func:`run` would halt.  The stream is made by the same engine as
+    ``run``: each request runs T over at least ``_WINDOW`` further input
+    symbols (lock-step, unless T has silent states) and keeps the output
+    beyond the request for the next one, so x is read ahead in windows.
+    Once the stream has ended, x is left just after the last symbol T
+    consumed.
     """
 
     def __init__(self, T: KAutomaton, x: WordSource):
         if T.k != 2:
             raise ValueError("need a 2-tape transducer")
-        _require_deterministic(T, 1)
+        self._compiled = compile(T, 1)
         if x.alphabet != T.alphabet:
             raise ValueError("source alphabet does not match the transducer")
         super().__init__(T.alphabet)
         self.T = T
         self.x = x
-        self._pattern, self._table = _engine_tables(T, 1)
-        self._state = T.initial[0]
+        self._state = self._compiled.initial
         self._dead = False
-        self._extra = []  # symbols beyond the last _produce request
-        self._silent = 0
+        self._extra = self._compiled.pool[:0]  # output beyond the last request
 
     def _produce(self, n):
-        out = self._extra
-        self._extra = []
-        while len(out) < n and not self._dead:
-            pat = self._pattern[self._state]
-            if pat is None:
-                self._dead = True
-                break
-            if pat:
-                a = self.x.peek()
-                if a is None:
-                    self._dead = True
-                    break
-                t = self._table.get((self._state, (a,)))
-                if t is None:
-                    self._dead = True
-                    break
-                self.x.pop()
-                self._silent = 0
-            else:
-                self._silent += 1
-                if self._silent > len(self.T.states):
-                    self._dead = True
-                    break
-                t = self.T.out(self._state)[0]
-            if t.label[1]:
-                out.extend(t.label[1])
-            self._state = t.target
-        if len(out) > n:
-            self._extra = out[n:]
-            out = out[:n]
-        return np.asarray(out, dtype=self._buf.dtype)
+        parts = [self._extra]
+        have = self._extra.size
+        while have < n and not self._dead:
+            r = _Run(self._state, 1, False)
+            self._compiled.advance(r, [self.x], max(n - have, _WINDOW), sys.maxsize)
+            self._state = r.q
+            self._dead = r.reason is not None
+            parts.extend(r.chunks)
+            have += r.out_total
+        out = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        self._extra = out[n:]
+        return out[:n]
 
     def clone(self):
         return TransducerOutputSource(self.T, self.x.clone())
@@ -228,7 +200,9 @@ def match_run_compress(
     single 0.  At the first disagreement, at position m = k*p + r with
     1 <= r <= k, the output becomes 0^p then a 1 flag, then y[k*p+1 ..]
     copied verbatim.  Decompression needs only T, k and x, so the scheme
-    is lossless given the reference.  Both sources are consumed.
+    is lossless given the reference.  Both sources are consumed; T(x) is
+    predicted and compared window by window, and prediction stops at the
+    first mismatch.
     """
     k = int(k)
     if k < 1:
@@ -237,15 +211,22 @@ def match_run_compress(
     if n < 0:
         raise ValueError("budget must be nonnegative")
     y_arr = y.take(n)
-    f_arr = TransducerOutputSource(T, x).take_available(n)
-    limit = f_arr.size
-    diff = np.flatnonzero(y_arr[:limit] != f_arr[:limit])
-    if diff.size == 0 and limit < n:
-        raise TransducerHalted(
-            f"prediction stream ended after {limit} of {n} symbols with no mismatch"
-        )
-    if diff.size:
-        m0 = int(diff[0])  # 0-based mismatch offset
+    f = TransducerOutputSource(T, x)
+    m0 = None  # 0-based offset of the first mismatch
+    done = 0
+    while done < n and m0 is None:
+        want = min(_WINDOW, n - done)
+        pred = f.take_available(want)
+        diff = np.flatnonzero(y_arr[done : done + pred.size] != pred)
+        if diff.size:
+            m0 = done + int(diff[0])
+        elif pred.size < want:
+            raise TransducerHalted(
+                f"prediction stream ended after {done + pred.size} of {n} symbols "
+                "with no mismatch"
+            )
+        done += pred.size
+    if m0 is not None:
         p = m0 // k
         out = np.concatenate(
             [
@@ -298,7 +279,7 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     """
     if T.k != 2:
         raise ValueError("need a 2-tape transducer")
-    _require_deterministic(T, 1)
+    C = compile(T, 1)
     k = int(k)
     if not 1 <= k <= 3:
         raise ValueError("materialization supports window sizes 1..3")
@@ -309,13 +290,13 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     b = alph.size
 
     def xname(q, buf):
-        return f"x_{q}_" + "".join(str(a) for a in buf)
+        return f"x_{C.states[q]}_" + "".join(str(a) for a in buf)
 
     def yname(q, buf, fx):
-        return f"y_{q}_" + "".join(str(a) for a in buf) + f"_{fx}"
+        return f"y_{C.states[q]}_" + "".join(str(a) for a in buf) + f"_{fx}"
 
-    pattern, table = _engine_tables(T, 1)
-    start = ("x", T.initial[0], ())
+    sink = len(C.states)
+    start = ("x", C.initial, ())
     todo = [start]
     seen = {start}
     trans = []
@@ -327,20 +308,19 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
             _, q, buf = node
             name = xname(q, buf)
             states.append(name)
-            pat = pattern[q]
-            if pat is None:
+            pat = C.read[q]
+            if pat < 0:
                 continue  # prediction dies here; no outgoing transitions
-            if pat:
-                moves = [((a,), table[q, (a,)]) for a in range(b) if (q, (a,)) in table]
-            else:
-                moves = [((), T.out(q)[0])]
-            for read, t in moves:
-                emitted = t.label[1]
+            for a in range(b) if pat else (0,):  # a silent state's move has key 0
+                p = C.delta_list[q * b + a]
+                if p == sink:
+                    continue
+                emitted = C.emit_list[q * b + a]
                 if emitted:
-                    target = ("y", t.target, buf, int(emitted[0]))
+                    target = ("y", p, buf, emitted[0])
                 else:
-                    target = ("x", t.target, buf)
-                label = ((), read, ())
+                    target = ("x", p, buf)
+                label = ((), (a,) if pat else (), ())
                 tname = (
                     yname(*target[1:]) if target[0] == "y" else xname(*target[1:])
                 )
@@ -373,7 +353,7 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
         states.append("copy")
         for c in range(b):
             trans.append(("copy", ((c,), (), (c,)), "copy"))
-    return KAutomaton(3, alph, states, xname(T.initial[0], ()), trans)
+    return KAutomaton(3, alph, states, xname(C.initial, ()), trans)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +755,7 @@ def bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessRepor
     """
     if M.k != 2:
         raise ValueError("losslessness check needs a 2-tape transducer")
-    _require_deterministic(M, 1)
+    compile(M, 1)
     b = M.alphabet.size
     if b**max_len > 2**18:
         raise ValueError("exhaustive check too large; reduce max_len")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Union
@@ -60,18 +61,11 @@ class BlockCountTable:
     def as_dict(self) -> Dict[str, int]:
         if self.alphabet.size > MAX_TEXT_ALPHABET:
             raise ValueError("alphabet too large to render block keys")
-        b, ell = self.alphabet.size, self.block_length
-        out = {}
-        for val in range(b**ell):
-            digits = []
-            rest = val
-            for _ in range(ell):
-                digits.append(rest % b)
-                rest //= b
-            out["".join(self.alphabet.char(d) for d in reversed(digits))] = int(
-                self.counts[val]
-            )
-        return out
+        # product() runs through blocks in base-b order, first symbol most
+        # significant: exactly the order of the counts array
+        chars = self.alphabet.render(range(self.alphabet.size))
+        keys = map("".join, itertools.product(chars, repeat=self.block_length))
+        return dict(zip(keys, self.counts.tolist()))
 
     def max_deviation(self) -> float:
         """max_u |frequency(u) - b**-ell|"""

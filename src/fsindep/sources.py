@@ -87,6 +87,12 @@ class WordSource:
         self._bufpos += 1
         return a
 
+    def _unread(self, symbols) -> None:
+        """Put symbols just taken back in front of the stream, in order."""
+        rest = self._buf[self._bufpos :]
+        self._buf = np.concatenate([np.asarray(symbols, dtype=rest.dtype), rest])
+        self._bufpos = 0
+
     def prefix(self, n: int) -> FiniteWord:
         """The length-n prefix as a finite word; does not advance this source."""
         return FiniteWord(self.alphabet, self.clone().take(n))

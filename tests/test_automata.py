@@ -9,18 +9,24 @@ from fsindep import (
     Alphabet,
     KAutomaton,
     LiteralSource,
+    NotDeterministicError,
     PeriodicSource,
     RandomSource,
     accepts_prefix_tuple,
     check_l_deterministic,
     copy_automaton,
     eliminate_eps_input_transitions,
+    even_projection_transducer,
     find_forward_word,
     forward_pairs,
+    odd_projection_transducer,
     parse_automaton,
+    plain_ratio,
     run,
     word,
 )
+from fsindep.automata import _LOCKSTEP_MIN, _WINDOW, CompiledAutomaton, compile
+from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
 from conftest import (
     naive_check_deterministic,
     naive_forward_pairs,
@@ -383,6 +389,237 @@ def test_run_agrees_with_naive_stepper_on_random_machines():
         assert [o.to_text() for o in got.outputs] == ref["outputs"]
         assert got.consumed == ref["consumed"]
         assert (got.halt_reason if got.halted else None) == ref["halt"]
+
+
+# ---------------------------------------------------------------------------
+# the compiled engine: lock-step against the scalar loop and the naive stepper
+
+TRACE_FIELDS = (
+    "outputs", "consumed", "checkpoints", "halted", "halt_reason", "steps", "final_state",
+)
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """Records the symbol count of every lock-step call."""
+    calls = []
+    original = CompiledAutomaton._lockstep
+
+    def spy(self, r, src, count):
+        calls.append(count)
+        return original(self, r, src, count)
+
+    monkeypatch.setattr(CompiledAutomaton, "_lockstep", spy)
+    return calls
+
+
+def rand_det_solid(rng: random.Random, p_edge: float) -> KAutomaton:
+    """Deterministic 1-input transducer without silent states; transitions
+    are missing with probability 1 - p_edge, and some states have none."""
+    states = [f"p{i}" for i in range(rng.randint(1, 5))]
+    trans = []
+    for p in states:
+        if len(states) > 1 and rng.random() < 0.15:
+            continue
+        for a in range(2):
+            if rng.random() < p_edge:
+                out = tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+                trans.append((p, ((a,), out), rng.choice(states)))
+    return KAutomaton(2, A2, states, states[0], trans)
+
+
+def check_engines(M, text, n, max_steps=None, naive=True):
+    """Run M on text both ways: record_path off (lock-step when eligible)
+    and on (always the scalar loop).  Compares them field by field, with
+    the naive stepper, and checks each source is left just after the last
+    consumed symbol.  Returns the record_path-off trace."""
+    src_a, src_b = lit(text), lit(text)
+    a = run(M, 1, [src_a], n, max_steps=max_steps, record_path=False)
+    b = run(M, 1, [src_b], n, max_steps=max_steps, record_path=True)
+    for f in TRACE_FIELDS:
+        assert getattr(a, f) == getattr(b, f), (f, M.to_text(), n)
+    if naive:
+        ref = naive_run(M, 1, [text], n)
+        assert [o.to_text() for o in a.outputs] == ref["outputs"]
+        assert a.consumed == ref["consumed"]
+        assert (a.halt_reason if a.halted else None) == ref["halt"]
+        assert b.path == ref["states"]
+    rest = text[a.consumed[0] :]
+    for src in (src_a, src_b):
+        assert src.take_available(len(text) + 1).tolist() == [int(c) for c in rest]
+    return a
+
+
+def test_compile_tables_are_pinned():
+    C = compile(odd_projection_transducer(A2), 1)
+    assert C.states == ("keep", "drop") and C.initial == 0
+    assert C.read == [1, 1, -1]
+    assert C.delta.tolist() == [[1, 1], [0, 0], [2, 2]]  # row 2 is the dead sink
+    assert C.out_len.tolist() == [[1, 1], [0, 0], [0, 0]]
+    assert C.pool[C.out_off[0]].tolist() == [0, 1]
+    assert not C.has_silent
+    M = parse_automaton(CHAIN)
+    assert compile(M, 1).has_silent
+    assert compile(M, 1) is compile(M, 1)  # cached on the machine
+
+
+def test_determinism_gate_runs_once_per_machine(monkeypatch):
+    import fsindep.automata as automata
+
+    calls = []
+    original = automata.check_l_deterministic
+
+    def counting(M, ell):
+        calls.append(ell)
+        return original(M, ell)
+
+    monkeypatch.setattr(automata, "check_l_deterministic", counting)
+    M = copy_automaton(A2)
+    for _ in range(3):
+        run(M, 1, [lit("0101")], 4)
+    plain_ratio(M, lit("0110"), 4)
+    TransducerOutputSource(M, lit("01")).take_available(2)
+    bounded_losslessness_check(M, 4)
+    assert calls == [1]
+    # a machine that fails the gate is not checked again either
+    bad = KAutomaton(2, A2, ["s"], "s", [("s", ((0,), (0,)), "s"), ("s", ((0,), (1,)), "s")])
+    for call in (
+        lambda: run(bad, 1, [lit("0")], 1),
+        lambda: eliminate_eps_input_transitions(bad, 1),
+        lambda: TransducerOutputSource(bad, lit("0")),
+    ):
+        with pytest.raises(NotDeterministicError, match="same-input"):
+            call()
+    assert calls == [1, 1]
+
+
+def test_not_deterministic_error_is_a_value_error(shuffle_aut):
+    assert issubclass(NotDeterministicError, ValueError)
+    for call in (
+        lambda: run(shuffle_aut, 2, [lit("0"), lit("0")], 1),
+        lambda: eliminate_eps_input_transitions(shuffle_aut, 2),
+    ):
+        with pytest.raises(NotDeterministicError, match="read-pattern"):
+            call()
+
+
+def test_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):
+    rng = random.Random(2718)
+    for trial in range(60):
+        M = rand_det_solid(rng, 0.97 if trial % 2 else 1.0)
+        text = rand_text(rng, rng.randint(_LOCKSTEP_MIN, 3 * _LOCKSTEP_MIN), 2)
+        n = rng.choice([len(text) - 1, len(text), len(text) + 3, _LOCKSTEP_MIN])
+        check_engines(M, text, n)
+    assert len(lockstep_calls) == 60
+
+
+def test_engines_agree_on_silent_state_machines(lockstep_calls):
+    rng = random.Random(31)
+    for _ in range(40):
+        M = rand_det_with_silent_states(rng)
+        E = eliminate_eps_input_transitions(M, 1)
+        text = rand_text(rng, rng.randint(_LOCKSTEP_MIN, 2 * _LOCKSTEP_MIN), 2)
+        for machine in (M, E):
+            check_engines(machine, text, len(text))
+    assert len(lockstep_calls) == 40  # only the rewired machines go lock-step
+
+
+def test_engines_agree_on_fixtures_around_crossover_and_window(copy_aut, lockstep_calls):
+    rng = random.Random(99)
+    text = rand_text(rng, 2 * _WINDOW + 5, 2)
+    machines = (copy_aut, odd_projection_transducer(A2), even_projection_transducer(A2))
+    budgets = (
+        _LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1,
+        _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 5,
+    )
+    for M in machines:
+        for n in budgets:
+            tr = check_engines(M, text, n, naive=n < _WINDOW)
+            assert tr.consumed == (n,) and not tr.halted
+    assert len(lockstep_calls) == len(machines) * (len(budgets) - 1)
+
+
+def test_lockstep_halts_without_transition_mid_window(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=2 alphabet=2 initial=a
+        a 0,1 b
+        b 0,00 a
+        b 1,- a
+        """
+    )  # a has no transition on 1
+    for p in (300, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW // 2):
+        text = "0" * p + "1" + "0" * (3 * _WINDOW)
+        if p % 2:
+            text = text[:p] + "0" + text[p:]  # reach the 1 in state a
+        tr = check_engines(M, text, 3 * _WINDOW, naive=False)
+        assert tr.halt_reason == "no-transition"
+        assert tr.consumed == (text.index("1"),)
+    assert lockstep_calls
+
+
+def test_lockstep_input_runs_out_on_a_window_edge(copy_aut, lockstep_calls):
+    rng = random.Random(5)
+    for length in (_WINDOW, 2 * _WINDOW):
+        text = rand_text(rng, length, 2)
+        tr = check_engines(copy_aut, text, length + 100, naive=False)
+        assert tr.halt_reason == "input-exhausted" and tr.consumed == (length,)
+        tr = check_engines(copy_aut, text, length, naive=False)
+        assert not tr.halted and tr.consumed == (length,)
+    assert len(lockstep_calls) == 4
+
+
+def test_lockstep_respects_step_budget(copy_aut, lockstep_calls):
+    text = rand_text(random.Random(6), 3 * _WINDOW, 2)
+    for max_steps in (_LOCKSTEP_MIN + 1, _WINDOW, _WINDOW + 7):
+        tr = check_engines(copy_aut, text, 3 * _WINDOW, max_steps=max_steps, naive=False)
+        assert tr.halt_reason == "step-budget"
+        assert tr.steps == max_steps and tr.consumed == (max_steps,)
+    assert len(lockstep_calls) == 3
+
+
+def test_lockstep_reaches_a_state_without_transitions(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=2 alphabet=2 initial=a
+        a 0,0 a
+        a 1,11 z
+        """
+    )
+    p = _WINDOW + 10
+    text = "0" * p + "1" + "0" * 50
+    tr = check_engines(M, text, len(text), naive=False)
+    assert tr.halt_reason == "no-transition" and tr.final_state == "z"
+    assert tr.consumed == (p + 1,)
+    tr = check_engines(M, text, p + 1, naive=False)  # budget met inside z: clean
+    assert not tr.halted and tr.final_state == "z"
+    assert len(lockstep_calls) == 2
+
+
+def read_in_requests(src, size):
+    parts = []
+    while True:
+        got = src.take_available(size)
+        if got.size == 0:
+            return "".join(str(a) for part in parts for a in part.tolist())
+        parts.append(got)
+
+
+def test_transducer_output_source_is_request_size_invariant():
+    rng = random.Random(404)
+    machines = [odd_projection_transducer(A2), copy_automaton(A2)]
+    machines += [rand_det_solid(rng, 0.999) for _ in range(3)]
+    machines += [rand_det_with_silent_states(rng) for _ in range(2)]
+    for M in machines:
+        text = rand_text(rng, _WINDOW + 300, 2)
+        ref = run(M, 1, [lit(text)], len(text), record_path=False)
+        for size in (1, 7, 1023, 4097):
+            x = lit(text)
+            got = read_in_requests(TransducerOutputSource(M, x), size)
+            assert got == ref.output.to_text(), (M.to_text(), size)
+            # once the stream has ended, x stands just after the last consumed symbol
+            rest = x.take_available(len(text)).tolist()
+            assert rest == [int(c) for c in text[ref.consumed[0] :]]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,35 @@ def test_check_automaton_reports_shuffle_violation():
     assert "read-pattern" in text and "q0" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "rand:seed=3"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "selfsim"),
+        ("experiment", "join-dependence", "-k", "16"),
+        ("experiment", "join-dependence", "-k", "8"),
+    ],
+)
+def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch):
+    import tracemalloc
+
+    from fsindep import cli
+
+    estimates = []
+    check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory", lambda b: estimates.append(b) or check(b))
+    run_cli(*argv, "-n", "1024")  # first calls fill lazy caches
+    for n in (1024, 4096 + 32, 16384 + 32):
+        tracemalloc.start()
+        try:
+            rc, _ = run_cli(*argv, "-n", str(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert estimates[-1] >= peak, (argv, n, estimates[-1], peak)
+
+
 def test_compress_copy_ratio_is_one():
     rc, text = run_cli(
         "compress",

@@ -202,6 +202,41 @@ def test_match_run_raises_when_prediction_dries_up():
         match_run_compress(T, 2, y, x, 6)
 
 
+class CountingSource(RandomSource):
+    """Random source that counts the symbols it has produced."""
+
+    produced = 0
+
+    def _produce(self, n):
+        out = super()._produce(n)
+        self.produced += out.size
+        return out
+
+    def clone(self):
+        return CountingSource(self.alphabet, self.seed)
+
+
+def test_match_run_stops_predicting_at_the_first_mismatch():
+    from fsindep.automata import _WINDOW
+
+    T = odd_projection_transducer(A2)
+    n, k = 1 << 16, 16
+    for m0 in (1, _WINDOW + 37):  # in the first window and in a later one
+        x = CountingSource(A2, seed=8)
+        y = OddSource(x.clone()).take(n)
+        y[m0] ^= 1
+        comp, est = match_run_compress(T, k, LiteralSource(word(y)), x, n)
+        # not the 2n reference symbols behind all n predictions
+        assert x.produced <= 2 * m0 + 4 * _WINDOW
+        p = m0 // k
+        assert comp.data[: p + 1].tolist() == [0] * p + [1]
+        assert comp.data[p + 1 :].tolist() == y[k * p :].tolist()
+        assert est.output_symbols == p + 1 + n - k * p
+    x = CountingSource(A2, seed=8)
+    match_run_compress(T, k, OddSource(x.clone()), x, n)
+    assert x.produced >= 2 * n  # no mismatch: every prediction is needed
+
+
 def test_match_run_zero_budget():
     T = odd_projection_transducer(A2)
     comp, est = match_run_compress(T, 4, lit("0"), lit("00"), 0)
