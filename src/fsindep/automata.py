@@ -352,6 +352,7 @@ def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
 _WINDOW = 8192  # input symbols the engine takes from a source at a time
 _CHUNK = 16  # lock-step chunk length, i.e. gathers per window and pass
 _LOCKSTEP_MIN = 256  # smaller budgets run the scalar loop (measured crossover)
+_LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
 
 
 class _Run:
@@ -408,13 +409,15 @@ class CompiledAutomaton:
     def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
         """Step r until n tape-1 symbols are consumed or the run halts.
 
-        Long ell=1 runs without silent states or path recording go
-        through the lock-step engine first; the scalar loop always
-        finishes, so every halt and the trailing flush happen there.
+        Long ell=1 runs of machines without silent states and with at most
+        ``_LOCKSTEP_MAX_STATES`` states, without path recording, go through
+        the lock-step engine first; the scalar loop always finishes, so
+        every halt and the trailing flush happen there.
         """
         if (
             self.ell == 1
             and not self.has_silent
+            and len(self.states) <= _LOCKSTEP_MAX_STATES
             and r.path is None
             and n - r.consumed[0] >= _LOCKSTEP_MIN
         ):
@@ -669,8 +672,9 @@ def run(
     Each input source is left just after its last consumed symbol.
 
     Engine: the machine is compiled once (:func:`compile`).  A run with
-    one input tape, no silent states, ``record_path`` off and a budget of
-    at least ``_LOCKSTEP_MIN`` symbols goes through the lock-step engine,
+    one input tape, no silent states, at most ``_LOCKSTEP_MAX_STATES``
+    states, ``record_path`` off and a budget of at least
+    ``_LOCKSTEP_MIN`` symbols goes through the lock-step engine,
     which runs windows of input from every state at once; every other run,
     and the end of every run (halts and the trailing flush), goes through
     one scalar loop over the compiled tables.  Both give the same trace.

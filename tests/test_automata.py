@@ -25,7 +25,13 @@ from fsindep import (
     run,
     word,
 )
-from fsindep.automata import _LOCKSTEP_MIN, _WINDOW, CompiledAutomaton, compile
+from fsindep.automata import (
+    _LOCKSTEP_MAX_STATES,
+    _LOCKSTEP_MIN,
+    _WINDOW,
+    CompiledAutomaton,
+    compile,
+)
 from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
 from conftest import (
     naive_check_deterministic,
@@ -594,6 +600,20 @@ def test_lockstep_reaches_a_state_without_transitions(lockstep_calls):
     tr = check_engines(M, text, p + 1, naive=False)  # budget met inside z: clean
     assert not tr.halted and tr.final_state == "z"
     assert len(lockstep_calls) == 2
+
+
+def test_machines_with_many_states_run_the_scalar_loop(lockstep_calls):
+    rng = random.Random(12)
+    for n_states in (_LOCKSTEP_MAX_STATES, _LOCKSTEP_MAX_STATES + 1):
+        states = [f"s{i}" for i in range(n_states)]
+        trans = [
+            (s, ((a,), (rng.randrange(2),)), rng.choice(states))
+            for s in states
+            for a in range(2)
+        ]
+        M = KAutomaton(2, A2, states, states[0], trans)
+        check_engines(M, rand_text(rng, 2 * _LOCKSTEP_MIN, 2), 2 * _LOCKSTEP_MIN)
+    assert len(lockstep_calls) == 1
 
 
 def read_in_requests(src, size):
