@@ -5,12 +5,14 @@ used as independent oracles against the vectorized library code.  They
 must not import anything from fsindep internals beyond the public API.
 """
 
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fsindep import KAutomaton, load_automaton
+from fsindep import DecodeDeadEnd, FiniteWord, KAutomaton, load_automaton
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -189,3 +191,113 @@ def naive_run(M: KAutomaton, ell: int, input_texts, n: int):
         "halt": halt,
         "events": events,
     }
+
+
+# ---------------------------------------------------------------------------
+# conditional block coder oracles
+
+
+def _naive_digits(val: int, b: int, width: int) -> tuple:
+    out = []
+    for _ in range(width):
+        out.append(val % b)
+        val //= b
+    return tuple(reversed(out))
+
+
+def _naive_block_id(symbols, b: int) -> int:
+    val = 0
+    for a in symbols:
+        val = val * b + int(a)
+    return val
+
+
+def naive_codebook(model, v_id: int):
+    """(lengths, codewords) for condition block v_id, one codeword at a time.
+
+    s(u) sums -log_b nu(u_i | v_i) left to right; the length is
+    max(ceil(s), 1), 0 when s == 0, and -1 (no codeword) when s is
+    infinite.  Codewords are handed out in (length, s, id) order by the
+    canonical rule: next value = (previous + 1) * b**(length step).
+    """
+    b, k = model.alphabet.size, model.k
+    dv = _naive_digits(v_id, b, k)
+    lengths, keyed = [], []
+    for u in range(b**k):
+        du = _naive_digits(u, b, k)
+        s = 0.0
+        for i in range(k):
+            s += float(model.neglog[du[i], dv[i]])
+        if s == float("inf"):
+            lengths.append(-1)
+            continue
+        L = 0 if s == 0.0 else max(math.ceil(s), 1)
+        lengths.append(L)
+        keyed.append((L, s, u))
+    codewords = [None] * b**k
+    val, prev = 0, None
+    for L, _, u in sorted(keyed):
+        if prev is not None:
+            val = (val + 1) * b ** (L - prev)
+        assert val < b**L or (L == 0 and val == 0), "Kraft violation"
+        codewords[u] = _naive_digits(val, b, L)
+        prev = L
+    return lengths, codewords
+
+
+def naive_cond_encode(x, y, code, n: int):
+    """Per-block conditional encoder: (encoded word, codeword length per block)."""
+    model = code.model
+    b, k = model.alphabet.size, model.k
+    xa, ya = x.take(n), y.take(n)
+    books: dict = {}
+    out, lengths = [], []
+    for i in range(0, n, k):
+        u = _naive_block_id(xa[i : i + k], b)
+        v = _naive_block_id(ya[i : i + k], b)
+        if v not in books:
+            books[v] = naive_codebook(model, v)
+        cw = books[v][1][u]
+        if cw is None:
+            raise ValueError("model assigns probability 0 to an observed block")
+        out.extend(cw)
+        lengths.append(len(cw))
+    return FiniteWord(model.alphabet, np.asarray(out, dtype=np.int64)), lengths
+
+
+def naive_cond_decode(compressed, y, code, n: int):
+    """Trie-walk decoder: one dict step per compressed symbol."""
+    model = code.model
+    b, k = model.alphabet.size, model.k
+    comp = [int(a) for a in compressed.data]
+    tries: dict = {}
+    pos = 0
+    out = []
+    for _ in range(n // k):
+        v = _naive_block_id(y.take(k), b)
+        if v not in tries:
+            _, codewords = naive_codebook(model, v)
+            root: dict = {}
+            for u, cw in enumerate(codewords):
+                if cw == ():
+                    root = u  # the condition determines the block
+                    break
+                if cw is None:
+                    continue
+                node = root
+                for a in cw[:-1]:
+                    node = node.setdefault(a, {})
+                node[cw[-1]] = u
+            tries[v] = root
+        node = tries[v]
+        while isinstance(node, dict):
+            if pos >= len(comp):
+                raise DecodeDeadEnd("compressed stream ended inside a codeword")
+            node = node.get(comp[pos])
+            pos += 1
+            if node is None:
+                raise DecodeDeadEnd("no codeword branch")
+        out.extend(_naive_digits(node, b, k))
+    if pos != len(comp):
+        raise DecodeDeadEnd("trailing symbols after the last block")
+    return FiniteWord(model.alphabet, np.asarray(out, dtype=np.int64))

@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction
 
+from conftest import naive_cond_decode, naive_cond_encode
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fsindep import (
     Alphabet,
     ConditionalModel,
     DecodeDeadEnd,
+    FiniteWord,
     KAutomaton,
     LiteralSource,
     NotDeterministicError,
@@ -474,6 +477,66 @@ def test_cond_decode_rejects_truncated_and_padded_streams():
         cond_decode(comp.segment(1, len(comp) - 1), y.clone(), code, 64)
     with pytest.raises(DecodeDeadEnd):
         cond_decode(comp + word("0"), y.clone(), code, 64)
+
+
+def _check_codec_against_oracles(x: FiniteWord, y: FiniteWord, code) -> list:
+    """cond_encode/cond_decode agree with the per-block oracles on (x, y).
+
+    Returns the oracle's codeword length per block.
+    """
+    n, k = len(x), code.model.k
+    comp, est = cond_encode(LiteralSource(x), LiteralSource(y), code, n)
+    ref, lengths = naive_cond_encode(LiteralSource(x), LiteralSource(y), code, n)
+    assert comp.data.dtype == ref.data.dtype
+    assert comp.data.tobytes() == ref.data.tobytes()
+    cum = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    assert est.output_symbols == len(comp) == cum[-1]
+    assert all(out == cum[c // k] for c, out in est.checkpoints)
+    assert cond_decode(comp, LiteralSource(y), code, n) == x
+    assert naive_cond_decode(comp, LiteralSource(y), code, n) == x
+    return lengths
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_codec_matches_per_block_oracles(b):
+    rng = np.random.default_rng(7000 + b)
+    alpha = Alphabet(b)
+    for k in range(1, 9):
+        n = k * (48 if b**k <= 256 else 4)
+        x = rng.integers(0, b, n)
+        independent = rng.integers(0, b, n)
+        dependent = np.where(rng.random(n) < 0.1, (x + 1) % b, x)
+        for y in (independent, dependent):
+            xw, yw = FiniteWord(alpha, x), FiniteWord(alpha, y)
+            code = build_prefix_code(train_model(xw, yw, k))
+            _check_codec_against_oracles(xw, yw, code)
+        if k in (1, 4, 8):
+            sure = build_prefix_code(ConditionalModel(alpha, k, np.eye(b)))
+            assert _check_codec_against_oracles(xw, xw, sure) == [0] * (n // k)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        # a primary 0 under a reference 1 is a 1e-30 event: about 100 digits
+        np.array([[0.5, 1e-30], [0.5, 1 - 1e-9]]),
+        np.array([[1 / 3, 1e-30, 1 / 3], [1 / 3, 0.5, 1 / 3], [1 / 3, 0.5, 1 / 3]]),
+    ],
+)
+def test_codec_keeps_codewords_exact_past_int64(nu):
+    b = nu.shape[0]
+    alpha = Alphabet(b)
+    rng = np.random.default_rng(31 + b)
+    for k in (1, 3, 8 if b == 2 else 5):
+        n = 40 * k
+        y = rng.integers(0, b, n)
+        x = np.where(y == 1, rng.integers(1, b, n), rng.integers(0, b, n))
+        x[rng.choice(np.flatnonzero(y == 1), size=3, replace=False)] = 0
+        code = build_prefix_code(ConditionalModel(alpha, k, nu))
+        lengths = _check_codec_against_oracles(
+            FiniteWord(alpha, x), FiniteWord(alpha, y), code
+        )
+        assert b ** max(lengths) > 2**63
 
 
 # ---------------------------------------------------------------------------
