@@ -17,11 +17,11 @@ dependence on the reference).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -437,14 +437,38 @@ def train_model(
     return ConditionalModel(x_train.alphabet, k, nu)
 
 
+class _CodeTable(NamedTuple):
+    """Canonical code of one condition block v.
+
+    ``lengths[u]`` and ``values[u]`` are primary block u's codeword length
+    (-1 when the model rules u out) and value, the codeword read as a
+    base-b number.  ``values`` is int64 when every codeword fits, else an
+    object array of Python ints.  ``order`` lists the possible blocks by
+    (length, s, id).  ``groups`` has one (length, first value, first index
+    into order, count) entry per distinct length, shortest first: the
+    blocks ``order[start : start + count]`` hold the values
+    ``first .. first + count - 1``.
+    """
+
+    lengths: np.ndarray
+    values: np.ndarray
+    order: np.ndarray
+    groups: list
+
+
 class PrefixCode:
-    """Canonical per-condition prefix-free codebooks for a ConditionalModel.
+    """Canonical per-condition prefix-free codes for a ConditionalModel.
 
     For each reference block v, primary blocks get codewords over the
     same alphabet with |w(u, v)| = max(ceil(-log_b nu(u | v)), 1) (or the
-    empty codeword when nu(u | v) = 1).  Those lengths satisfy the Kraft
-    inequality, checked exactly during assignment.  Codebooks are built
-    lazily per condition and cached.
+    empty codeword when nu(u | v) = 1).  The code of a condition is built
+    with numpy the first time the condition occurs and cached as a table
+    of codeword lengths and values plus, per distinct length, the first
+    code value, the first canonical index and the count (Moffat & Turpin
+    1997).  Building a table checks the Kraft inequality exactly in
+    integers and raises ValueError when it fails, also under python -O.
+    ``codebook`` and ``decode_tree`` derive the explicit codewords and
+    the trie from the same table, as reference views.
     """
 
     _TABLE_CAP = 2**20
@@ -456,8 +480,7 @@ class PrefixCode:
             raise ValueError(
                 f"codebook table {b}**{model.k} exceeds cap {self._TABLE_CAP}"
             )
-        self._books: Dict[int, tuple] = {}
-        self._trees: Dict[int, object] = {}
+        self._cache: Dict[int, _CodeTable] = {}
 
     def _digits(self, val: int) -> tuple:
         b, k = self.model.alphabet.size, self.model.k
@@ -467,18 +490,99 @@ class PrefixCode:
             val //= b
         return tuple(reversed(out))
 
-    def _neglog_for_condition(self, v_id: int) -> np.ndarray:
-        """-log_b nu(u | v) for all b**k primary blocks u, vectorized."""
+    def _neglog_for_conditions(self, v_ids: np.ndarray) -> np.ndarray:
+        """-log_b nu(u | v): one row per condition v, one column per block u."""
         b, k = self.model.alphabet.size, self.model.k
-        dv = self._digits(v_id)
-        s = np.zeros(1)
+        m = v_ids.size
+        dv = v_ids[:, None] // b ** np.arange(k - 1, -1, -1, dtype=np.int64) % b
+        s = np.zeros((m, 1))
         for i in range(k):
-            col = self.model.neglog[:, dv[i]]
-            s = (s[:, None] + col[None, :]).reshape(-1)
-        return s
+            # the newest digit goes on the slow axis, which keeps numpy's
+            # inner loops long; the sums still run left to right
+            col = self.model.neglog[:, dv[:, i]].T
+            s = (col[:, :, None] + s[:, None, :]).reshape(m, -1)
+        # the digits of a column index now stand last-first
+        flip = np.arange(b**k).reshape((b,) * k).transpose(range(k - 1, -1, -1))
+        return s[:, flip.reshape(-1)]
+
+    def _tables(self, v_ids) -> list:
+        """The tables of the given condition blocks, building missing ones."""
+        missing = [v for v in dict.fromkeys(v_ids) if v not in self._cache]
+        if missing:
+            self._build_tables(np.asarray(missing, dtype=np.int64))
+        return [self._cache[v] for v in v_ids]
+
+    def _build_tables(self, v_ids: np.ndarray) -> None:
+        """Build and cache the tables of several conditions at once."""
+        b = self.model.alphabet.size
+        s = self._neglog_for_conditions(v_ids)
+        m, width = s.shape
+        sure = s == 0.0
+        lengths = np.maximum(np.ceil(s), 1.0)
+        lengths[sure] = 0.0
+        lengths[np.isinf(s)] = -1.0
+        lengths = lengths.astype(np.int64)
+        # the length is nondecreasing in s once sure blocks count as -inf,
+        # so a stable sort by that key gives the (length, s, id) order;
+        # impossible blocks (s = inf) sort last
+        order = np.argsort(np.where(sure, -np.inf, s), axis=1, kind="stable")
+        flat_order = (order + width * np.arange(m)[:, None]).reshape(-1)
+        sorted_len = lengths.reshape(-1)[flat_order].reshape(m, width)
+        is_possible = sorted_len >= 0
+        possible = is_possible.sum(axis=1)
+        starts = np.ones((m, width), dtype=bool)
+        starts[:, 1:] = sorted_len[:, 1:] != sorted_len[:, :-1]
+        starts &= is_possible
+        rows, group_start = np.nonzero(starts)
+        row_end = np.append(rows[1:] != rows[:-1], True)
+        group_end = np.where(row_end, possible[rows], np.append(group_start[1:], 0))
+        group_len = sorted_len[rows, group_start].tolist()
+        group_count = (group_end - group_start).tolist()
+        group_start = group_start.tolist()
+        # one step per distinct length of a row: its first value is the
+        # previous length's next free value shifted left
+        group_first, nxt, prev = [], 0, 0
+        row_start = np.append(True, row_end[:-1]).tolist()
+        for new_row, L, count in zip(row_start, group_len, group_count):
+            if new_row:
+                nxt, prev = 0, L
+            nxt *= b ** (L - prev)
+            group_first.append(nxt)
+            nxt += count
+            prev = L
+        # Kraft, exactly: at a row's last length Lmax the next free value
+        # is sum(count_L * b**(Lmax - L)), which must not pass b**Lmax
+        last = np.flatnonzero(row_end).tolist()
+        for g in last:
+            if group_first[g] + group_count[g] > b ** group_len[g]:
+                raise ValueError(
+                    f"Kraft violation for condition block {int(v_ids[rows[g]])}: "
+                    f"lengths up to {group_len[g]} need "
+                    f"{group_first[g] + group_count[g]} of {b}**{group_len[g]} leaves"
+                )
+        dtype = np.int64 if b ** max(group_len) <= 2**63 else object
+        offsets = np.array(
+            [f - i for f, i in zip(group_first, group_start)], dtype=dtype
+        )
+        sorted_values = np.zeros((m, width), dtype=dtype)
+        sorted_values[is_possible] = np.repeat(offsets, group_count)
+        sorted_values += np.arange(width)
+        values = np.zeros(m * width, dtype=dtype)
+        values[flat_order] = sorted_values.reshape(-1)
+        values = values.reshape(m, width)
+        values[lengths < 0] = 0
+        groups = list(zip(group_len, group_first, group_start, group_count))
+        lo = 0
+        for r, (v, hi, n_possible) in enumerate(
+            zip(v_ids.tolist(), last, possible.tolist())
+        ):
+            self._cache[v] = _CodeTable(
+                lengths[r], values[r], order[r, :n_possible], groups[lo : hi + 1]
+            )
+            lo = hi + 1
 
     def lengths(self, v_id: int) -> np.ndarray:
-        return self.codebook(v_id)[0]
+        return self._tables([v_id])[0].lengths
 
     def codebook(self, v_id: int):
         """(lengths array, list of codeword tuples), canonically assigned.
@@ -487,48 +591,23 @@ class PrefixCode:
         with hand-built models) get no codeword; their entry is None and
         their length -1.
         """
-        if v_id in self._books:
-            return self._books[v_id]
+        table = self._tables([v_id])[0]
         b = self.model.alphabet.size
-        s = self._neglog_for_condition(v_id)
-        possible = np.isfinite(s)
-        lengths = np.full(s.size, -1, dtype=np.int64)
-        raw = np.maximum(np.ceil(s[possible]), 1.0)
-        raw = np.where(s[possible] == 0.0, 0.0, raw)
-        lengths[possible] = raw.astype(np.int64)
-        ids = np.flatnonzero(possible)
-        order = ids[np.lexsort((ids, s[possible], lengths[possible]))]
-        codewords = [None] * s.size
-        code_val = 0
-        prev_len = int(lengths[order[0]])
-        kraft = Fraction(0)
-        for u in order:
-            L = int(lengths[u])
-            code_val *= b ** (L - prev_len)
-            assert code_val < b**L or (L == 0 and code_val == 0), "Kraft violation"
-            kraft += Fraction(1, b**L)
-            digits = []
-            rest = code_val
-            for _ in range(L):
-                digits.append(rest % b)
-                rest //= b
-            codewords[u] = tuple(reversed(digits))
-            code_val += 1
-            prev_len = L
-        assert kraft <= 1, "Kraft violation"
-        self._books[v_id] = (lengths, codewords)
-        return self._books[v_id]
+        codewords = [None] * table.lengths.size
+        for L, _, start, count in table.groups:
+            blocks = table.order[start : start + count]
+            powers = _powers(b, L, table.values.dtype)[::-1]
+            digits = table.values[blocks][:, None] // powers % b
+            for u, cw in zip(blocks.tolist(), digits.tolist()):
+                codewords[u] = tuple(cw)
+        return table.lengths, codewords
 
     def decode_tree(self, v_id: int):
         """Trie for decoding: internal nodes are dicts, leaves are block ids."""
-        if v_id in self._trees:
-            return self._trees[v_id]
         lengths, codewords = self.codebook(v_id)
         if (lengths == 0).any():
             # a zero-length codeword means the condition determines the block
-            u = int(np.flatnonzero(lengths == 0)[0])
-            self._trees[v_id] = u
-            return u
+            return int(np.flatnonzero(lengths == 0)[0])
         root: dict = {}
         for u, cw in enumerate(codewords):
             if cw is None:
@@ -537,7 +616,6 @@ class PrefixCode:
             for a in cw[:-1]:
                 node = node.setdefault(a, {})
             node[cw[-1]] = u
-        self._trees[v_id] = root
         return root
 
 
@@ -550,33 +628,44 @@ def _block_ids(arr: np.ndarray, k: int, b: int) -> np.ndarray:
     return arr.reshape(-1, k).astype(np.int64) @ powers
 
 
+def _powers(b: int, width: int, dtype) -> np.ndarray:
+    """b**0 .. b**(width-1), as int64 or as Python ints in an object array."""
+    return np.array([b**e for e in range(width)], dtype=dtype)
+
+
 def cond_encode(
     x: WordSource, y: WordSource, code: PrefixCode, n: int
 ) -> Tuple[FiniteWord, RatioEstimate]:
     """Encode n symbols of x against reference y with per-block codewords.
 
     n must be a multiple of the model's block length.  Both sources are
-    consumed in lockstep, k symbols per block.
+    consumed in lockstep, k symbols per block.  Codes are built only for
+    the condition blocks that occur; each block's codeword is gathered
+    from its condition's table and expanded into digits with one
+    vectorized divmod.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
     n = int(n)
     if n % k:
         raise ValueError(f"budget {n} is not a multiple of block length {k}")
-    xa = x.take(n)
-    ya = y.take(n)
-    u_ids = _block_ids(xa, k, b)
-    v_ids = _block_ids(ya, k, b)
-    out: list = []
-    cum = np.empty(u_ids.size, dtype=np.int64)
-    total = 0
-    for i, (u, v) in enumerate(zip(u_ids, v_ids)):
-        cw = code.codebook(int(v))[1][int(u)]
-        if cw is None:
-            raise ValueError("model assigns probability 0 to an observed block")
-        out.extend(cw)
-        total += len(cw)
-        cum[i] = total
+    u_ids = _block_ids(x.take(n), k, b)
+    conds, cond_of = np.unique(_block_ids(y.take(n), k, b), return_inverse=True)
+    tables = code._tables(conds.tolist())
+    lengths = np.zeros(u_ids.size, dtype=np.int64)
+    values = np.zeros(u_ids.size, dtype=np.int64)
+    if tables:
+        lengths = np.stack([t.lengths for t in tables])[cond_of, u_ids]
+        values = np.stack([t.values for t in tables])[cond_of, u_ids]
+    if np.any(lengths < 0):
+        raise ValueError("model assigns probability 0 to an observed block")
+    cum = np.cumsum(lengths)
+    total = int(cum[-1]) if cum.size else 0
+    # output symbol p is digit number cum[block] - 1 - p of its block's
+    # codeword, counted from the least significant end
+    place = np.repeat(cum, lengths) - 1 - np.arange(total)
+    width = int(lengths.max()) if lengths.size else 0
+    digits = np.repeat(values, lengths) // _powers(b, width, values.dtype)[place] % b
 
     def out_at(c):
         blocks = c // k
@@ -585,7 +674,7 @@ def cond_encode(
     est = RatioEstimate(
         n=n, output_symbols=total, checkpoints=_power_checkpoints(n, out_at)
     )
-    return FiniteWord(model.alphabet, np.asarray(out, dtype=np.int64)), est
+    return FiniteWord(model.alphabet, digits.astype(np.int64)), est
 
 
 def cond_decode(
@@ -593,7 +682,11 @@ def cond_decode(
 ) -> FiniteWord:
     """Decode n symbols (n/k blocks) from a cond_encode stream.
 
-    Walks the per-condition code trie symbol by symbol; a missing branch
+    Canonical decoding from the per-condition tables, one step per block:
+    the next W compressed symbols, read as a base-b number w (W is the
+    longest codeword of the conditions that occur, zeros past the end),
+    fall below the first limit (first + count) * b**(W - L) exactly for
+    the codeword length L being read.  A window that starts no codeword
     or a truncated final codeword raises DecodeDeadEnd, as does trailing
     data after the last block.
     """
@@ -603,24 +696,47 @@ def cond_decode(
     if n % k:
         raise ValueError(f"length {n} is not a multiple of block length {k}")
     comp = compressed.data
+    size = comp.size
+    conds, cond_of = np.unique(_block_ids(y.take(n), k, b), return_inverse=True)
+    tables = code._tables(conds.tolist())
+    width = max((t.groups[-1][0] for t in tables), default=0)
+    dtype = np.int64 if b**width <= 2**63 else object
+    padded = np.concatenate((comp.astype(dtype), np.zeros(width, dtype=dtype)))
+    window = np.zeros(size + 1, dtype=dtype)
+    for j in range(width):
+        window = window * b + padded[j : j + size + 1]
+    # per condition: the limits, lengths and scales of its length groups,
+    # and where each group's canonical index starts in the joint order
+    forms, base = [], 0
+    for t in tables:
+        scale = [b ** (width - L) for L, _, _, _ in t.groups]
+        forms.append((
+            [(f + c) * d for (_, f, _, c), d in zip(t.groups, scale)],
+            [L for L, _, _, _ in t.groups],
+            scale,
+            [base + i - f for _, f, i, _ in t.groups],
+        ))
+        base += t.order.size
+    picks = []
     pos = 0
-    blocks = []
-    for _ in range(n // k):
-        v_id = int(_block_ids(y.take(k), k, b)[0])
-        node = code.decode_tree(v_id)
-        while not isinstance(node, (int, np.integer)):
-            if pos >= comp.size:
-                raise DecodeDeadEnd("compressed stream ended inside a codeword")
-            a = int(comp[pos])
-            pos += 1
-            node = node.get(a)
-            if node is None:
-                raise DecodeDeadEnd(f"no codeword branch for symbol {a}")
-        blocks.append(code._digits(int(node)))
-    if pos != comp.size:
-        raise DecodeDeadEnd(f"{comp.size - pos} trailing symbols after the last block")
-    flat = np.asarray([a for blk in blocks for a in blk], dtype=np.int64)
-    return FiniteWord(model.alphabet, flat)
+    for c in cond_of.tolist():
+        limits, group_len, scale, offsets = forms[c]
+        w = int(window[pos])
+        g = bisect.bisect_right(limits, w)
+        if g == len(limits):
+            raise DecodeDeadEnd(f"no codeword starts at compressed symbol {pos}")
+        L = group_len[g]
+        if pos + L > size:
+            raise DecodeDeadEnd("compressed stream ended inside a codeword")
+        picks.append(offsets[g] + w // scale[g])
+        pos += L
+    if pos != size:
+        raise DecodeDeadEnd(f"{size - pos} trailing symbols after the last block")
+    order = np.concatenate([t.order for t in tables] or [np.zeros(0, np.int64)])
+    blocks = order[np.asarray(picks, dtype=np.int64)]
+    powers = _powers(b, k, np.int64)[::-1]
+    flat = blocks[:, None] // powers % b
+    return FiniteWord(model.alphabet, flat.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Alphabet, FiniteWord, alocc, word
+from .words import Alphabet, FiniteWord, _dtype_for, alocc, word
 from .sources import WordSource
 
 
@@ -204,7 +204,9 @@ class SelfSimilarSource(WordSource):
         self._seeds = _seed_stages(base)
         self._next_seed = 0
         self._stage = None
-        self._chunks = [np.ones(base, dtype=np.int64)]
+        # the prefix keeps the words' own dtype (uint8 up to base 256);
+        # only the window a caller takes is cast to int64
+        self._chunks = [np.ones(base, dtype=_dtype_for(base))]
         self._size = base
         self._count = 0
 
@@ -214,7 +216,7 @@ class SelfSimilarSource(WordSource):
             self._next_seed += 1
         else:
             self._stage = _advance(self._stage, self.base)
-        self._chunks.append(self._stage.word.data.astype(np.int64))
+        self._chunks.append(self._stage.word.data)
         self._size += len(self._stage.word)
 
     def _ensure(self, total: int):
@@ -226,7 +228,7 @@ class SelfSimilarSource(WordSource):
     def _produce(self, n):
         self._ensure(self._count + n)
         data = self._chunks[0]
-        out = data[self._count : self._count + n]
+        out = data[self._count : self._count + n].astype(np.int64)
         self._count += n
         return out
 

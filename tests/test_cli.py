@@ -174,6 +174,7 @@ def test_check_automaton_reports_shuffle_violation():
         ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "selfsim"),
         ("experiment", "join-dependence", "-k", "16"),
         ("experiment", "join-dependence", "-k", "8"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "odd(selfsim)"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch):
@@ -185,7 +186,12 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch):
     check = cli._check_memory
     monkeypatch.setattr(cli, "_check_memory", lambda b: estimates.append(b) or check(b))
     run_cli(*argv, "-n", "1024")  # first calls fill lazy caches
-    for n in (1024, 4096 + 32, 16384 + 32):
+    sizes = (1024, 4096 + 32, 16384 + 32)
+    if "odd(selfsim)" in argv:
+        # odd() reads 2n self-similar symbols, so n just past 2**19 makes
+        # the prefix grow by a whole stage
+        sizes += ((1 << 19) + 16,)
+    for n in sizes:
         tracemalloc.start()
         try:
             rc, _ = run_cli(*argv, "-n", str(n))

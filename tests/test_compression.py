@@ -2,8 +2,12 @@
 and the block-entropy conditional coder."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import naive_cond_decode, naive_cond_encode
 
@@ -413,6 +417,35 @@ def test_degenerate_model_empty_codeword():
     assert code.decode_tree(0) == 0  # bare block id, no trie needed
 
 
+KRAFT_VIOLATION = """
+import numpy as np
+from fsindep import Alphabet, ConditionalModel, build_prefix_code
+
+# the first column passes allclose, but its lengths 0 and 34 break Kraft
+model = ConditionalModel(Alphabet(2), 1, np.array([[1.0, 0.5], [1e-10, 0.5]]))
+try:
+    lengths, _ = build_prefix_code(model).codebook(0)
+except ValueError as e:
+    print("ValueError:", e)
+else:
+    print("accepted lengths", lengths.tolist())
+"""
+
+
+def test_kraft_violation_raises_even_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    for flags in ([], ["-O"]):
+        res = subprocess.run(
+            [sys.executable, *flags, "-c", KRAFT_VIOLATION],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("ValueError: Kraft violation"), (flags, res.stdout)
+
+
 def test_code_table_cap():
     with pytest.raises(ValueError):
         build_prefix_code(
@@ -477,6 +510,18 @@ def test_cond_decode_rejects_truncated_and_padded_streams():
         cond_decode(comp.segment(1, len(comp) - 1), y.clone(), code, 64)
     with pytest.raises(DecodeDeadEnd):
         cond_decode(comp + word("0"), y.clone(), code, 64)
+    # an incomplete code leaves prefixes that start no codeword: under
+    # reference 0 the codewords are 0 and 1000, so 1111 starts none
+    sparse = build_prefix_code(
+        ConditionalModel(A2, 1, np.array([[0.9, 0.5], [0.1, 0.5]]))
+    )
+    lengths, codewords = sparse.codebook(0)
+    assert sum(Fraction(1, 2 ** int(L)) for L in lengths) < 1
+    assert codewords == [(0,), (1, 0, 0, 0)]
+    with pytest.raises(DecodeDeadEnd):
+        cond_decode(word("1111"), lit("0"), sparse, 1)
+    with pytest.raises(DecodeDeadEnd):
+        cond_decode(word("0111"), lit("00"), sparse, 2)
 
 
 def _check_codec_against_oracles(x: FiniteWord, y: FiniteWord, code) -> list:
