@@ -506,10 +506,15 @@ class PrefixCode:
         return s[:, flip.reshape(-1)]
 
     def _tables(self, v_ids) -> list:
-        """The tables of the given condition blocks, building missing ones."""
+        """The tables of the given condition blocks, building missing ones.
+
+        Missing tables are built together, at most _TABLE_CAP entries per
+        batch, which bounds the batch's scratch arrays.
+        """
         missing = [v for v in dict.fromkeys(v_ids) if v not in self._cache]
-        if missing:
-            self._build_tables(np.asarray(missing, dtype=np.int64))
+        step = self._TABLE_CAP // self.model.alphabet.size**self.model.k
+        for i in range(0, len(missing), step):
+            self._build_tables(np.asarray(missing[i : i + step], dtype=np.int64))
         return [self._cache[v] for v in v_ids]
 
     def _build_tables(self, v_ids: np.ndarray) -> None:

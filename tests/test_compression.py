@@ -551,9 +551,11 @@ def test_codec_matches_per_block_oracles(b):
         x = rng.integers(0, b, n)
         independent = rng.integers(0, b, n)
         dependent = np.where(rng.random(n) < 0.1, (x + 1) % b, x)
-        for y in (independent, dependent):
+        for y, batch in ((independent, None), (dependent, 3)):
             xw, yw = FiniteWord(alpha, x), FiniteWord(alpha, y)
             code = build_prefix_code(train_model(xw, yw, k))
+            if batch:
+                code._TABLE_CAP = batch * b**k  # build 3 conditions at a time
             _check_codec_against_oracles(xw, yw, code)
         if k in (1, 4, 8):
             sure = build_prefix_code(ConditionalModel(alpha, k, np.eye(b)))
