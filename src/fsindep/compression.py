@@ -522,15 +522,15 @@ class PrefixCode:
         b = self.model.alphabet.size
         s = self._neglog_for_conditions(v_ids)
         m, width = s.shape
-        sure = s == 0.0
         lengths = np.maximum(np.ceil(s), 1.0)
-        lengths[sure] = 0.0
+        lengths[s == 0.0] = 0.0
         lengths[np.isinf(s)] = -1.0
         lengths = lengths.astype(np.int64)
-        # the length is nondecreasing in s once sure blocks count as -inf,
-        # so a stable sort by that key gives the (length, s, id) order;
-        # impossible blocks (s = inf) sort last
-        order = np.argsort(np.where(sure, -np.inf, s), axis=1, kind="stable")
+        # the length is nondecreasing in s, so a stable sort by s gives the
+        # (length, s, id) order, impossible blocks (s = inf) last.  The one
+        # exception, a sure block (s = 0) after blocks with s < 0 (nu above
+        # 1), breaks Kraft in any order and raises below.
+        order = np.argsort(s, axis=1, kind="stable")
         flat_order = (order + width * np.arange(m)[:, None]).reshape(-1)
         sorted_len = lengths.reshape(-1)[flat_order].reshape(m, width)
         is_possible = sorted_len >= 0
@@ -679,7 +679,7 @@ def cond_encode(
     est = RatioEstimate(
         n=n, output_symbols=total, checkpoints=_power_checkpoints(n, out_at)
     )
-    return FiniteWord(model.alphabet, digits.astype(np.int64)), est
+    return FiniteWord(model.alphabet, digits.astype(np.int64, copy=False)), est
 
 
 def cond_decode(

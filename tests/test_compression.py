@@ -508,6 +508,8 @@ def test_cond_decode_rejects_truncated_and_padded_streams():
     comp, _ = cond_encode(x.clone(), y.clone(), code, 64)
     with pytest.raises(DecodeDeadEnd):
         cond_decode(comp.segment(1, len(comp) - 1), y.clone(), code, 64)
+    with pytest.raises(DecodeDeadEnd):  # ends inside a codeword mid-stream
+        cond_decode(comp.segment(1, len(comp) // 2), y.clone(), code, 64)
     with pytest.raises(DecodeDeadEnd):
         cond_decode(comp + word("0"), y.clone(), code, 64)
     # an incomplete code leaves prefixes that start no codeword: under

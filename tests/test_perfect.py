@@ -172,8 +172,11 @@ def test_self_similar_halving_identity():
 
 def test_self_similar_chunking_and_clone():
     s = self_similar_source()
-    a = np.concatenate([s.take(k) for k in (1, 2, 5, 100, 1000)])
+    parts = [s.take(k) for k in (1, 2, 5, 100, 1000)]
+    a = np.concatenate(parts)
     assert np.array_equal(a, s.clone().take(1108))
+    # the prefix is stored narrow, but every window comes out as int64
+    assert {p.dtype for p in parts} == {np.dtype(np.int64)}
 
 
 def test_self_similar_even_projection_is_itself():
