@@ -9,8 +9,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import naive_cond_decode, naive_cond_encode
-
 import numpy as np
 import pytest
 
@@ -48,6 +46,7 @@ from fsindep import (
     unconditional_source,
     word,
 )
+from conftest import naive_cond_decode, naive_cond_encode
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
