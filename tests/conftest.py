@@ -70,6 +70,32 @@ def rand_text(rng: random.Random, n: int, b: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# text oracles
+
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def naive_parse(text: str, b: int) -> list:
+    """Per-character parse; the first bad character raises ValueError."""
+    out = []
+    for c in text:
+        a = _DIGITS.find(c)
+        if a < 0:
+            raise ValueError(f"invalid symbol character {c!r}")
+        if a >= b:
+            raise ValueError(
+                f"character {c!r} denotes symbol {a}, outside alphabet of size {b}"
+            )
+        out.append(a)
+    return out
+
+
+def naive_render(symbols) -> str:
+    """Per-symbol render: one character per symbol."""
+    return "".join(_DIGITS[int(a)] for a in symbols)
+
+
+# ---------------------------------------------------------------------------
 # automaton oracles
 
 

@@ -20,7 +20,7 @@ from fsindep import (
     word,
     write_word_file,
 )
-from conftest import naive_alocc, naive_occ, rand_text
+from conftest import naive_alocc, naive_occ, naive_parse, naive_render, rand_text
 
 
 def test_alphabet_basics():
@@ -37,6 +37,44 @@ def test_alphabet_rejects_degenerate_sizes():
         Alphabet(1)
     with pytest.raises(ValueError):
         Alphabet(0)
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 36])
+def test_parse_and_render_match_per_character_oracles(b):
+    rng = random.Random(b)
+    alph = Alphabet(b)
+    for n in (0, 1, 2, 7, 64, 1000, 4099):
+        text = rand_text(rng, n, b)
+        parsed = alph.parse(text)
+        assert parsed.dtype == np.uint8
+        assert parsed.tolist() == naive_parse(text, b)
+        assert alph.render(parsed) == naive_render(parsed) == text
+    assert alph.parse("").size == 0 and alph.render([]) == ""
+    assert alph.render(range(b)) == naive_render(range(b))
+
+
+@pytest.mark.parametrize(
+    "b, text",
+    [
+        (2, "0110#01"),  # ASCII, but no symbol character
+        (2, "01A0"),  # upper case is not a symbol character
+        (2, "0\n1"),
+        (2, "001x1"),  # a symbol character past base 2
+        (2, "0120x"),  # the first of two offenders raises
+        (10, "0123456789a"),
+        (36, "abc_z"),
+        (2, "01\u00e90"),  # non-ASCII
+        (36, "z\u0661"),  # non-ASCII digit one
+        (3, "2\u00e9x"),
+        (3, "2x\u00e9"),
+    ],
+)
+def test_parse_raises_on_the_first_bad_character(b, text):
+    with pytest.raises(ValueError) as want:
+        naive_parse(text, b)
+    with pytest.raises(ValueError) as got:
+        Alphabet(b).parse(text)
+    assert str(got.value) == str(want.value)
 
 
 def test_word_parsing_and_rendering():
