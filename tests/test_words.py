@@ -217,6 +217,62 @@ def test_word_file_rejects_multiline(tmp_path):
         read_word_file(p, 2)
 
 
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        (b"0110\n", "0110"),
+        (b"0110\r\n", "0110"),
+        (b"0110\r", "0110"),
+        (b"0110", "0110"),
+        (b"", ""),
+        (b"\n", ""),
+        (b"\r\n", ""),
+        (b"\r", ""),
+    ],
+)
+def test_word_file_accepts_one_line_with_any_terminator(tmp_path, raw, text):
+    p = tmp_path / "w.txt"
+    p.write_bytes(raw)
+    assert read_word_file(p, 2) == word(text)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"01\n10",
+        b"01\r10",
+        b"01\n\n",
+        b"01\r\r",
+        b"01\r\n\r\n",
+        b"01\n\r",
+        b"\n\n",
+        b"\r01",
+    ],
+)
+def test_word_file_rejects_other_line_breaks(tmp_path, raw):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError, match="must hold a single line"):
+        read_word_file(p, 2)
+
+
+@pytest.mark.parametrize("raw", [b"01\xe90\n", b"\xff", b"0110\xc3\xa9"])
+def test_word_file_rejects_non_ascii_bytes(tmp_path, raw):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError):
+        read_word_file(p, 2)
+
+
+@pytest.mark.parametrize("b", [2, 36])
+def test_word_file_round_trip_is_exact(tmp_path, b):
+    text = rand_text(random.Random(b), 5000, b)
+    p = tmp_path / "w.txt"
+    write_word_file(p, word(text, base=b))
+    assert p.read_bytes() == text.encode("ascii") + b"\n"
+    assert read_word_file(p, b).to_text() == text
+
+
 def test_dtype_scales_with_alphabet():
     assert word("01").data.dtype == np.uint8
     big = FiniteWord(Alphabet(70000), np.arange(4, dtype=np.uint32))
