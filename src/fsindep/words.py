@@ -15,6 +15,11 @@ import numpy as np
 #: digits first, then lowercase letters; caps text rendering at 36 symbols
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_TO_SYM = {c: i for i, c in enumerate(_CHARS)}
+#: symbol -> ASCII code of its character
+_CHAR_CODES = np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)
+#: byte -> symbol; a byte that is no symbol character maps to 255
+_SYM_OF_BYTE = np.full(256, 255, dtype=np.uint8)
+_SYM_OF_BYTE[_CHAR_CODES] = np.arange(len(_CHARS))
 
 MAX_TEXT_ALPHABET = len(_CHARS)
 
@@ -79,18 +84,42 @@ class Alphabet:
             )
         return a
 
-    def parse(self, text: str) -> np.ndarray:
+    def parse(self, text) -> np.ndarray:
+        """Symbols of ``text``: a str, or bytes-like ASCII text.
+
+        A bad character raises the :meth:`symbol` error of the first one.
+        """
         if self.size > MAX_TEXT_ALPHABET:
             raise ValueError("alphabet too large for text parsing")
-        out = np.empty(len(text), dtype=_dtype_for(self.size))
-        for i, c in enumerate(text):
-            out[i] = self.symbol(c)
+        raw = text
+        if isinstance(text, str):
+            try:
+                raw = text.encode("ascii")
+            except UnicodeEncodeError as e:
+                self.parse(text[: e.start])  # a bad ASCII character before it
+                self.symbol(text[e.start])  # no symbol character is non-ASCII
+        out = _SYM_OF_BYTE[np.frombuffer(raw, dtype=np.uint8)]
+        if out.size and out.max() >= self.size:
+            i = int(np.argmax(out >= self.size))
+            # bytes before i are symbol characters, so only byte i can fail
+            # to decode, and then with the error decoding the whole would give
+            c = text[i] if isinstance(text, str) else str(raw[: i + 1], "ascii")[-1]
+            self.symbol(c)  # raises: the table rejects what symbol() rejects
         return out
 
     def render(self, data) -> str:
+        """Text of the integer symbols ``data``, one character each."""
         if self.size > MAX_TEXT_ALPHABET:
             raise ValueError("alphabet too large for text rendering")
-        return "".join(_CHARS[int(a)] for a in data)
+        arr = np.asarray(data)
+        if arr.size == 0:
+            return ""
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError("render takes a one-dimensional sequence of int symbols")
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= self.size:
+            self.check_symbol(lo if lo < 0 else hi)
+        return _CHAR_CODES[arr].tobytes().decode("ascii")
 
 
 class FiniteWord:
@@ -284,17 +313,26 @@ def join(x, y):
 
 
 def read_word_file(path, base: int) -> FiniteWord:
-    """Read a word file: one line of symbol characters, optional trailing newline."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if text.endswith("\n"):
-        text = text[:-1]
-    if "\n" in text or "\r" in text:
+    """Read a word file: one line of symbol characters.
+
+    The line may end in ``"\\n"``, ``"\\r\\n"``, ``"\\r"`` or nothing.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = len(raw)
+    if raw.endswith(b"\r\n"):
+        end -= 2
+    elif raw.endswith((b"\n", b"\r")):
+        end -= 1
+    if raw.find(b"\n", 0, end) >= 0 or raw.find(b"\r", 0, end) >= 0:
         raise ValueError(f"word file {path} must hold a single line")
-    return word(text, base=base)
+    alph = Alphabet(base)
+    return FiniteWord(alph, alph.parse(memoryview(raw)[:end]))
 
 
 def write_word_file(path, w: FiniteWord) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(w.to_text())
-        fh.write("\n")
+    """Write ``w`` as one line of symbol characters and ``"\\n"``."""
+    text = w.to_text()
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii"))
+        fh.write(b"\n")

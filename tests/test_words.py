@@ -77,6 +77,17 @@ def test_parse_raises_on_the_first_bad_character(b, text):
     assert str(got.value) == str(want.value)
 
 
+def test_render_rejects_symbols_outside_the_alphabet():
+    a2 = Alphabet(2)
+    for bad, sym in (([-1, 5], -1), ([0, 1, 2], 2), (np.array([0, 7], np.uint8), 7)):
+        with pytest.raises(ValueError, match=f"symbol {sym} outside alphabet of size 2"):
+            a2.render(bad)
+    with pytest.raises(ValueError):
+        a2.render([0.0, 1.0])
+    assert a2.render(range(2)) == "01"
+    assert Alphabet(36).render(range(36)) == "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def test_word_parsing_and_rendering():
     w = word("0110")
     assert len(w) == 4
