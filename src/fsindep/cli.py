@@ -261,7 +261,7 @@ def _ratio_rows(est):
 
 def _cmd_generate(args) -> int:
     spec = parse_generator(args.gen)
-    _check_memory(32 * args.n)
+    _check_memory(_BASE_BYTES + 32 * args.n)
     src = spec.build()
     w = src.prefix(args.n)
     if args.out:
@@ -272,8 +272,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    # checked before reading: the file holds one byte per symbol, plus
+    # at most a line terminator
+    _check_memory(_BASE_BYTES + 64 * os.path.getsize(args.word))
     w = read_word_file(args.word, args.base)
-    _check_memory(64 * len(w))
     report = normality_report(w, args.max_block, threshold=args.threshold)
     rows = []
     for ell, disc in report.discrepancies.items():

@@ -123,6 +123,24 @@ def test_generate_memory_cap_exits_4(tmp_path):
     assert not (tmp_path / "big.txt").exists()  # nothing partial on error
 
 
+def test_stats_checks_the_memory_cap_before_reading(tmp_path, monkeypatch):
+    from fsindep import cli
+
+    w = tmp_path / "w.txt"
+    gen = ("generate", "--gen", "selfsim", "-n", str(1 << 16), "--out", str(w))
+    assert run_cli(*gen)[0] == 0
+    reads = []
+
+    def no_read(*args):
+        reads.append(args)
+        raise AssertionError("stats read the word file before checking the cap")
+
+    monkeypatch.setattr(cli, "read_word_file", no_read)
+    rc, _ = run_cli("stats", "--word", str(w), env_extra={"FSINDEP_MAX_MEM_MB": "1"})
+    assert rc == 4
+    assert reads == []
+
+
 def test_stats_reports_and_verdict(tmp_path):
     w = tmp_path / "w.txt"
     run_cli("generate", "--gen", "rand:seed=5", "-n", "4096", "--out", str(w))
@@ -175,26 +193,41 @@ def test_check_automaton_reports_shuffle_violation():
         ("experiment", "join-dependence", "-k", "16"),
         ("experiment", "join-dependence", "-k", "8"),
         ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "odd(selfsim)"),
+        ("generate", "--gen", "rand:seed=3", "--out", "WORD"),
+        ("generate", "--gen", "selfsim", "--out", "WORD"),
+        ("stats", "--word", "WORD"),
     ],
 )
-def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch):
+def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
     import tracemalloc
 
     from fsindep import cli
 
+    word_file = str(tmp_path / "w.txt")
+    argv = [word_file if a == "WORD" else a for a in argv]
+
+    def args_for(n):
+        if argv[0] != "stats":
+            return [*argv, "-n", str(n)]
+        # stats takes its length from the word file
+        gen = ("generate", "--gen", "rand:seed=3", "-n", str(n), "--out", word_file)
+        assert run_cli(*gen)[0] == 0
+        return argv
+
     estimates = []
     check = cli._check_memory
     monkeypatch.setattr(cli, "_check_memory", lambda b: estimates.append(b) or check(b))
-    run_cli(*argv, "-n", "1024")  # first calls fill lazy caches
+    run_cli(*args_for(1024))  # first calls fill lazy caches
     sizes = (1024, 4096 + 32, 16384 + 32)
     if "odd(selfsim)" in argv:
         # odd() reads 2n self-similar symbols, so n just past 2**19 makes
         # the prefix grow by a whole stage
         sizes += ((1 << 19) + 16,)
     for n in sizes:
+        args = args_for(n)
         tracemalloc.start()
         try:
-            rc, _ = run_cli(*argv, "-n", str(n))
+            rc, _ = run_cli(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
