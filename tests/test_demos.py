@@ -5,15 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
-def test_conditional_coding_demo_runs():
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
     res = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "conditional_coding.py")],
+        [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert res.returncode == 0, res.stderr
