@@ -101,8 +101,8 @@ class Alphabet:
         out = _SYM_OF_BYTE[np.frombuffer(raw, dtype=np.uint8)]
         if out.size and out.max() >= self.size:
             i = int(np.argmax(out >= self.size))
-            # bytes before i are symbol characters, so only byte i can fail
-            # to decode, and then with the error decoding the whole would give
+            # bytes before i are symbol characters, so decoding up to i fails
+            # only on a non-ASCII byte i, as decoding the whole text would
             c = text[i] if isinstance(text, str) else str(raw[: i + 1], "ascii")[-1]
             self.symbol(c)  # raises: the table rejects what symbol() rejects
         return out

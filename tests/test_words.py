@@ -75,6 +75,11 @@ def test_parse_raises_on_the_first_bad_character(b, text):
     with pytest.raises(ValueError) as got:
         Alphabet(b).parse(text)
     assert str(got.value) == str(want.value)
+    # the same text as bytes, the form word files are parsed in
+    with pytest.raises(ValueError) as got:
+        Alphabet(b).parse(text.encode("utf-8"))
+    if text.isascii():
+        assert str(got.value) == str(want.value)
 
 
 def test_render_rejects_symbols_outside_the_alphabet():
@@ -219,6 +224,11 @@ def test_word_file_round_trip(tmp_path):
     write_word_file(p, w)
     assert read_word_file(p, 3) == w
     assert p.read_bytes().endswith(b"\n")
+    for b in (2, 36):
+        text = rand_text(random.Random(b), 5000, b)
+        write_word_file(p, word(text, base=b))
+        assert p.read_bytes() == text.encode("ascii") + b"\n"
+        assert read_word_file(p, b).to_text() == text
 
 
 def test_word_file_rejects_multiline(tmp_path):
@@ -273,15 +283,6 @@ def test_word_file_rejects_non_ascii_bytes(tmp_path, raw):
     p.write_bytes(raw)
     with pytest.raises(ValueError):
         read_word_file(p, 2)
-
-
-@pytest.mark.parametrize("b", [2, 36])
-def test_word_file_round_trip_is_exact(tmp_path, b):
-    text = rand_text(random.Random(b), 5000, b)
-    p = tmp_path / "w.txt"
-    write_word_file(p, word(text, base=b))
-    assert p.read_bytes() == text.encode("ascii") + b"\n"
-    assert read_word_file(p, b).to_text() == text
 
 
 def test_dtype_scales_with_alphabet():
