@@ -18,8 +18,9 @@ _CHAR_TO_SYM = {c: i for i, c in enumerate(_CHARS)}
 #: symbol -> ASCII code of its character
 _CHAR_CODES = np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)
 #: byte -> symbol; a byte that is no symbol character maps to 255
-_SYM_OF_BYTE = np.full(256, 255, dtype=np.uint8)
-_SYM_OF_BYTE[_CHAR_CODES] = np.arange(len(_CHARS))
+_SYM_OF_BYTE = np.frombuffer(
+    bytes(_CHAR_TO_SYM.get(chr(i), 255) for i in range(256)), dtype=np.uint8
+)
 
 MAX_TEXT_ALPHABET = len(_CHARS)
 
