@@ -281,7 +281,7 @@ def test_word_file_rejects_other_line_breaks(tmp_path, raw):
 def test_word_file_rejects_non_ascii_bytes(tmp_path, raw):
     p = tmp_path / "bad.txt"
     p.write_bytes(raw)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnicodeDecodeError):  # a ValueError, as with text-mode reads
         read_word_file(p, 2)
 
 
