@@ -115,8 +115,8 @@ class Alphabet:
         arr = np.asarray(data)
         if arr.size == 0:
             return ""
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ValueError("render takes a one-dimensional sequence of int symbols")
+        if arr.dtype.kind not in "iu":
+            raise ValueError("symbols must be integers")
         lo, hi = arr.min(), arr.max()
         if lo < 0 or hi >= self.size:
             self.check_symbol(lo if lo < 0 else hi)
