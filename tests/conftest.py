@@ -5,6 +5,7 @@ used as independent oracles against the vectorized library code.  They
 must not import anything from fsindep internals beyond the public API.
 """
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -12,7 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsindep import DecodeDeadEnd, FiniteWord, KAutomaton, load_automaton
+from fsindep import (
+    DecodeDeadEnd,
+    FiniteWord,
+    KAutomaton,
+    LiteralSource,
+    LosslessnessReport,
+    load_automaton,
+    run,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -217,6 +226,30 @@ def naive_run(M: KAutomaton, ell: int, input_texts, n: int):
         "halt": halt,
         "events": events,
     }
+
+
+def naive_bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessReport:
+    """One run() per input word, in itertools.product order.
+
+    Words whose run halts are skipped; the first word whose (output,
+    final state) was already seen at its length is returned with the
+    word that produced it first.
+    """
+    b = M.alphabet.size
+    checked = 0
+    for L in range(1, max_len + 1):
+        seen: dict = {}
+        for tup in itertools.product(range(b), repeat=L):
+            w = FiniteWord(M.alphabet, np.asarray(tup, dtype=np.int64))
+            trace = run(M, 1, [LiteralSource(w)], L, record_path=False)
+            if trace.halted or trace.consumed[0] != L:
+                continue
+            checked += 1
+            key = (trace.output.data.tobytes(), trace.final_state)
+            if key in seen:
+                return LosslessnessReport(False, max_len, checked, (seen[key], w))
+            seen[key] = w
+    return LosslessnessReport(True, max_len, checked, None)
 
 
 # ---------------------------------------------------------------------------

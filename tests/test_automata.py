@@ -34,6 +34,7 @@ from fsindep.automata import (
 )
 from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
 from conftest import (
+    naive_bounded_losslessness_check,
     naive_check_deterministic,
     naive_forward_pairs,
     naive_run,
@@ -640,6 +641,103 @@ def test_transducer_output_source_is_request_size_invariant():
             # once the stream has ended, x stands just after the last consumed symbol
             rest = x.take_available(len(text)).tolist()
             assert rest == [int(c) for c in text[ref.consumed[0] :]]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive losslessness check
+
+
+def rand_det_silent_chains(rng: random.Random, b: int) -> KAutomaton:
+    """Deterministic 1-input transducer whose states read, are silent (one
+    transition to any state, so silent chains and cycles occur) or have no
+    transitions at all."""
+    states = [f"s{i}" for i in range(rng.randint(1, 6))]
+    trans = []
+    for p in states:
+        kind = rng.random()
+        out = lambda: tuple(rng.randrange(b) for _ in range(rng.randint(0, 2)))
+        if kind < 0.1:
+            continue
+        if kind < 0.35:
+            trans.append((p, ((), out()), rng.choice(states)))
+            continue
+        for a in range(b):
+            if rng.random() < 0.9:
+                trans.append((p, ((a,), out()), rng.choice(states)))
+    return KAutomaton(2, Alphabet(b), states, rng.choice(states), trans)
+
+
+def budget_chain_machine(chain: int) -> KAutomaton:
+    """Copy machine whose every 1 costs a silent chain of the given length.
+
+    ``s`` reads 0 and writes 0; it reads 1 into silent states c1..c<chain>,
+    of which c1 writes the 1 and the last leads back to ``s``.
+    """
+    cs = [f"c{i}" for i in range(1, chain + 1)]
+    trans = [("s", ((0,), (0,)), "s"), ("s", ((1,), ()), cs[0])]
+    for i, c in enumerate(cs):
+        trans.append((c, ((), (1,) if i == 0 else ()), cs[i + 1] if i + 1 < chain else "s"))
+    return KAutomaton(2, A2, ["s", *cs], "s", trans)
+
+
+def test_losslessness_check_matches_per_word_oracle():
+    rng = random.Random(505)
+    cases = [(rand_det_solid(rng, p), 8) for p in (0.6, 0.8, 0.95, 1.0) for _ in range(8)]
+    cases += [(rand_det_with_silent_states(rng), 8) for _ in range(24)]
+    cases += [(rand_det_silent_chains(rng, 2), 8) for _ in range(24)]
+    cases += [(rand_det_silent_chains(rng, 3), 5) for _ in range(16)]
+    fixed = {
+        "initial on a silent cycle": """
+            automaton k=2 alphabet=2 initial=a
+            a -,0 b
+            b -,- a
+            c 0,0 c
+            """,
+        "silent chain into a state without transitions": """
+            automaton k=2 alphabet=2 initial=a
+            a 0,0 a
+            a 1,1 e
+            e -,10 z
+            """,
+        "silent self-loop after a 1": """
+            automaton k=2 alphabet=2 initial=a
+            a 0,1 a
+            a 1,- e
+            e -,0 e
+            """,
+        "silent initial chain": """
+            automaton k=2 alphabet=3 initial=i
+            i -,2 j
+            j -,- a
+            a 0,0 a
+            a 1,1 a
+            a 2,- a
+            """,
+    }
+    cases += [(parse_automaton(text), 6) for text in fixed.values()]
+    collapsing = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), ()), "s") for a in (0, 1)])
+    cases += [(collapsing, 3), (odd_projection_transducer(Alphabet(3)), 4)]
+    cases += [(copy_automaton(Alphabet(3)), 5), (odd_projection_transducer(A2), 0)]
+    lossless = 0
+    for M, max_len in cases:
+        got = bounded_losslessness_check(M, max_len)
+        assert got == naive_bounded_losslessness_check(M, max_len), M.to_text()
+        lossless += got.lossless
+    assert len(cases) >= 100 and 10 <= lossless <= len(cases) - 10
+
+
+def test_losslessness_check_step_budget_halts_one_length_only():
+    # budget 64 L + 4 |Q| + 64 with |Q| = 241; a 1 costs 241 steps, a 0 one
+    M = budget_chain_machine(240)
+    assert len(M.states) > 64
+    tr = run(M, 1, [lit("111111")], 6, record_path=False)
+    assert tr.halt_reason == "step-budget"
+    tr = run(M, 1, [lit("1111110")], 7, record_path=False)
+    assert not tr.halted and tr.steps == 6 * 241 + 1
+    assert tr.output.to_text() == "1111110"
+    got = bounded_losslessness_check(M, 8)
+    assert got == naive_bounded_losslessness_check(M, 8)
+    assert got.lossless and 0 < got.words_checked < 2**9 - 2
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,8 @@ def test_odd_projection_is_lossy():
     assert not rep.lossless
     w1, w2 = rep.counterexample
     assert w1 != w2 and len(w1) == len(w2) <= 2
+    # both map to output 0 and end in 'keep'
+    assert (w1.to_text(), w2.to_text(), rep.words_checked) == ("00", "01", 4)
 
 
 def test_collapsing_transducer_caught_immediately():
