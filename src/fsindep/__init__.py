@@ -92,7 +92,6 @@ from .compression import (
     independence_report,
     LosslessnessReport,
     bounded_losslessness_check,
-    unconditional_source,
 )
 
 __version__ = "0.1.0"

@@ -575,6 +575,65 @@ class CompiledAutomaton:
             if k < m:
                 break
 
+    def _every_word(self, max_len: int):
+        """Run the ell=1 machine on every input word of length 1..max_len.
+
+        Yields, for each length L, four arrays over the b**L words in
+        ``itertools.product`` order: final state, output tags (one column
+        per word, zero past its length), output length, and whether
+        :func:`run` with budget L and its default step budget ends
+        without a halt.  Word i of length L is word i // b of length
+        L - 1 followed by symbol i % b, so each length is one gather from
+        the one before.  The silent steps that :func:`run` fires after a
+        read (or at the start, or as the trailing flush) are resolved once
+        per state; a chain that ends on a silent cycle leads to the sink,
+        which halts the word and all its extensions, as a missing
+        transition does.  The step budget grows with L, so it halts a
+        word but not its extensions.
+        """
+        b, sink = self.b, len(self.states)
+        delta, emit = self.delta_list, self.emit_list
+        # silent closure of each state: end state (sink on a cycle), steps, tags
+        end, steps, tags = list(range(sink + 1)), [0] * (sink + 1), [()] * (sink + 1)
+        done = [r != 0 for r in self.read]
+        for q in range(sink):
+            chain, p = {}, q
+            while not done[p] and p not in chain:
+                chain[p] = None
+                p = delta[p * b]
+            e, n, t = (end[p], steps[p], tags[p]) if done[p] else (sink, 0, ())
+            for s in reversed(chain):
+                if e != sink:
+                    n, t = n + 1, emit[s * b] + t
+                end[s], steps[s], tags[s], done[s] = e, n, t, True
+        # one read from state j // b on symbol j % b, then its silent closure
+        nxt = np.array([end[d] for d in delta], dtype=np.intp)
+        cost = np.array([1 + steps[d] for d in delta], dtype=np.intp)
+        tail = [emit[j] + tags[d] for j, d in enumerate(delta)]
+        tail_len = np.array([len(t) for t in tail], dtype=np.intp)
+        tail_tags = np.zeros((int(tail_len.max()), len(tail)), dtype=self.pool.dtype)
+        for j, t in enumerate(tail):
+            tail_tags[: len(t), j] = t
+        q0 = self.initial
+        q = np.array([end[q0]], dtype=np.intp)
+        n_steps = np.array([steps[q0]], dtype=np.intp)
+        out_len = np.array([len(tags[q0])], dtype=np.intp)
+        out = np.array(tags[q0], dtype=self.pool.dtype).reshape(-1, 1)
+        for L in range(1, max_len + 1):
+            j = (q[:, None] * b + np.arange(b)).ravel()
+            start = np.repeat(out_len, b)
+            add = tail_len[j]
+            out_len = start + add
+            grown = np.zeros((int(out_len.max()), j.size), dtype=out.dtype)
+            grown[: out.shape[0]].reshape(*out.shape, b)[...] = out[:, :, None]
+            for c in range(tail_tags.shape[0]):
+                cols = np.flatnonzero(add > c)
+                grown[start[cols] + c, cols] = tail_tags[c, j[cols]]
+            out = grown
+            q = nxt[j]
+            n_steps = np.repeat(n_steps, b) + cost[j]
+            yield q, out, out_len, (q != sink) & (n_steps <= _step_budget(L, sink))
+
 
 def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     """Dense tables of the ell-deterministic machine M, built once and cached on M.
@@ -627,6 +686,11 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     )
     M._compiled[ell] = C
     return C
+
+
+def _step_budget(n: int, n_states: int) -> int:
+    """The step budget of a run with tape-1 budget n, unless one is given."""
+    return 64 * n + 4 * n_states + 64
 
 
 @dataclass
@@ -689,7 +753,7 @@ def run(
     if n < 0:
         raise ValueError("budget must be nonnegative")
     if max_steps is None:
-        max_steps = 64 * n + 4 * len(M.states) + 64
+        max_steps = _step_budget(n, len(M.states))
     r = _Run(C.initial, C.ell, record_path)
     C.advance(r, inputs, n, max_steps)
     if not r.checkpoints or r.checkpoints[-1] != (r.consumed[0], r.out_total):

@@ -39,6 +39,7 @@ from .sources import (
     PeriodicSource,
     RandomSource,
     SourceExhausted,
+    constant_source,
     derive_seed,
     file_source,
 )
@@ -57,7 +58,6 @@ from .compression import (
     independence_report,
     match_run_compress,
     plain_ratio,
-    unconditional_source,
 )
 
 
@@ -380,7 +380,7 @@ def _cmd_independence(args) -> int:
 def _measure_one_trial(packed):
     gen, n, k, seed, trial = packed
     src = parse_generator(gen).build(derive_seed(seed, trial, 0))
-    est = conditional_ratio_estimate(src, unconditional_source(src.alphabet), n, k)
+    est = conditional_ratio_estimate(src, constant_source(0, src.alphabet), n, k)
     return (trial, n, k, est.final_ratio)
 
 

@@ -18,7 +18,6 @@ dependence on the reference).
 from __future__ import annotations
 
 import bisect
-import itertools
 import sys
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -26,7 +25,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .words import Alphabet, FiniteWord
-from .sources import LiteralSource, WordSource, SourceExhausted, constant_source
+from .sources import WordSource, SourceExhausted
 from .automata import (
     _WINDOW,
     KAutomaton,
@@ -873,30 +872,39 @@ def bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessRepor
     Runs the 1-deterministic transducer M on every input word of each
     length up to max_len; inputs the machine rejects are skipped.  Two
     same-length inputs mapping to the same output word and final state
-    witness information loss and are returned as a counterexample.
+    witness information loss and are returned as a counterexample: the
+    first word, in ``itertools.product`` order, whose output and final
+    state an earlier word already had, after that earlier word.  All
+    words of one length run side by side over the compiled tables.
     """
     if M.k != 2:
         raise ValueError("losslessness check needs a 2-tape transducer")
-    compile(M, 1)
+    C = compile(M, 1)
     b = M.alphabet.size
     if b**max_len > 2**18:
         raise ValueError("exhaustive check too large; reduce max_len")
     checked = 0
-    for L in range(1, max_len + 1):
-        seen: dict = {}
-        for tup in itertools.product(range(b), repeat=L):
-            w = FiniteWord(M.alphabet, np.asarray(tup, dtype=np.int64))
-            trace = run(M, 1, [LiteralSource(w)], L, record_path=False)
-            if trace.halted or trace.consumed[0] != L:
-                continue
-            checked += 1
-            key = (trace.output.data.tobytes(), trace.final_state)
-            if key in seen:
-                return LosslessnessReport(False, max_len, checked, (seen[key], w))
-            seen[key] = w
+    for L, (q, out, out_len, finished) in enumerate(C._every_word(max_len), start=1):
+        idx = np.flatnonzero(finished)
+        if idx.size > 1:
+            # the stable sort keeps words with equal keys in product order,
+            # so a word equal to its predecessor repeats an earlier key
+            keys = [*out[:, idx], out_len[idx], q[idx]]
+            order = np.lexsort(keys)
+            same = np.ones(idx.size - 1, dtype=bool)
+            for key in keys:
+                k = key[order]
+                same &= k[1:] == k[:-1]
+            if same.any():
+                at = np.flatnonzero(same)
+                p = at[np.argmin(order[at + 1])]
+                checked += int(order[p + 1]) + 1
+                first, second = (_word_number(M.alphabet, idx[order[i]], L) for i in (p, p + 1))
+                return LosslessnessReport(False, max_len, checked, (first, second))
+        checked += idx.size
     return LosslessnessReport(True, max_len, checked, None)
 
 
-def unconditional_source(alphabet: Alphabet) -> WordSource:
-    """The all-zero reference used for unconditional ratio estimates."""
-    return constant_source(0, alphabet)
+def _word_number(alphabet: Alphabet, i: int, L: int) -> FiniteWord:
+    """Word i of length L in ``itertools.product`` order."""
+    return FiniteWord(alphabet, i // alphabet.size ** np.arange(L - 1, -1, -1) % alphabet.size)

@@ -34,6 +34,7 @@ from fsindep import (
     cond_encode,
     conditional_ratio,
     conditional_ratio_estimate,
+    constant_source,
     independence_report,
     match_run_automaton,
     match_run_compress,
@@ -43,7 +44,6 @@ from fsindep import (
     parse_automaton,
     plain_ratio,
     train_model,
-    unconditional_source,
     word,
 )
 from conftest import naive_cond_decode, naive_cond_encode
@@ -678,6 +678,7 @@ def test_match_run_automaton_is_lossless_per_oracle():
 
 
 def test_unconditional_source_is_all_zero():
-    s = unconditional_source(A3)
+    # the unconditional reference of `experiment measure-one`
+    s = constant_source(0, A3)
     assert s.take(16).tolist() == [0] * 16
     assert s.clone().take(4).tolist() == [0, 0, 0, 0]
