@@ -50,7 +50,7 @@ from .automata import (
     odd_projection_transducer,
 )
 from .perfect import SelfSimilarSource, build_sequence, is_perfect
-from .normality import normality_report
+from .normality import _TABLE_CAP, normality_report
 from .compression import (
     DecodeDeadEnd,
     TransducerHalted,
@@ -272,9 +272,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    # checked before reading: the file holds one byte per symbol, plus
-    # at most a line terminator
-    _check_memory(_BASE_BYTES + 64 * os.path.getsize(args.word))
+    # checked before reading: the file holds one byte per symbol, plus at
+    # most a line terminator.  Counting peaks at 13 B/symbol: the symbols,
+    # their int64 copy and the ids of the length-2 blocks.  The block table
+    # of length ell holds b**ell int64 counts, and max_deviation makes three
+    # float64 arrays of that size; only the largest table counts, as each
+    # is freed before the next is built.
+    size = os.path.getsize(args.word)
+    ell = max(0, min(args.max_block, size, _TABLE_CAP.bit_length()))
+    _check_memory(_BASE_BYTES + 14 * size + 32 * min(args.base**ell, _TABLE_CAP))
     w = read_word_file(args.word, args.base)
     report = normality_report(w, args.max_block, threshold=args.threshold)
     rows = []
@@ -305,12 +311,13 @@ def _cmd_check_automaton(args) -> int:
     return 0
 
 
-def _build_input_source(args, what="input"):
-    if getattr(args, "gen", None):
-        return parse_generator(args.gen).build()
-    path = getattr(args, "input", None)
+def _build_input_source(args, gen_opt="--gen", file_opt="--input"):
+    """The source a generator-spec option names, else a word-file option."""
+    spec, path = (getattr(args, opt[2:].replace("-", "_")) for opt in (gen_opt, file_opt))
+    if spec:
+        return parse_generator(spec).build()
     if not path:
-        raise ValueError(f"need --gen or --{what}")
+        raise ValueError(f"need {gen_opt} or {file_opt}")
     return file_source(path, args.base)
 
 
@@ -328,12 +335,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_condcompress(args) -> int:
-    x = parse_generator(args.gen).build() if args.gen else file_source(args.input, args.base)
-    y = (
-        parse_generator(args.ref_gen).build()
-        if args.ref_gen
-        else file_source(args.ref, args.base)
-    )
+    x = _build_input_source(args)
+    y = _build_input_source(args, "--ref-gen", "--ref")
     _check_memory(64 * args.n)
     est = conditional_ratio_estimate(x, y, args.n, args.k)
     _emit_csv(_ratio_rows(est), ("n_in", "n_out", "ratio"), args.csv)
@@ -385,8 +388,9 @@ def _measure_one_trial(packed):
 
 
 def _cmd_experiment(args) -> int:
-    # join-dependence: the self-similar sources keep their prefixes as int64,
-    # and a stage buffer doubles just past a power of two (172 B/symbol measured)
+    # join-dependence peaks just past a power of two, where the self-similar
+    # prefix grows by a whole stage: 1 MiB + 75 B/symbol measured, which
+    # 192 B/symbol bounds with room to spare
     _check_memory(
         _BASE_BYTES + 192 * args.n if args.name == "join-dependence" else 64 * args.n
     )

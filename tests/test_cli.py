@@ -196,6 +196,7 @@ def test_check_automaton_reports_shuffle_violation():
         ("generate", "--gen", "rand:seed=3", "--out", "WORD"),
         ("generate", "--gen", "selfsim", "--out", "WORD"),
         ("stats", "--word", "WORD"),
+        ("stats", "--word", "WORD", "--base", "3", "--max-block", "14"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
@@ -210,7 +211,8 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         if argv[0] != "stats":
             return [*argv, "-n", str(n)]
         # stats takes its length from the word file
-        gen = ("generate", "--gen", "rand:seed=3", "-n", str(n), "--out", word_file)
+        b = argv[argv.index("--base") + 1] if "--base" in argv else "2"
+        gen = ("generate", "--gen", f"rand:seed=3,b={b}", "-n", str(n), "--out", word_file)
         assert run_cli(*gen)[0] == 0
         return argv
 
@@ -223,6 +225,9 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         # odd() reads 2n self-similar symbols, so n just past 2**19 makes
         # the prefix grow by a whole stage
         sizes += ((1 << 19) + 16,)
+    if argv[0] == "stats":
+        # long enough for the per-symbol part to outweigh the fixed one
+        sizes += (1 << 19,)
     for n in sizes:
         args = args_for(n)
         tracemalloc.start()
@@ -300,6 +305,21 @@ def test_condcompress_alignment_error_exits_2():
         "8",
     )
     assert rc == 2
+
+
+def test_condcompress_reads_word_files_and_needs_a_source(tmp_path, capsys):
+    x, y = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
+    for spec, path in (("rand:seed=11", x), ("rand:seed=12", y)):
+        assert run_cli("generate", "--gen", spec, "-n", "4096", "--out", path)[0] == 0
+    common = ("condcompress", "-n", "4096", "-k", "8")
+    by_gen = run_cli(*common, "--gen", "rand:seed=11", "--ref-gen", "rand:seed=12")
+    assert by_gen[0] == 0
+    assert run_cli(*common, "--input", x, "--ref", y) == by_gen
+    capsys.readouterr()
+    assert run_cli(*common, "--ref", y)[0] == 2
+    assert "need --gen or --input" in capsys.readouterr().err
+    assert run_cli(*common, "--gen", "rand:seed=11")[0] == 2
+    assert "need --ref-gen or --ref" in capsys.readouterr().err
 
 
 def test_independence_csv_shape(tmp_path):
