@@ -705,6 +705,14 @@ def test_losslessness_check_matches_per_word_oracle():
             a 1,- e
             e -,0 e
             """,
+        "outputs of a read and its silent chain in order": """
+            automaton k=2 alphabet=3 initial=a
+            a 0,0 e
+            e -,1 f
+            f -,0 a
+            a 1,001 a
+            a 2,100 a
+            """,
         "silent initial chain": """
             automaton k=2 alphabet=3 initial=i
             i -,2 j
@@ -726,15 +734,21 @@ def test_losslessness_check_matches_per_word_oracle():
     assert len(cases) >= 100 and 10 <= lossless <= len(cases) - 10
 
 
-def test_losslessness_check_step_budget_halts_one_length_only():
-    # budget 64 L + 4 |Q| + 64 with |Q| = 241; a 1 costs 241 steps, a 0 one
-    M = budget_chain_machine(240)
+@pytest.mark.parametrize("chain", [223, 240])
+def test_losslessness_check_compares_steps_with_each_length_budget(chain):
+    # budget 64 L + 4 |Q| + 64 with |Q| = chain + 1; a 1 costs chain + 1 steps, a 0 one
+    M = budget_chain_machine(chain)
     assert len(M.states) > 64
-    tr = run(M, 1, [lit("111111")], 6, record_path=False)
-    assert tr.halt_reason == "step-budget"
-    tr = run(M, 1, [lit("1111110")], 7, record_path=False)
-    assert not tr.halted and tr.steps == 6 * 241 + 1
-    assert tr.output.to_text() == "1111110"
+    budget = lambda L: 64 * L + 4 * len(M.states) + 64
+    if chain == 240:  # 1^6 overruns its budget, 1^6 0 does not
+        tr = run(M, 1, [lit("111111")], 6, record_path=False)
+        assert tr.halt_reason == "step-budget"
+        tr = run(M, 1, [lit("1111110")], 7, record_path=False)
+        assert not tr.halted and tr.steps == 6 * 241 + 1 <= budget(7)
+        assert tr.output.to_text() == "1111110"
+    else:  # 1^6 ends on its last allowed step
+        tr = run(M, 1, [lit("111111")], 6, record_path=False)
+        assert not tr.halted and tr.steps == budget(6)
     got = bounded_losslessness_check(M, 8)
     assert got == naive_bounded_losslessness_check(M, 8)
     assert got.lossless and 0 < got.words_checked < 2**9 - 2
