@@ -22,7 +22,18 @@ Text format::
 Deterministic machines may still contain silent steps (all input labels
 empty); :func:`eliminate_eps_input_transitions` rewrites them away by
 composing their output into the following transition, dropping states
-trapped on silent cycles.
+trapped on silent cycles.  :func:`run` does not need that: it runs them
+as they are.
+
+:func:`run` compiles a machine once (:func:`compile`) and has one scalar
+loop over the compiled tables, which ends every run.  A long run goes
+through a lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014)
+when the machine has a macro-step table: a one-tape machine with at most
+``_LOCKSTEP_MAX_STATES`` states, or a two-tape machine whose tapes keep
+a bounded lag (a synchronized relation, Frougny & Sakarovitch 1993), so
+that its states paired with the symbols of the tape that runs ahead
+number at most ``_LOCKSTEP_MAX_STATES``.  Silent states and path
+recording do not matter.
 """
 
 from __future__ import annotations
@@ -371,8 +382,183 @@ class _Run:
         self.out_total = 0
         self.checkpoints = []
         self.next_cp = 1
-        self.path = [q] if record_path else None
+        # state numbers visited, as int arrays in order
+        self.path = [np.array([q], dtype=np.intp)] if record_path else None
         self.reason = None  # halt reason, None while running or after a clean stop
+
+
+def _silent_closure(read, delta, emit, width):
+    """Where the silent chain from each state ends, and what it does on the way.
+
+    Returns three lists indexed by state number, the sink included: the
+    first state of the chain that is not silent (the state itself unless
+    it is silent; the sink when the chain runs into a cycle), the states
+    the chain steps to, and the output tags it writes (both empty on a
+    cycle).  ``delta`` and ``emit`` are the flat tables of
+    :class:`CompiledAutomaton`, whose row width is ``width``.
+    """
+    sink = len(read) - 1
+    end, visited, tags = list(range(sink + 1)), [()] * (sink + 1), [()] * (sink + 1)
+    done = [r != 0 for r in read]
+    for q in range(sink):
+        chain, p = {}, q
+        while not done[p] and p not in chain:
+            chain[p] = None
+            p = delta[p * width]
+        e, v, t = (end[p], visited[p], tags[p]) if done[p] else (sink, (), ())
+        for s in reversed(chain):
+            if e != sink:
+                v, t = (delta[s * width],) + v, emit[s * width] + t
+            end[s], visited[s], tags[s], done[s] = e, v, t, True
+    return end, visited, tags
+
+
+@dataclass(frozen=True, eq=False)
+class _MacroTable:
+    """Macro steps of a compiled machine: the table the lock-step engine runs.
+
+    A key is one tape-1 symbol (ell=1) or one zipped pair ``a1 * b + a2``
+    (ell=2).  A macro state is a machine state plus the symbols fed to it
+    but not read yet, all of one tape.  A macro step feeds one key and runs
+    the machine, silent steps included, until it needs a symbol not fed
+    yet.  Row ``rows - 1`` is an absorbing sink; a step goes there when it
+    meets a missing transition or a silent cycle, or stops at a state
+    without transitions with symbols still pending.  At flat index
+    ``m * keys + key``, ``nb`` holds the next macro state times ``keys``,
+    ``out_len``/``out_off`` locate the step's output tags in ``pool``,
+    ``cost`` is its machine steps and ``path_off`` locates the states they
+    reach in ``path_pool``, ``reads1`` counts its tape-1 reads and
+    ``cp_off`` lists the output count right after each of them.  Per
+    macro state, ``state`` is the machine state and ``lag0``/``lag1`` the
+    pending symbols of tape 1/2; ``entry[q]`` is the macro state a run may
+    enter at machine state q (-1: none; on two tapes only the initial
+    state, with nothing pending).  ``unit``: every step is one machine
+    step that reads one tape-1 symbol.
+    """
+
+    keys: int
+    rows: int
+    nb: np.ndarray
+    out_len: np.ndarray
+    out_off: np.ndarray
+    pool: np.ndarray
+    cost: np.ndarray
+    path_off: np.ndarray
+    path_pool: np.ndarray
+    reads1: np.ndarray
+    cp_off: list
+    state: np.ndarray
+    lag0: list
+    lag1: list
+    entry: list
+    unit: bool
+
+
+def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_MacroTable]:
+    """The macro-step table of a compiled machine (flat tables as in
+    :class:`CompiledAutomaton`), or None when it has more than
+    ``_LOCKSTEP_MAX_STATES`` macro states.
+
+    For ell=1 the macro states are the machine states.  For ell=2 they
+    are found by a breadth-first search from the initial state; they are
+    finitely many exactly when the lag between the tapes is bounded.
+    """
+    sink, width = len(read) - 1, b**ell
+    end, visited, tags = _silent_closure(read, delta, emit, width)
+
+    def step(q, p1, p2):
+        """Run from q on the pending symbols p1, p2 until one more is needed."""
+        path, out, cps = list(visited[q]), list(tags[q]), []
+        q = end[q]
+        while q != sink:
+            pat = read[q]
+            if pat < 0 or (pat & 1 and not p1) or (pat & 2 and not p2):
+                if pat < 0 and (p1 or p2):
+                    return None
+                return (q, p1, p2), path, out, cps
+            key = 0
+            if pat & 1:
+                key, p1 = p1[0], p1[1:]
+            if pat & 2:
+                key, p2 = key * b + p2[0], p2[1:]
+            j = q * width + key
+            q = delta[j]
+            if q == sink:
+                return None
+            out += emit[j]
+            path.append(q)
+            if pat & 1:
+                cps.append(len(out))
+            out += tags[q]
+            path += visited[q]
+            q = end[q]
+        return None  # a silent cycle
+
+    order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(initial, (), ())]
+    if len(order) > _LOCKSTEP_MAX_STATES:
+        return None
+    ids = {m: i for i, m in enumerate(order)}
+    steps = []
+    for q, p1, p2 in order:  # order grows while it is walked
+        for key in range(width):
+            fed = (p1 + (key,), ()) if ell == 1 else (p1 + (key // b,), p2 + (key % b,))
+            res = step(q, *fed)
+            if res is not None:
+                target = res[0]
+                if target not in ids:
+                    if len(order) == _LOCKSTEP_MAX_STATES:
+                        return None
+                    ids[target] = len(order)
+                    order.append(target)
+                res = (ids[target],) + res[1:]
+            steps.append(res)
+    rows = len(order) + 1
+    size = rows * width
+    nb = np.full(size, (rows - 1) * width, dtype=np.intp)
+    cost, out_len, out_off, path_off, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(5))
+    pool, path_pool, cp_off = [], [], [()] * size
+    for j, res in enumerate(steps):
+        if res is None:
+            continue
+        target, path, out, cps = res
+        nb[j] = target * width
+        cost[j], out_len[j], out_off[j], path_off[j] = len(path), len(out), len(pool), len(path_pool)
+        reads1[j], cp_off[j] = len(cps), tuple(cps)
+        pool += out
+        path_pool += path
+    return _MacroTable(
+        keys=width,
+        rows=rows,
+        nb=nb,
+        out_len=out_len,
+        out_off=out_off,
+        pool=np.array(pool, dtype=tag_dtype),
+        cost=cost,
+        path_off=path_off,
+        path_pool=np.array(path_pool, dtype=np.intp),
+        reads1=reads1,
+        cp_off=cp_off,
+        state=np.array([m[0] for m in order] + [sink], dtype=np.intp),
+        lag0=[len(m[1]) for m in order] + [0],
+        lag1=[len(m[2]) for m in order] + [0],
+        entry=list(range(sink)) if ell == 1 else [-1 if q != initial else 0 for q in range(sink)],
+        unit=all(res is None or (len(res[1]) == 1 and len(res[3]) == 1) for res in steps),
+    )
+
+
+def _gather(pool, off, lens, cum):
+    """``pool[off[i] : off[i] + lens[i]]`` for every i, back to back;
+    ``cum`` is the running sum of ``lens``."""
+    at = np.repeat(off - cum + lens, lens)
+    at += np.arange(at.size)
+    return pool[at]
+
+
+def _last(tail, fed, n):
+    """The last n symbols of tail followed by fed."""
+    if n <= fed.size:
+        return fed[fed.size - n :]
+    return np.concatenate([tail[tail.size - (n - fed.size) :], fed])
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,14 +568,14 @@ class CompiledAutomaton:
     States are numbered in ``M.states`` order, and number ``sink = |Q|``
     is a dead sink that every missing transition leads to.  ``read[q]``
     is -1 for a state without transitions, else a bit mask of the input
-    tapes it reads (bit 1: tape 1, bit 2: tape 2; 0: silent).  A state
-    reading one tape looks up ``delta[q, a]``, one reading both
-    ``delta[q, a1 * b + a2]``, a silent one ``delta[q, 0]``.  Output
-    symbols are tagged ``tape * b + symbol`` (output tapes counted from
-    0) and lie back to back in ``pool``; transition (q, key) writes
-    ``pool[out_off[q, key] : out_off[q, key] + out_len[q, key]]``.
-    ``delta_list`` and ``emit_list`` hold the same tables flat (index
-    ``q * b**ell + key``) as Python lists for the scalar loop.
+    tapes it reads (bit 1: tape 1, bit 2: tape 2; 0: silent).  The
+    scalar loop's tables are flat Python lists indexed ``q * b**ell +
+    key``: a state reading one tape has key a, one reading both
+    ``a1 * b + a2``, a silent one 0.  ``delta_list`` holds the next state
+    and ``emit_list`` the output symbols, tagged ``tape * b + symbol``
+    (output tapes counted from 0) and stored as ``tag_dtype``.  ``macro``
+    is the macro-step table of the lock-step engine, or None when the
+    machine has too many states or, on two tapes, an unbounded lag.
     """
 
     states: tuple
@@ -398,35 +584,28 @@ class CompiledAutomaton:
     b: int
     n_out: int
     read: list
-    delta: np.ndarray
-    out_len: np.ndarray
-    out_off: np.ndarray
-    pool: np.ndarray
     delta_list: list
     emit_list: list
-    has_silent: bool
+    tag_dtype: np.dtype
+    macro: Optional[_MacroTable]
 
     def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
         """Step r until n tape-1 symbols are consumed or the run halts.
 
-        Long ell=1 runs of machines without silent states and with at most
-        ``_LOCKSTEP_MAX_STATES`` states, without path recording, go through
-        the lock-step engine first; the scalar loop always finishes, so
-        every halt and the trailing flush happen there.
+        When the machine has a macro-step table, a run with at least
+        ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through the lock-step
+        engine first, whatever its tapes, silent states or path
+        recording.  The scalar loop always finishes, so every halt and the
+        rest of the trailing flush happen there.
         """
-        if (
-            self.ell == 1
-            and not self.has_silent
-            and len(self.states) <= _LOCKSTEP_MAX_STATES
-            and r.path is None
-            and n - r.consumed[0] >= _LOCKSTEP_MIN
-        ):
-            self._lockstep(r, inputs[0], min(n - r.consumed[0], max_steps - r.steps))
+        X = self.macro
+        if X is not None and n - r.consumed[0] >= _LOCKSTEP_MIN and X.entry[r.q] >= 0:
+            self._lockstep(r, inputs, n - r.consumed[0], max_steps)
         self._scalar(r, inputs, n, max_steps)
 
     def outputs(self, r: _Run, alphabet: Alphabet) -> tuple:
         """The run's output words, one per output tape."""
-        tagged = np.concatenate(r.chunks) if r.chunks else self.pool[:0]
+        tagged = np.concatenate(r.chunks) if r.chunks else np.zeros(0, self.tag_dtype)
         if self.n_out == 1:
             return (FiniteWord(alphabet, tagged),)
         tape, sym = np.divmod(tagged, self.b)
@@ -438,7 +617,8 @@ class CompiledAutomaton:
         width = b**self.ell
         src0 = inputs[0]
         src1 = inputs[1] if self.ell == 2 else None
-        q, steps, path = r.q, r.steps, r.path
+        q, steps = r.q, r.steps
+        path = [] if r.path is not None else None
         c0 = r.consumed[0]
         c1 = r.consumed[1] if src1 is not None else 0
         out, out_total = [], r.out_total
@@ -514,66 +694,117 @@ class CompiledAutomaton:
         if src1 is not None:
             r.consumed[1] = c1
         if out:
-            r.chunks.append(np.array(out, dtype=self.pool.dtype))
+            r.chunks.append(np.array(out, dtype=self.tag_dtype))
+        if path:
+            r.path.append(np.array(path, dtype=np.intp))
 
-    def _lockstep(self, r, src, count):
-        """Consume up to count symbols of src in lock-step windows.
+    def _lockstep(self, r, inputs, count, max_steps):
+        """Feed up to count keys to the macro-step table in lock-step windows.
 
-        Each window is cut into chunks; every chunk runs from all states
-        at once (one gather per position), the chunk start states are
-        stitched in order, and a second pass gathers the states the run
-        really visits.  The window stops before the first missing
-        transition, whose symbols go back to src for the scalar loop.
+        Each window is cut into chunks; every chunk runs from all macro
+        states at once (one gather per position), the chunk start states
+        are stitched in order, and a second pass gathers the macro states
+        the run really visits.  The window stops before the first step
+        into the sink and before the step budget.  The symbols from there
+        on, and those fed but not read yet, go back to their sources for
+        the scalar loop.
         """
-        b, sink = self.b, len(self.states)
-        nb = self.delta.ravel() * b  # next state, premultiplied by b
-        out_len, out_off = self.out_len.ravel(), self.out_off.ravel()
-        every = np.arange(sink + 1) * b
-        done = 0
+        X = self.macro
+        K, sink = X.keys, X.rows - 1
+        nb = X.nb
+        every = np.arange(X.rows) * K
+        src0 = inputs[0]
+        src1 = inputs[1] if self.ell == 2 else None
+        if X.unit:
+            count = min(count, max_steps - r.steps)
+        m0 = X.entry[r.q]
+        raw0 = raw1 = tail0 = tail1 = np.zeros(0, dtype=np.intp)
+        k = done = 0
         while done < count:
-            raw = src.take_available(min(_WINDOW, count - done))
-            m = raw.size
+            want = min(_WINDOW, count - done)
+            raw0 = src0.take_available(want)
+            if src1 is None:
+                a = raw0.astype(np.intp)
+            else:
+                raw1 = src1.take_available(raw0.size)
+                a = raw0[: raw1.size].astype(np.intp)
+                a *= self.b
+                a += raw1
+            m = a.size
             if m == 0:
+                k = 0
                 break
-            a = raw.astype(np.intp)
             c = -(-m // _CHUNK)
             A = np.zeros(c * _CHUNK, dtype=np.intp)
             A[:m] = a
             A = A.reshape(c, _CHUNK)
-            starts = [r.q * b]
+            starts = [m0 * K]
             if c > 1:
-                S = np.broadcast_to(every, (c - 1, sink + 1))
+                S = np.broadcast_to(every, (c - 1, X.rows))
                 for t in range(_CHUNK):
                     S = nb[S + A[:-1, t, None]]
                 for row in S.tolist():
-                    starts.append(row[starts[-1] // b])
+                    starts.append(row[starts[-1] // K])
             cur = np.array(starts, dtype=np.intp)
             before = np.empty((_CHUNK, c), dtype=np.intp)
             for t in range(_CHUNK):
                 before[t] = cur
                 cur = nb[cur + A[:, t]]
-            idx = before.T.reshape(-1)[:m] + a  # flat (state, symbol) index per step
-            if nb[idx[-1]] == sink * b:  # the sink absorbs, so the run died in here
-                idx = idx[: int(np.argmax(nb[idx] == sink * b))]
-                src._unread(raw[idx.size :])
+            idx = before.T.reshape(-1)[:m] + a  # flat (macro state, key) index per step
+            if nb[idx[-1]] == sink * K:  # the sink absorbs, so the run died in here
+                idx = idx[: int(np.argmax(nb[idx] == sink * K))]
+            if not X.unit and idx.size:
+                costs = X.cost[idx]
+                spent = np.cumsum(costs)
+                fit = int(np.searchsorted(spent, max_steps - r.steps, side="right"))
+                idx, costs, spent = idx[:fit], costs[:fit], spent[:fit]
             k = idx.size
             if k:
-                lens = out_len[idx]
+                m1 = int(nb[idx[-1]]) // K
+                lens = X.out_len[idx]
                 cum = np.cumsum(lens)
-                total = int(cum[-1])
-                at = np.repeat(out_off[idx] - cum + lens, lens) + np.arange(total)
-                r.chunks.append(self.pool[at])
+                r.chunks.append(_gather(X.pool, X.out_off[idx], lens, cum))
                 c0 = r.consumed[0]
-                while r.next_cp <= c0 + k:
-                    r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
-                    r.next_cp *= 2
-                r.q = int(nb[idx[-1]]) // b
-                r.consumed[0] += k
-                r.steps += k
-                r.out_total += total
-                done += k
-            if k < m:
+                read0 = k if X.unit else k + X.lag0[m0] - X.lag0[m1]
+                if X.unit:
+                    while r.next_cp <= c0 + k:
+                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
+                        r.next_cp *= 2
+                elif r.next_cp <= c0 + read0:
+                    r1 = X.reads1[idx]
+                    cr = np.cumsum(r1)
+                    while r.next_cp <= c0 + read0:
+                        t = r.next_cp - c0  # the t-th tape-1 read of this window
+                        j = int(np.searchsorted(cr, t))
+                        off = X.cp_off[int(idx[j])][t - int(cr[j] - r1[j]) - 1]
+                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[j] - lens[j]) + off))
+                        r.next_cp *= 2
+                if r.path is not None:
+                    if X.unit:
+                        r.path.append(X.state[nb[idx] // K])
+                    else:
+                        r.path.append(_gather(X.path_pool, X.path_off[idx], costs, spent))
+                r.q = int(X.state[m1])
+                r.consumed[0] += read0
+                r.steps += k if X.unit else int(spent[-1])
+                r.out_total += int(cum[-1])
+                if src1 is not None:
+                    r.consumed[1] += k + X.lag1[m0] - X.lag1[m1]
+                    tail0 = _last(tail0, raw0[:k], X.lag0[m1])
+                    tail1 = _last(tail1, raw1[:k], X.lag1[m1])
+                m0 = m1
+            done += k
+            if k < want:
                 break
+        # symbols taken but not fed, and those fed but not read, go back
+        if src1 is None:
+            if k < raw0.size:
+                src0._unread(raw0[k:])
+        else:
+            for src, tail, raw in ((src0, tail0, raw0), (src1, tail1, raw1)):
+                back = np.concatenate([tail, raw[k:]])
+                if back.size:
+                    src._unread(back)
 
     def _every_word(self, max_len: int):
         """Run the ell=1 machine on every input word of length 1..max_len.
@@ -586,39 +817,27 @@ class CompiledAutomaton:
         L - 1 followed by symbol i % b, so each length is one gather from
         the one before.  The silent steps that :func:`run` fires after a
         read (or at the start, or as the trailing flush) are resolved once
-        per state; a chain that ends on a silent cycle leads to the sink,
-        which halts the word and all its extensions, as a missing
-        transition does.  The step budget grows with L, so it halts a
-        word but not its extensions.
+        per state (:func:`_silent_closure`); a chain that ends on a silent
+        cycle leads to the sink, which halts the word and all its
+        extensions, as a missing transition does.  The step budget grows
+        with L, so it halts a word but not its extensions.
         """
         b, sink = self.b, len(self.states)
         delta, emit = self.delta_list, self.emit_list
-        # silent closure of each state: end state (sink on a cycle), steps, tags
-        end, steps, tags = list(range(sink + 1)), [0] * (sink + 1), [()] * (sink + 1)
-        done = [r != 0 for r in self.read]
-        for q in range(sink):
-            chain, p = {}, q
-            while not done[p] and p not in chain:
-                chain[p] = None
-                p = delta[p * b]
-            e, n, t = (end[p], steps[p], tags[p]) if done[p] else (sink, 0, ())
-            for s in reversed(chain):
-                if e != sink:
-                    n, t = n + 1, emit[s * b] + t
-                end[s], steps[s], tags[s], done[s] = e, n, t, True
+        end, visited, tags = _silent_closure(self.read, delta, emit, b)
         # one read from state j // b on symbol j % b, then its silent closure
         nxt = np.array([end[d] for d in delta], dtype=np.intp)
-        cost = np.array([1 + steps[d] for d in delta], dtype=np.intp)
+        cost = np.array([1 + len(visited[d]) for d in delta], dtype=np.intp)
         tail = [emit[j] + tags[d] for j, d in enumerate(delta)]
         tail_len = np.array([len(t) for t in tail], dtype=np.intp)
-        tail_tags = np.zeros((int(tail_len.max()), len(tail)), dtype=self.pool.dtype)
+        tail_tags = np.zeros((int(tail_len.max()), len(tail)), dtype=self.tag_dtype)
         for j, t in enumerate(tail):
             tail_tags[: len(t), j] = t
         q0 = self.initial
         q = np.array([end[q0]], dtype=np.intp)
-        n_steps = np.array([steps[q0]], dtype=np.intp)
+        n_steps = np.array([len(visited[q0])], dtype=np.intp)
         out_len = np.array([len(tags[q0])], dtype=np.intp)
-        out = np.array(tags[q0], dtype=self.pool.dtype).reshape(-1, 1)
+        out = np.array(tags[q0], dtype=self.tag_dtype).reshape(-1, 1)
         for L in range(1, max_len + 1):
             j = (q[:, None] * b + np.arange(b)).ravel()
             start = np.repeat(out_len, b)
@@ -638,7 +857,10 @@ class CompiledAutomaton:
 def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     """Dense tables of the ell-deterministic machine M, built once and cached on M.
 
-    Raises NotDeterministicError when M is not ell-deterministic.
+    The tables include the macro-step table of the lock-step engine
+    (:class:`_MacroTable`) when M has at most ``_LOCKSTEP_MAX_STATES``
+    macro states.  Raises NotDeterministicError when M is not
+    ell-deterministic.
     """
     ell = int(ell)
     C = M._compiled.get(ell)
@@ -648,11 +870,8 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     b, n_states = M.alphabet.size, len(M.states)
     width, n_out = b**ell, M.k - ell
     read = [-1] * (n_states + 1)
-    delta = np.full((n_states + 1, width), n_states, dtype=np.intp)
-    out_len = np.zeros((n_states + 1, width), dtype=np.intp)
-    out_off = np.zeros((n_states + 1, width), dtype=np.intp)
+    delta = [n_states] * ((n_states + 1) * width)
     emit = [()] * ((n_states + 1) * width)
-    pool = []
     for q, s in enumerate(M.states):
         outs = M.out(s)
         if not outs:
@@ -663,26 +882,23 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
             key = 0
             for j in pat:
                 key = key * b + t.label[j][0]
-            tags = tuple(j * b + a for j in range(n_out) for a in t.label[ell + j])
-            delta[q, key] = M._id[t.target]
-            out_len[q, key] = len(tags)
-            out_off[q, key] = len(pool)
-            pool.extend(tags)
-            emit[q * width + key] = tags
+            delta[q * width + key] = M._id[t.target]
+            emit[q * width + key] = tuple(
+                j * b + a for j in range(n_out) for a in t.label[ell + j]
+            )
+    tag_dtype = np.dtype(_dtype_for(max(n_out, 1) * b))
+    initial = M._id[M.initial[0]]
     C = CompiledAutomaton(
         states=M.states,
-        initial=M._id[M.initial[0]],
+        initial=initial,
         ell=ell,
         b=b,
         n_out=n_out,
         read=read,
-        delta=delta,
-        out_len=out_len,
-        out_off=out_off,
-        pool=np.array(pool, dtype=_dtype_for(max(n_out, 1) * b)),
-        delta_list=delta.ravel().tolist(),
+        delta_list=delta,
         emit_list=emit,
-        has_silent=0 in read,
+        tag_dtype=tag_dtype,
+        macro=_macro_table(read, delta, emit, b, ell, initial, tag_dtype),
     )
     M._compiled[ell] = C
     return C
@@ -735,13 +951,15 @@ def run(
     'no-transition', 'input-exhausted', 'silent-cycle' or 'step-budget'.
     Each input source is left just after its last consumed symbol.
 
-    Engine: the machine is compiled once (:func:`compile`).  A run with
-    one input tape, no silent states, at most ``_LOCKSTEP_MAX_STATES``
-    states, ``record_path`` off and a budget of at least
-    ``_LOCKSTEP_MIN`` symbols goes through the lock-step engine,
-    which runs windows of input from every state at once; every other run,
-    and the end of every run (halts and the trailing flush), goes through
-    one scalar loop over the compiled tables.  Both give the same trace.
+    Engine: the machine is compiled once (:func:`compile`).  A run with a
+    budget of at least ``_LOCKSTEP_MIN`` symbols, of a machine with a
+    macro-step table (one input tape and at most ``_LOCKSTEP_MAX_STATES``
+    states, or two input tapes with a bounded lag between them), goes
+    through the lock-step engine, which feeds windows of input (zipped
+    (x, y) pairs on two tapes) to every macro state at once; silent
+    states and ``record_path`` do not matter.  Every other run, and the
+    end of every run (halts and the trailing flush), goes through one
+    scalar loop over the compiled tables.  Both give the same trace.
     """
     C = compile(M, ell)
     if len(inputs) != C.ell:
@@ -756,6 +974,11 @@ def run(
         max_steps = _step_budget(n, len(M.states))
     r = _Run(C.initial, C.ell, record_path)
     C.advance(r, inputs, n, max_steps)
+    path = None
+    if r.path is not None:
+        names, path = np.array(M.states, dtype=object), []
+        while r.path:  # each chunk is freed once named
+            path += names[r.path.pop(0)].tolist()
     if not r.checkpoints or r.checkpoints[-1] != (r.consumed[0], r.out_total):
         r.checkpoints.append((r.consumed[0], r.out_total))
     return RunTrace(
@@ -766,7 +989,7 @@ def run(
         halted=r.reason is not None,
         halt_reason=r.reason,
         steps=r.steps,
-        path=None if r.path is None else [M.states[q] for q in r.path],
+        path=path,
     )
 
 

@@ -167,7 +167,7 @@ class TransducerOutputSource(WordSource):
         self.x = x
         self._state = self._compiled.initial
         self._dead = False
-        self._extra = self._compiled.pool[:0]  # output beyond the last request
+        self._extra = np.zeros(0, self._compiled.tag_dtype)  # output beyond the last request
 
     def _produce(self, n):
         parts = [self._extra]

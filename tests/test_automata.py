@@ -25,6 +25,7 @@ from fsindep import (
     run,
     word,
 )
+import fsindep.automata as automata
 from fsindep.automata import (
     _LOCKSTEP_MAX_STATES,
     _LOCKSTEP_MIN,
@@ -412,9 +413,9 @@ def lockstep_calls(monkeypatch):
     calls = []
     original = CompiledAutomaton._lockstep
 
-    def spy(self, r, src, count):
+    def spy(self, r, inputs, count, max_steps):
         calls.append(count)
-        return original(self, r, src, count)
+        return original(self, r, inputs, count, max_steps)
 
     monkeypatch.setattr(CompiledAutomaton, "_lockstep", spy)
     return calls
@@ -435,25 +436,38 @@ def rand_det_solid(rng: random.Random, p_edge: float) -> KAutomaton:
     return KAutomaton(2, A2, states, states[0], trans)
 
 
+def run_scalar(M, ell, inputs, n, **kw):
+    """run() with the lock-step engine switched off for budgets up to n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_LOCKSTEP_MIN", n + 1)
+        return run(M, ell, inputs, n, **kw)
+
+
 def check_engines(M, text, n, max_steps=None, naive=True):
-    """Run M on text both ways: record_path off (lock-step when eligible)
-    and on (always the scalar loop).  Compares them field by field, with
-    the naive stepper, and checks each source is left just after the last
-    consumed symbol.  Returns the record_path-off trace."""
-    src_a, src_b = lit(text), lit(text)
-    a = run(M, 1, [src_a], n, max_steps=max_steps, record_path=False)
-    b = run(M, 1, [src_b], n, max_steps=max_steps, record_path=True)
+    """Run M on text (one string per input tape, or one string for one
+    tape) three ways: record_path off and on (both lock-step when
+    eligible) and on the scalar loop alone.  Compares them field by field,
+    with the naive stepper, and checks each source is left just after its
+    last consumed symbol.  Returns the record_path-off trace."""
+    texts = [text] if isinstance(text, str) else list(text)
+    ell = len(texts)
+    srcs = [[lit(t, M.alphabet.size) for t in texts] for _ in range(3)]
+    a = run(M, ell, srcs[0], n, max_steps=max_steps, record_path=False)
+    b = run(M, ell, srcs[1], n, max_steps=max_steps, record_path=True)
+    c = run_scalar(M, ell, srcs[2], n, max_steps=max_steps, record_path=True)
     for f in TRACE_FIELDS:
-        assert getattr(a, f) == getattr(b, f), (f, M.to_text(), n)
+        assert getattr(a, f) == getattr(b, f) == getattr(c, f), (f, M.to_text(), n)
+    assert b.path == c.path, (M.to_text(), n)
     if naive:
-        ref = naive_run(M, 1, [text], n)
+        ref = naive_run(M, ell, texts, n)
         assert [o.to_text() for o in a.outputs] == ref["outputs"]
         assert a.consumed == ref["consumed"]
         assert (a.halt_reason if a.halted else None) == ref["halt"]
         assert b.path == ref["states"]
-    rest = text[a.consumed[0] :]
-    for src in (src_a, src_b):
-        assert src.take_available(len(text) + 1).tolist() == [int(c) for c in rest]
+    for tape, t in enumerate(texts):
+        rest = [int(ch) for ch in t[a.consumed[tape] :]]
+        for run_srcs in srcs:
+            assert run_srcs[tape].take_available(len(t) + 1).tolist() == rest
     return a
 
 
@@ -461,12 +475,13 @@ def test_compile_tables_are_pinned():
     C = compile(odd_projection_transducer(A2), 1)
     assert C.states == ("keep", "drop") and C.initial == 0
     assert C.read == [1, 1, -1]
-    assert C.delta.tolist() == [[1, 1], [0, 0], [2, 2]]  # row 2 is the dead sink
-    assert C.out_len.tolist() == [[1, 1], [0, 0], [0, 0]]
-    assert C.pool[C.out_off[0]].tolist() == [0, 1]
-    assert not C.has_silent
+    assert C.delta_list == [1, 1, 0, 0, 2, 2]  # row 2 is the dead sink
+    assert C.emit_list == [(0,), (1,), (), (), (), ()]
+    assert 0 not in C.read  # no silent state
+    # one machine step per macro step; next macro state times the 2 keys
+    assert C.macro.unit and C.macro.nb.tolist() == [2, 2, 0, 0, 4, 4]
     M = parse_automaton(CHAIN)
-    assert compile(M, 1).has_silent
+    assert 0 in compile(M, 1).read and not compile(M, 1).macro.unit
     assert compile(M, 1) is compile(M, 1)  # cached on the machine
 
 
@@ -517,7 +532,7 @@ def test_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):
         text = rand_text(rng, rng.randint(_LOCKSTEP_MIN, 3 * _LOCKSTEP_MIN), 2)
         n = rng.choice([len(text) - 1, len(text), len(text) + 3, _LOCKSTEP_MIN])
         check_engines(M, text, n)
-    assert len(lockstep_calls) == 60
+    assert len(lockstep_calls) == 2 * 60  # record_path off and on
 
 
 def test_engines_agree_on_silent_state_machines(lockstep_calls):
@@ -528,7 +543,29 @@ def test_engines_agree_on_silent_state_machines(lockstep_calls):
         text = rand_text(rng, rng.randint(_LOCKSTEP_MIN, 2 * _LOCKSTEP_MIN), 2)
         for machine in (M, E):
             check_engines(machine, text, len(text))
-    assert len(lockstep_calls) == 40  # only the rewired machines go lock-step
+    # silent states go lock-step too: both machines, record_path off and on
+    assert len(lockstep_calls) == 2 * 80
+
+
+def test_engines_agree_on_silent_chains_and_cycles(lockstep_calls):
+    rng = random.Random(4242)
+    reasons = set()
+    for trial in range(40):
+        b = 3 if trial % 4 == 0 else 2
+        M = rand_det_silent_chains(rng, b)
+        text = rand_text(rng, rng.randint(_LOCKSTEP_MIN, 2 * _LOCKSTEP_MIN), b)
+        # silent cycles would send the naive stepper round forever
+        reasons.add(check_engines(M, text, len(text), naive=False).halt_reason)
+    assert reasons == {None, "no-transition", "silent-cycle"}
+    # every 1 costs six steps, so most of these budgets run out inside a silent chain
+    M, text = budget_chain_machine(5), rand_text(random.Random(7), 3 * _WINDOW, 2)
+    inside = 0
+    for max_steps in range(_WINDOW, _WINDOW + 6):
+        tr = check_engines(M, text, len(text), max_steps=max_steps, naive=False)
+        assert tr.halt_reason == "step-budget" and tr.steps == max_steps
+        inside += tr.final_state != "s"
+    assert inside >= 4
+    assert len(lockstep_calls) == 2 * (40 + 6)
 
 
 def test_engines_agree_on_fixtures_around_crossover_and_window(copy_aut, lockstep_calls):
@@ -543,7 +580,7 @@ def test_engines_agree_on_fixtures_around_crossover_and_window(copy_aut, lockste
         for n in budgets:
             tr = check_engines(M, text, n, naive=n < _WINDOW)
             assert tr.consumed == (n,) and not tr.halted
-    assert len(lockstep_calls) == len(machines) * (len(budgets) - 1)
+    assert len(lockstep_calls) == 2 * len(machines) * (len(budgets) - 1)
 
 
 def test_lockstep_halts_without_transition_mid_window(lockstep_calls):
@@ -573,7 +610,7 @@ def test_lockstep_input_runs_out_on_a_window_edge(copy_aut, lockstep_calls):
         assert tr.halt_reason == "input-exhausted" and tr.consumed == (length,)
         tr = check_engines(copy_aut, text, length, naive=False)
         assert not tr.halted and tr.consumed == (length,)
-    assert len(lockstep_calls) == 4
+    assert len(lockstep_calls) == 2 * 4
 
 
 def test_lockstep_respects_step_budget(copy_aut, lockstep_calls):
@@ -582,7 +619,7 @@ def test_lockstep_respects_step_budget(copy_aut, lockstep_calls):
         tr = check_engines(copy_aut, text, 3 * _WINDOW, max_steps=max_steps, naive=False)
         assert tr.halt_reason == "step-budget"
         assert tr.steps == max_steps and tr.consumed == (max_steps,)
-    assert len(lockstep_calls) == 3
+    assert len(lockstep_calls) == 2 * 3
 
 
 def test_lockstep_reaches_a_state_without_transitions(lockstep_calls):
@@ -600,7 +637,7 @@ def test_lockstep_reaches_a_state_without_transitions(lockstep_calls):
     assert tr.consumed == (p + 1,)
     tr = check_engines(M, text, p + 1, naive=False)  # budget met inside z: clean
     assert not tr.halted and tr.final_state == "z"
-    assert len(lockstep_calls) == 2
+    assert len(lockstep_calls) == 2 * 2
 
 
 def test_machines_with_many_states_run_the_scalar_loop(lockstep_calls):
@@ -614,7 +651,218 @@ def test_machines_with_many_states_run_the_scalar_loop(lockstep_calls):
         ]
         M = KAutomaton(2, A2, states, states[0], trans)
         check_engines(M, rand_text(rng, 2 * _LOCKSTEP_MIN, 2), 2 * _LOCKSTEP_MIN)
-    assert len(lockstep_calls) == 1
+    assert len(lockstep_calls) == 2 * 1
+
+
+# ---------------------------------------------------------------------------
+# the lock-step engine on two input tapes
+
+
+def rand_det_two_tape(rng: random.Random, lag: int, p_edge: float) -> KAutomaton:
+    """Deterministic 3-tape machine whose tapes 1 and 2 stay within lag of
+    each other.
+
+    Each state has a balance d in 0..lag and reads tape 1 alone (into
+    balance d + 1), tape 2 alone (d - 1), both (d), or nothing (silent,
+    d), so along any run tape-1 reads minus tape-2 reads change by at
+    most lag.  The initial state sits at one end of the balances and the
+    single-tape read towards the other end is the likeliest, so runs
+    drift across the whole lag, one tape or the other ahead; the initial
+    state reads that tape alone.  Silent
+    steps go to higher-numbered states only, so there is no silent
+    cycle.  Transitions are missing with probability 1 - p_edge, and
+    states other than the initial one may have none.
+    """
+    n = rng.randint(lag + 2, lag + 5)
+    balance = list(range(lag + 1)) + [rng.randint(0, lag) for _ in range(n - lag - 1)]
+    rng.shuffle(balance)
+    states = [f"s{i}" for i in range(n)]
+    at = lambda d, above=-1: [s for i, s in enumerate(states) if balance[i] == d and i > above]
+    out = lambda: tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+    ahead = rng.choice("12")  # the tape the runs drift to read more of
+    initial = rng.choice(at(0 if ahead == "1" else lag))
+    trans = []
+    for i, s in enumerate(states):
+        d = balance[i]
+        if s != initial and rng.random() < 0.05:
+            continue  # no transitions
+        patterns = ["12"] + ["-"] * bool(at(d, i))
+        patterns += ["1"] * (1 + 4 * (ahead == "1")) * (d < lag)
+        patterns += ["2"] * (1 + 4 * (ahead == "2")) * (d > 0)
+        pat = ahead if s == initial and lag else rng.choice(patterns)
+        if pat == "-":
+            trans.append((s, ((), (), out()), rng.choice(at(d, i))))
+            continue
+        targets = at(d + pat.count("1") - pat.count("2"))
+        for a1 in range(2) if "1" in pat else [None]:
+            for a2 in range(2) if "2" in pat else [None]:
+                if rng.random() < p_edge:
+                    label = (() if a1 is None else (a1,), () if a2 is None else (a2,), out())
+                    trans.append((s, label, rng.choice(targets)))
+    M = KAutomaton(3, A2, states, initial, trans)
+    assert check_l_deterministic(M, 2).deterministic
+    return M
+
+
+def bounded_lag_machines(rng: random.Random) -> list:
+    """Machines from rand_det_two_tape: for each (most tape-1, most tape-2
+    symbols pending) in the macro table, from (0, 0) to lag 3 either way,
+    the first one drawn; then one with missing transitions per lag."""
+    machines = []
+    for pending in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)):
+        while True:
+            M = rand_det_two_tape(rng, max(pending), 1.0)
+            X = compile(M, 2).macro
+            if (max(X.lag0), max(X.lag1)) == pending:
+                break
+        machines.append(M)
+    return machines + [rand_det_two_tape(rng, lag, 0.97) for lag in range(4)]
+
+
+def test_two_tape_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):
+    rng = random.Random(8080)
+    budgets = (
+        _LOCKSTEP_MIN - 1, _LOCKSTEP_MIN + 1, _WINDOW - 1, _WINDOW + 1, 2 * _WINDOW + 5,
+    )
+    machines = bounded_lag_machines(rng)
+    reasons = set()
+    for M in machines:
+        assert compile(M, 2).macro is not None
+        x = rand_text(rng, 2 * _WINDOW + 8, 2)
+        y = rand_text(rng, 2 * _WINDOW + 16, 2)
+        for n in budgets:
+            reasons.add(check_engines(M, (x, y), n, naive=n < _WINDOW).halt_reason)
+    assert reasons == {None, "no-transition"}
+    assert len(lockstep_calls) == 2 * len(machines) * (len(budgets) - 1)
+
+
+def test_two_tape_engines_agree_when_y_runs_out(join_aut, lockstep_calls):
+    rng = random.Random(8181)
+    machines = [join_aut] + bounded_lag_machines(rng)[1:7]
+    x = rand_text(rng, 2 * _WINDOW + 5, 2)
+    for M in machines:
+        for y_len in (0, 100, _WINDOW - 1, _WINDOW + 1):
+            y = rand_text(rng, y_len, 2)
+            tr = check_engines(M, (x, y), len(x), naive=y_len < _WINDOW)
+            if M is join_aut:
+                assert tr.halt_reason == "input-exhausted"
+                assert tr.consumed == (y_len + 1, y_len)
+    assert len(lockstep_calls) == 2 * 4 * len(machines)
+
+
+def test_two_tape_lockstep_halts_without_transition_mid_window(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=3 alphabet=2 initial=a
+        a 0,-,0 b
+        a 1,-,1 b
+        b -,0,0 a
+        """
+    )  # b has no transition on y = 1
+    for p in (300, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW // 2):
+        x = rand_text(random.Random(p), 3 * _WINDOW, 2)
+        y = "0" * p + "1" + "0" * (3 * _WINDOW)
+        tr = check_engines(M, (x, y), 3 * _WINDOW, naive=False)
+        assert tr.halt_reason == "no-transition" and tr.consumed == (p + 1, p)
+    assert len(lockstep_calls) == 2 * 5
+
+
+def test_two_tape_lockstep_stops_before_a_dead_end_with_pending_symbols(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=3 alphabet=2 initial=d1
+        d1 -,0,- d2
+        d1 -,1,- d2
+        d2 -,0,- a
+        d2 -,1,- a
+        a 0,-,0 b
+        a 1,-,1 z
+        b -,0,0 a
+        b -,1,1 a
+        """
+    )  # reads y two symbols ahead of x, so x symbols are pending; z is a dead end
+    X = compile(M, 2).macro  # macro states: d1; d2 and b, each with x = 0 or 1 pending
+    assert X.lag0 == [0, 1, 1, 1, 1, 0] and X.lag1 == [0] * 6
+    for p in (300, _WINDOW - 1, _WINDOW, _WINDOW + 1):
+        x = "0" * p + "1" + "0" * (2 * _WINDOW)
+        y = rand_text(random.Random(p), 3 * _WINDOW, 2)
+        tr = check_engines(M, (x, y), len(x), naive=p < _WINDOW)
+        assert tr.halt_reason == "no-transition" and tr.final_state == "z"
+        assert tr.consumed == (p + 1, p + 2)
+    assert len(lockstep_calls) == 2 * 4
+
+
+def test_two_tape_lockstep_stops_before_a_silent_cycle(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=3 alphabet=2 initial=a
+        a 0,-,0 b
+        a 1,-,1 b
+        b -,0,0 a
+        b -,1,1 c
+        c -,-,1 d
+        d -,-,- c
+        """
+    )
+    for p in (300, _WINDOW + 1):
+        x = rand_text(random.Random(p), 2 * _WINDOW, 2)
+        y = "0" * p + "1" + "0" * (2 * _WINDOW)
+        tr = check_engines(M, (x, y), 2 * _WINDOW, naive=False)
+        assert tr.halt_reason == "silent-cycle" and tr.consumed == (p + 1, p + 1)
+    assert len(lockstep_calls) == 2 * 2
+
+
+def test_two_tape_lockstep_respects_step_budget(join_aut, lockstep_calls):
+    rng = random.Random(8282)
+    x, y = rand_text(rng, 3 * _WINDOW, 2), rand_text(rng, 3 * _WINDOW, 2)
+    # join.aut takes two steps per key, so odd budgets end inside a macro step
+    for max_steps in (2 * _LOCKSTEP_MIN + 1, _WINDOW + 7, 2 * _WINDOW, 3 * _WINDOW - 1):
+        tr = check_engines(join_aut, (x, y), 3 * _WINDOW, max_steps=max_steps, naive=False)
+        assert tr.halt_reason == "step-budget" and tr.steps == max_steps
+        assert tr.consumed == ((max_steps + 1) // 2, max_steps // 2)
+    assert len(lockstep_calls) == 2 * 4
+
+
+def test_two_tape_machine_with_unbounded_lag_runs_the_scalar_loop(lockstep_calls):
+    M = parse_automaton(
+        """
+        automaton k=3 alphabet=2 initial=a
+        a 0,-,0 b
+        a 1,-,1 b
+        b -,0,0 c
+        b -,1,1 c
+        c -,0,0 a
+        c -,1,1 a
+        """
+    )  # two y symbols per x symbol: the pending x symbols pile up
+    assert compile(M, 2).macro is None
+    rng = random.Random(8383)
+    n = 2 * _LOCKSTEP_MIN
+    tr = check_engines(M, (rand_text(rng, n, 2), rand_text(rng, 2 * n + 4, 2)), n)
+    assert not tr.halted and tr.consumed == (n, 2 * n)
+    assert lockstep_calls == []
+
+
+def y_ahead_machine(lead: int) -> KAutomaton:
+    """Reads lead y symbols, then x and y in turn, writing both: its macro
+    states hold up to lead pending x symbols."""
+    rows = ["automaton k=3 alphabet=2 initial=d0"]
+    for i in range(lead):
+        rows += [f"d{i} -,{y},- {f'd{i + 1}' if i + 1 < lead else 'a'}" for y in "01"]
+    rows += [f"a {x},-,{x} b" for x in "01"] + [f"b -,{y},{y} a" for y in "01"]
+    return parse_automaton("\n".join(rows))
+
+
+def test_two_tape_machines_with_many_macro_states_run_the_scalar_loop(lockstep_calls):
+    rng = random.Random(8484)
+    n = 2 * _LOCKSTEP_MIN
+    for lead, rows in ((6, 96), (7, None)):  # 2**7 pending words alone reach the cap
+        M = y_ahead_machine(lead)
+        X = compile(M, 2).macro
+        assert (X and X.rows) == rows
+        tr = check_engines(M, (rand_text(rng, n, 2), rand_text(rng, n + 16, 2)), n)
+        assert not tr.halted and tr.consumed == (n, n + lead)
+    assert len(lockstep_calls) == 2 * 1
 
 
 def read_in_requests(src, size):
