@@ -135,6 +135,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 _MASK64 = (1 << 64) - 1
+_MIX_CHUNK = 1 << 16  # RandomSource symbols mixed at a time
 
 
 def derive_seed(seed: int, *branch: int) -> int:
@@ -161,11 +162,15 @@ class RandomSource(WordSource):
         self._count = 0
 
     def _produce(self, n):
-        idx = np.arange(self._count, self._count + n, dtype=np.uint64)
+        out = np.empty(n, dtype=_dtype_for(self.alphabet.size))
+        seed, b = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(self.alphabet.size)
+        # mix a chunk at a time, so the uint64 temporaries stay small
+        for lo in range(0, n, _MIX_CHUNK):
+            hi = min(lo + _MIX_CHUNK, n)
+            idx = np.arange(self._count + lo + 1, self._count + hi + 1, dtype=np.uint64)
+            out[lo:hi] = _mix64(seed + _GAMMA * idx) % b
         self._count += n
-        z = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * (idx + np.uint64(1))
-        vals = _mix64(z) % np.uint64(self.alphabet.size)
-        return vals.astype(_dtype_for(self.alphabet.size))
+        return out
 
     def clone(self):
         return RandomSource(self.alphabet, self.seed)

@@ -87,6 +87,25 @@ def test_random_source_is_deterministic_and_chunking_invariant():
     assert np.array_equal(b.take(75), chunks)
 
 
+def test_random_source_take_has_a_bounded_peak_per_symbol():
+    import tracemalloc
+
+    n = 1 << 21
+    s = RandomSource(A2, seed=5)
+    s.take(3)  # the next request starts off a mixing-chunk boundary
+    tracemalloc.start()
+    try:
+        got = s.take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the uint8 result and take's copy of it, plus a fixed part for the
+    # mixing temporaries (32 B/symbol when a whole request was mixed at once)
+    assert peak <= 2 * n + (2 << 20), peak / n
+    whole = RandomSource(A2, seed=5).take(n + 3)
+    assert np.array_equal(got, whole[3:])
+
+
 def test_random_source_seed_sensitivity():
     x = RandomSource(A2, seed=1).take(64)
     y = RandomSource(A2, seed=2).take(64)
