@@ -389,10 +389,10 @@ def _measure_one_trial(packed):
 
 def _cmd_experiment(args) -> int:
     # join-dependence peaks just past a power of two, where the self-similar
-    # prefix grows by a whole stage: 1 MiB + 75 B/symbol measured, which
-    # 192 B/symbol bounds with room to spare
+    # prefix grows by a whole stage: 1 MiB + 75.1 B/symbol measured at
+    # n = 2**20 + 32 (74.2 at 2**19 + 32); 96 B/symbol leaves a 28 % margin
     _check_memory(
-        _BASE_BYTES + 192 * args.n if args.name == "join-dependence" else 64 * args.n
+        _BASE_BYTES + 96 * args.n if args.name == "join-dependence" else 64 * args.n
     )
     if args.name == "join-dependence":
         # odd(x) alone looks incompressible, but even(x) predicts it exactly
