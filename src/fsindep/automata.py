@@ -25,8 +25,9 @@ composing their output into the following transition, dropping states
 trapped on silent cycles.  :func:`run` does not need that: it runs them
 as they are.
 
-:func:`run` compiles a machine once (:func:`compile`) and has one scalar
-loop over the compiled tables, which ends every run.  A long run goes
+:func:`run` compiles a machine once (:func:`compile`; the compiled form
+and its engines are in :mod:`fsindep.engine`) and has one scalar loop
+over the compiled tables, which ends every run.  A long run goes
 through a lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014)
 when the machine has a macro-step table: a one-tape machine with at most
 ``_LOCKSTEP_MAX_STATES`` states, or a two-tape machine whose tapes keep
@@ -46,6 +47,7 @@ import numpy as np
 
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
+from .engine import CompiledAutomaton, _macro_table, _Run, _step_budget
 
 Label = tuple  # k-tuple of symbol tuples; () is the empty word
 
@@ -358,500 +360,7 @@ def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# compiled form and the run engine
-
-_WINDOW = 8192  # input symbols the engine takes from a source at a time
-_CHUNK = 16  # lock-step chunk length, i.e. gathers per window and pass
-_LOCKSTEP_MIN = 256  # smaller budgets run the scalar loop (measured crossover)
-_LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
-
-
-class _Run:
-    """Where a run stands; both engines advance it in place."""
-
-    __slots__ = (
-        "q", "consumed", "steps", "chunks", "out_total",
-        "checkpoints", "next_cp", "path", "reason",
-    )
-
-    def __init__(self, q: int, ell: int, record_path: bool):
-        self.q = q
-        self.consumed = [0] * ell
-        self.steps = 0
-        self.chunks = []  # tagged output arrays, in order
-        self.out_total = 0
-        self.checkpoints = []
-        self.next_cp = 1
-        # state numbers visited, as int arrays in order
-        self.path = [np.array([q], dtype=np.intp)] if record_path else None
-        self.reason = None  # halt reason, None while running or after a clean stop
-
-
-def _silent_closure(read, delta, emit, width):
-    """Where the silent chain from each state ends, and what it does on the way.
-
-    Returns three lists indexed by state number, the sink included: the
-    first state of the chain that is not silent (the state itself unless
-    it is silent; the sink when the chain runs into a cycle), the states
-    the chain steps to, and the output tags it writes (both empty on a
-    cycle).  ``delta`` and ``emit`` are the flat tables of
-    :class:`CompiledAutomaton`, whose row width is ``width``.
-    """
-    sink = len(read) - 1
-    end, visited, tags = list(range(sink + 1)), [()] * (sink + 1), [()] * (sink + 1)
-    done = [r != 0 for r in read]
-    for q in range(sink):
-        chain, p = {}, q
-        while not done[p] and p not in chain:
-            chain[p] = None
-            p = delta[p * width]
-        e, v, t = (end[p], visited[p], tags[p]) if done[p] else (sink, (), ())
-        for s in reversed(chain):
-            if e != sink:
-                v, t = (delta[s * width],) + v, emit[s * width] + t
-            end[s], visited[s], tags[s], done[s] = e, v, t, True
-    return end, visited, tags
-
-
-@dataclass(frozen=True, eq=False)
-class _MacroTable:
-    """Macro steps of a compiled machine: the table the lock-step engine runs.
-
-    A key is one tape-1 symbol (ell=1) or one zipped pair ``a1 * b + a2``
-    (ell=2).  A macro state is a machine state plus the symbols fed to it
-    but not read yet, all of one tape.  A macro step feeds one key and runs
-    the machine, silent steps included, until it needs a symbol not fed
-    yet.  Row ``rows - 1`` is an absorbing sink; a step goes there when it
-    meets a missing transition or a silent cycle, or stops at a state
-    without transitions with symbols still pending.  At flat index
-    ``m * keys + key``, ``nb`` holds the next macro state times ``keys``,
-    ``out_len``/``out_off`` locate the step's output tags in ``pool``,
-    ``cost`` is its machine steps and ``path_off`` locates the states they
-    reach in ``path_pool``, ``reads1`` counts its tape-1 reads and
-    ``cp_off`` lists the output count right after each of them.  Per
-    macro state, ``state`` is the machine state and ``lag0``/``lag1`` the
-    pending symbols of tape 1/2; ``entry[q]`` is the macro state a run may
-    enter at machine state q (-1: none; on two tapes only the initial
-    state, with nothing pending).  ``unit``: every step is one machine
-    step that reads one tape-1 symbol.
-    """
-
-    keys: int
-    rows: int
-    nb: np.ndarray
-    out_len: np.ndarray
-    out_off: np.ndarray
-    pool: np.ndarray
-    cost: np.ndarray
-    path_off: np.ndarray
-    path_pool: np.ndarray
-    reads1: np.ndarray
-    cp_off: list
-    state: np.ndarray
-    lag0: list
-    lag1: list
-    entry: list
-    unit: bool
-
-
-def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_MacroTable]:
-    """The macro-step table of a compiled machine (flat tables as in
-    :class:`CompiledAutomaton`), or None when it has more than
-    ``_LOCKSTEP_MAX_STATES`` macro states.
-
-    For ell=1 the macro states are the machine states.  For ell=2 they
-    are found by a breadth-first search from the initial state; they are
-    finitely many exactly when the lag between the tapes is bounded.
-    """
-    sink, width = len(read) - 1, b**ell
-    end, visited, tags = _silent_closure(read, delta, emit, width)
-
-    def step(q, p1, p2):
-        """Run from q on the pending symbols p1, p2 until one more is needed."""
-        path, out, cps = list(visited[q]), list(tags[q]), []
-        q = end[q]
-        while q != sink:
-            pat = read[q]
-            if pat < 0 or (pat & 1 and not p1) or (pat & 2 and not p2):
-                if pat < 0 and (p1 or p2):
-                    return None
-                return (q, p1, p2), path, out, cps
-            key = 0
-            if pat & 1:
-                key, p1 = p1[0], p1[1:]
-            if pat & 2:
-                key, p2 = key * b + p2[0], p2[1:]
-            j = q * width + key
-            q = delta[j]
-            if q == sink:
-                return None
-            out += emit[j]
-            path.append(q)
-            if pat & 1:
-                cps.append(len(out))
-            out += tags[q]
-            path += visited[q]
-            q = end[q]
-        return None  # a silent cycle
-
-    order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(initial, (), ())]
-    if len(order) > _LOCKSTEP_MAX_STATES:
-        return None
-    ids = {m: i for i, m in enumerate(order)}
-    steps = []
-    for q, p1, p2 in order:  # order grows while it is walked
-        for key in range(width):
-            fed = (p1 + (key,), ()) if ell == 1 else (p1 + (key // b,), p2 + (key % b,))
-            res = step(q, *fed)
-            if res is not None:
-                target = res[0]
-                if target not in ids:
-                    if len(order) == _LOCKSTEP_MAX_STATES:
-                        return None
-                    ids[target] = len(order)
-                    order.append(target)
-                res = (ids[target],) + res[1:]
-            steps.append(res)
-    rows = len(order) + 1
-    size = rows * width
-    nb = np.full(size, (rows - 1) * width, dtype=np.intp)
-    cost, out_len, out_off, path_off, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(5))
-    pool, path_pool, cp_off = [], [], [()] * size
-    for j, res in enumerate(steps):
-        if res is None:
-            continue
-        target, path, out, cps = res
-        nb[j] = target * width
-        cost[j], out_len[j], out_off[j], path_off[j] = len(path), len(out), len(pool), len(path_pool)
-        reads1[j], cp_off[j] = len(cps), tuple(cps)
-        pool += out
-        path_pool += path
-    return _MacroTable(
-        keys=width,
-        rows=rows,
-        nb=nb,
-        out_len=out_len,
-        out_off=out_off,
-        pool=np.array(pool, dtype=tag_dtype),
-        cost=cost,
-        path_off=path_off,
-        path_pool=np.array(path_pool, dtype=np.intp),
-        reads1=reads1,
-        cp_off=cp_off,
-        state=np.array([m[0] for m in order] + [sink], dtype=np.intp),
-        lag0=[len(m[1]) for m in order] + [0],
-        lag1=[len(m[2]) for m in order] + [0],
-        entry=list(range(sink)) if ell == 1 else [-1 if q != initial else 0 for q in range(sink)],
-        unit=all(res is None or (len(res[1]) == 1 and len(res[3]) == 1) for res in steps),
-    )
-
-
-def _gather(pool, off, lens, cum):
-    """``pool[off[i] : off[i] + lens[i]]`` for every i, back to back;
-    ``cum`` is the running sum of ``lens``."""
-    at = np.repeat(off - cum + lens, lens)
-    at += np.arange(at.size)
-    return pool[at]
-
-
-def _last(tail, fed, n):
-    """The last n symbols of tail followed by fed."""
-    if n <= fed.size:
-        return fed[fed.size - n :]
-    return np.concatenate([tail[tail.size - (n - fed.size) :], fed])
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledAutomaton:
-    """Dense tables of an ell-deterministic machine; see :func:`compile`.
-
-    States are numbered in ``M.states`` order, and number ``sink = |Q|``
-    is a dead sink that every missing transition leads to.  ``read[q]``
-    is -1 for a state without transitions, else a bit mask of the input
-    tapes it reads (bit 1: tape 1, bit 2: tape 2; 0: silent).  The
-    scalar loop's tables are flat Python lists indexed ``q * b**ell +
-    key``: a state reading one tape has key a, one reading both
-    ``a1 * b + a2``, a silent one 0.  ``delta_list`` holds the next state
-    and ``emit_list`` the output symbols, tagged ``tape * b + symbol``
-    (output tapes counted from 0) and stored as ``tag_dtype``.  ``macro``
-    is the macro-step table of the lock-step engine, or None when the
-    machine has too many states or, on two tapes, an unbounded lag.
-    """
-
-    states: tuple
-    initial: int
-    ell: int
-    b: int
-    n_out: int
-    read: list
-    delta_list: list
-    emit_list: list
-    tag_dtype: np.dtype
-    macro: Optional[_MacroTable]
-
-    def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
-        """Step r until n tape-1 symbols are consumed or the run halts.
-
-        When the machine has a macro-step table, a run with at least
-        ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through the lock-step
-        engine first, whatever its tapes, silent states or path
-        recording.  The scalar loop always finishes, so every halt and the
-        rest of the trailing flush happen there.
-        """
-        X = self.macro
-        if X is not None and n - r.consumed[0] >= _LOCKSTEP_MIN and X.entry[r.q] >= 0:
-            self._lockstep(r, inputs, n - r.consumed[0], max_steps)
-        self._scalar(r, inputs, n, max_steps)
-
-    def outputs(self, r: _Run, alphabet: Alphabet) -> tuple:
-        """The run's output words, one per output tape."""
-        tagged = np.concatenate(r.chunks) if r.chunks else np.zeros(0, self.tag_dtype)
-        if self.n_out == 1:
-            return (FiniteWord(alphabet, tagged),)
-        tape, sym = np.divmod(tagged, self.b)
-        return tuple(FiniteWord(alphabet, sym[tape == j]) for j in range(self.n_out))
-
-    def _scalar(self, r, inputs, n, max_steps):
-        read, delta, emit = self.read, self.delta_list, self.emit_list
-        b, sink = self.b, len(self.states)
-        width = b**self.ell
-        src0 = inputs[0]
-        src1 = inputs[1] if self.ell == 2 else None
-        q, steps = r.q, r.steps
-        path = [] if r.path is not None else None
-        c0 = r.consumed[0]
-        c1 = r.consumed[1] if src1 is not None else 0
-        out, out_total = [], r.out_total
-        checkpoints, next_cp = r.checkpoints, r.next_cp
-        buf0, i0, buf1, i1, size1 = [], 0, [], 0, 64
-        silent = 0
-        reason = None
-        while True:
-            pat = read[q]
-            if pat < 0:
-                if c0 < n:
-                    reason = "no-transition"
-                break  # else the budget is met and the machine has nowhere to go
-            if pat & 1 and c0 >= n:
-                break  # budget reached cleanly
-            if steps >= max_steps:
-                reason = "step-budget"
-                break
-            if pat:
-                key = 0
-                if pat & 1:
-                    if i0 == len(buf0):
-                        buf0, i0 = src0.take_available(min(_WINDOW, n - c0)).tolist(), 0
-                        if not buf0:
-                            reason = "input-exhausted"
-                            break
-                    key = buf0[i0]
-                if pat & 2:
-                    if i1 == len(buf1):
-                        buf1, i1 = src1.take_available(size1).tolist(), 0
-                        size1 = min(2 * size1, _WINDOW)
-                        if not buf1:
-                            reason = "input-exhausted"
-                            break
-                    key = key * b + buf1[i1]
-                j = q * width + key
-                p = delta[j]
-                if p == sink:
-                    reason = "no-transition"
-                    break
-                if pat & 1:
-                    i0 += 1
-                    c0 += 1
-                if pat & 2:
-                    i1 += 1
-                    c1 += 1
-                silent = 0
-            else:
-                silent += 1
-                if silent > sink:
-                    reason = "silent-cycle"
-                    break
-                j = q * width
-                p = delta[j]
-            e = emit[j]
-            if e:
-                out.extend(e)
-                out_total += len(e)
-            q = p
-            if path is not None:
-                path.append(q)
-            steps += 1
-            if pat & 1 and c0 == next_cp:
-                checkpoints.append((c0, out_total))
-                next_cp *= 2
-        # what was taken but not consumed goes back to the sources
-        if i0 < len(buf0):
-            src0._unread(buf0[i0:])
-        if i1 < len(buf1):
-            src1._unread(buf1[i1:])
-        r.q, r.steps, r.out_total, r.next_cp, r.reason = q, steps, out_total, next_cp, reason
-        r.consumed[0] = c0
-        if src1 is not None:
-            r.consumed[1] = c1
-        if out:
-            r.chunks.append(np.array(out, dtype=self.tag_dtype))
-        if path:
-            r.path.append(np.array(path, dtype=np.intp))
-
-    def _lockstep(self, r, inputs, count, max_steps):
-        """Feed up to count keys to the macro-step table in lock-step windows.
-
-        Each window is cut into chunks; every chunk runs from all macro
-        states at once (one gather per position), the chunk start states
-        are stitched in order, and a second pass gathers the macro states
-        the run really visits.  The window stops before the first step
-        into the sink and before the step budget.  The symbols from there
-        on, and those fed but not read yet, go back to their sources for
-        the scalar loop.
-        """
-        X = self.macro
-        K, sink = X.keys, X.rows - 1
-        nb = X.nb
-        every = np.arange(X.rows) * K
-        src0 = inputs[0]
-        src1 = inputs[1] if self.ell == 2 else None
-        if X.unit:
-            count = min(count, max_steps - r.steps)
-        m0 = X.entry[r.q]
-        raw0 = raw1 = tail0 = tail1 = np.zeros(0, dtype=np.intp)
-        k = done = 0
-        while done < count:
-            want = min(_WINDOW, count - done)
-            raw0 = src0.take_available(want)
-            if src1 is None:
-                a = raw0.astype(np.intp)
-            else:
-                raw1 = src1.take_available(raw0.size)
-                a = raw0[: raw1.size].astype(np.intp)
-                a *= self.b
-                a += raw1
-            m = a.size
-            if m == 0:
-                k = 0
-                break
-            c = -(-m // _CHUNK)
-            A = np.zeros(c * _CHUNK, dtype=np.intp)
-            A[:m] = a
-            A = A.reshape(c, _CHUNK)
-            starts = [m0 * K]
-            if c > 1:
-                S = np.broadcast_to(every, (c - 1, X.rows))
-                for t in range(_CHUNK):
-                    S = nb[S + A[:-1, t, None]]
-                for row in S.tolist():
-                    starts.append(row[starts[-1] // K])
-            cur = np.array(starts, dtype=np.intp)
-            before = np.empty((_CHUNK, c), dtype=np.intp)
-            for t in range(_CHUNK):
-                before[t] = cur
-                cur = nb[cur + A[:, t]]
-            idx = before.T.reshape(-1)[:m] + a  # flat (macro state, key) index per step
-            if nb[idx[-1]] == sink * K:  # the sink absorbs, so the run died in here
-                idx = idx[: int(np.argmax(nb[idx] == sink * K))]
-            if not X.unit and idx.size:
-                costs = X.cost[idx]
-                spent = np.cumsum(costs)
-                fit = int(np.searchsorted(spent, max_steps - r.steps, side="right"))
-                idx, costs, spent = idx[:fit], costs[:fit], spent[:fit]
-            k = idx.size
-            if k:
-                m1 = int(nb[idx[-1]]) // K
-                lens = X.out_len[idx]
-                cum = np.cumsum(lens)
-                r.chunks.append(_gather(X.pool, X.out_off[idx], lens, cum))
-                c0 = r.consumed[0]
-                read0 = k if X.unit else k + X.lag0[m0] - X.lag0[m1]
-                if X.unit:
-                    while r.next_cp <= c0 + k:
-                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
-                        r.next_cp *= 2
-                elif r.next_cp <= c0 + read0:
-                    r1 = X.reads1[idx]
-                    cr = np.cumsum(r1)
-                    while r.next_cp <= c0 + read0:
-                        t = r.next_cp - c0  # the t-th tape-1 read of this window
-                        j = int(np.searchsorted(cr, t))
-                        off = X.cp_off[int(idx[j])][t - int(cr[j] - r1[j]) - 1]
-                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[j] - lens[j]) + off))
-                        r.next_cp *= 2
-                if r.path is not None:
-                    if X.unit:
-                        r.path.append(X.state[nb[idx] // K])
-                    else:
-                        r.path.append(_gather(X.path_pool, X.path_off[idx], costs, spent))
-                r.q = int(X.state[m1])
-                r.consumed[0] += read0
-                r.steps += k if X.unit else int(spent[-1])
-                r.out_total += int(cum[-1])
-                if src1 is not None:
-                    r.consumed[1] += k + X.lag1[m0] - X.lag1[m1]
-                    tail0 = _last(tail0, raw0[:k], X.lag0[m1])
-                    tail1 = _last(tail1, raw1[:k], X.lag1[m1])
-                m0 = m1
-            done += k
-            if k < want:
-                break
-        # symbols taken but not fed, and those fed but not read, go back
-        if src1 is None:
-            if k < raw0.size:
-                src0._unread(raw0[k:])
-        else:
-            for src, tail, raw in ((src0, tail0, raw0), (src1, tail1, raw1)):
-                back = np.concatenate([tail, raw[k:]])
-                if back.size:
-                    src._unread(back)
-
-    def _every_word(self, max_len: int):
-        """Run the ell=1 machine on every input word of length 1..max_len.
-
-        Yields, for each length L, four arrays over the b**L words in
-        ``itertools.product`` order: final state, output tags (one column
-        per word, zero past its length), output length, and whether
-        :func:`run` with budget L and its default step budget ends
-        without a halt.  Word i of length L is word i // b of length
-        L - 1 followed by symbol i % b, so each length is one gather from
-        the one before.  The silent steps that :func:`run` fires after a
-        read (or at the start, or as the trailing flush) are resolved once
-        per state (:func:`_silent_closure`); a chain that ends on a silent
-        cycle leads to the sink, which halts the word and all its
-        extensions, as a missing transition does.  The step budget grows
-        with L, so it halts a word but not its extensions.
-        """
-        b, sink = self.b, len(self.states)
-        delta, emit = self.delta_list, self.emit_list
-        end, visited, tags = _silent_closure(self.read, delta, emit, b)
-        # one read from state j // b on symbol j % b, then its silent closure
-        nxt = np.array([end[d] for d in delta], dtype=np.intp)
-        cost = np.array([1 + len(visited[d]) for d in delta], dtype=np.intp)
-        tail = [emit[j] + tags[d] for j, d in enumerate(delta)]
-        tail_len = np.array([len(t) for t in tail], dtype=np.intp)
-        tail_tags = np.zeros((int(tail_len.max()), len(tail)), dtype=self.tag_dtype)
-        for j, t in enumerate(tail):
-            tail_tags[: len(t), j] = t
-        q0 = self.initial
-        q = np.array([end[q0]], dtype=np.intp)
-        n_steps = np.array([len(visited[q0])], dtype=np.intp)
-        out_len = np.array([len(tags[q0])], dtype=np.intp)
-        out = np.array(tags[q0], dtype=self.tag_dtype).reshape(-1, 1)
-        for L in range(1, max_len + 1):
-            j = (q[:, None] * b + np.arange(b)).ravel()
-            start = np.repeat(out_len, b)
-            add = tail_len[j]
-            out_len = start + add
-            grown = np.zeros((int(out_len.max()), j.size), dtype=out.dtype)
-            grown[: out.shape[0]].reshape(*out.shape, b)[...] = out[:, :, None]
-            for c in range(tail_tags.shape[0]):
-                cols = np.flatnonzero(add > c)
-                grown[start[cols] + c, cols] = tail_tags[c, j[cols]]
-            out = grown
-            q = nxt[j]
-            n_steps = np.repeat(n_steps, b) + cost[j]
-            yield q, out, out_len, (q != sink) & (n_steps <= _step_budget(L, sink))
+# compiling and running
 
 
 def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
@@ -902,11 +411,6 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     )
     M._compiled[ell] = C
     return C
-
-
-def _step_budget(n: int, n_states: int) -> int:
-    """The step budget of a run with tape-1 budget n, unless one is given."""
-    return 64 * n + 4 * n_states + 64
 
 
 @dataclass

@@ -26,14 +26,8 @@ import numpy as np
 
 from .words import Alphabet, FiniteWord
 from .sources import WordSource, SourceExhausted
-from .automata import (
-    _WINDOW,
-    KAutomaton,
-    RunTrace,
-    _Run,
-    compile,
-    run,
-)
+from .automata import KAutomaton, RunTrace, compile, run
+from .engine import _WINDOW, _Run
 
 
 class TransducerHalted(RuntimeError):

@@ -25,13 +25,13 @@ from fsindep import (
     run,
     word,
 )
-import fsindep.automata as automata
-from fsindep.automata import (
+import fsindep.engine as engine
+from fsindep.automata import compile
+from fsindep.engine import (
     _LOCKSTEP_MAX_STATES,
     _LOCKSTEP_MIN,
     _WINDOW,
     CompiledAutomaton,
-    compile,
 )
 from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
 from conftest import (
@@ -439,7 +439,7 @@ def rand_det_solid(rng: random.Random, p_edge: float) -> KAutomaton:
 def run_scalar(M, ell, inputs, n, **kw):
     """run() with the lock-step engine switched off for budgets up to n."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "_LOCKSTEP_MIN", n + 1)
+        mp.setattr(engine, "_LOCKSTEP_MIN", n + 1)
         return run(M, ell, inputs, n, **kw)
 
 

@@ -223,7 +223,7 @@ class CountingSource(RandomSource):
 
 
 def test_match_run_stops_predicting_at_the_first_mismatch():
-    from fsindep.automata import _WINDOW
+    from fsindep.engine import _WINDOW
 
     T = odd_projection_transducer(A2)
     n, k = 1 << 16, 16
