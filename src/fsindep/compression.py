@@ -143,9 +143,9 @@ class TransducerOutputSource(WordSource):
     transition; a silent cycle also ends the stream, exactly where
     :func:`run` would halt.  The stream is made by the same engine as
     ``run``: each request runs T over at least ``_WINDOW`` further input
-    symbols (lock-step, unless T has silent states or many states) and
-    keeps the output beyond the request for the next one, so x is read
-    ahead in windows.
+    symbols (lock-step, unless T has more than ``_LOCKSTEP_MAX_STATES``
+    states) and keeps the output beyond the request for the next one, so
+    x is read ahead in windows.
     Once the stream has ended, x is left just after the last symbol T
     consumed.
     """

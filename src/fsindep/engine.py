@@ -422,7 +422,7 @@ class CompiledAutomaton:
                 cum = np.cumsum(lens)
                 r.chunks.append(_gather(X.pool, X.out_off[idx], lens, cum))
                 c0 = r.consumed[0]
-                read0 = k if X.unit else k + X.lag0[m0] - X.lag0[m1]
+                read0 = k + X.lag0[m0] - X.lag0[m1]  # tape-1 symbols read
                 if X.unit:
                     while r.next_cp <= c0 + k:
                         r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
