@@ -29,12 +29,15 @@ as they are.
 and its engines are in :mod:`fsindep.engine`) and has one scalar loop
 over the compiled tables, which ends every run.  A long run goes
 through a lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014)
-when the machine has a macro-step table: a one-tape machine with at most
-``_LOCKSTEP_MAX_STATES`` states, or a two-tape machine whose tapes keep
-a bounded lag (a synchronized relation, Frougny & Sakarovitch 1993), so
-that its states paired with the symbols of the tape that runs ahead
-number at most ``_LOCKSTEP_MAX_STATES``.  Silent states and path
-recording do not matter.
+when the machine has a macro-step table, which the first such run
+builds: a one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states
+has one, and so has a two-tape machine whose tapes keep a bounded lag (a
+synchronized relation, Frougny & Sakarovitch 1993), so that its states
+paired with the symbols of the tape that runs ahead number at most
+``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b
+or b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
+two-tape lock-step for alphabets past 181 symbols.  Silent states and
+path recording do not matter.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .words import Alphabet, FiniteWord, _dtype_for
+from .words import Alphabet, FiniteWord
 from .sources import WordSource
-from .engine import CompiledAutomaton, _macro_table, _Run, _step_budget
+from .engine import CompiledAutomaton, _Run, _step_budget, build
 
 Label = tuple  # k-tuple of symbol tuples; () is the empty word
 
@@ -364,52 +367,16 @@ def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
 
 
 def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
-    """Dense tables of the ell-deterministic machine M, built once and cached on M.
+    """The compiled form of the ell-deterministic machine M
+    (:func:`fsindep.engine.build`), built once and cached on M.
 
-    The tables include the macro-step table of the lock-step engine
-    (:class:`_MacroTable`) when M has at most ``_LOCKSTEP_MAX_STATES``
-    macro states.  Raises NotDeterministicError when M is not
-    ell-deterministic.
+    Raises NotDeterministicError when M is not ell-deterministic.
     """
     ell = int(ell)
     C = M._compiled.get(ell)
-    if C is not None:
-        return C
-    _require_deterministic(M, ell)
-    b, n_states = M.alphabet.size, len(M.states)
-    width, n_out = b**ell, M.k - ell
-    read = [-1] * (n_states + 1)
-    delta = [n_states] * ((n_states + 1) * width)
-    emit = [()] * ((n_states + 1) * width)
-    for q, s in enumerate(M.states):
-        outs = M.out(s)
-        if not outs:
-            continue
-        pat = _read_pattern(outs[0], ell)
-        read[q] = sum(1 << j for j in pat)
-        for t in outs:
-            key = 0
-            for j in pat:
-                key = key * b + t.label[j][0]
-            delta[q * width + key] = M._id[t.target]
-            emit[q * width + key] = tuple(
-                j * b + a for j in range(n_out) for a in t.label[ell + j]
-            )
-    tag_dtype = np.dtype(_dtype_for(max(n_out, 1) * b))
-    initial = M._id[M.initial[0]]
-    C = CompiledAutomaton(
-        states=M.states,
-        initial=initial,
-        ell=ell,
-        b=b,
-        n_out=n_out,
-        read=read,
-        delta_list=delta,
-        emit_list=emit,
-        tag_dtype=tag_dtype,
-        macro=_macro_table(read, delta, emit, b, ell, initial, tag_dtype),
-    )
-    M._compiled[ell] = C
+    if C is None:
+        _require_deterministic(M, ell)
+        C = M._compiled[ell] = build(M, ell)
     return C
 
 
@@ -458,8 +425,9 @@ def run(
     Engine: the machine is compiled once (:func:`compile`).  A run with a
     budget of at least ``_LOCKSTEP_MIN`` symbols, of a machine with a
     macro-step table (one input tape and at most ``_LOCKSTEP_MAX_STATES``
-    states, or two input tapes with a bounded lag between them), goes
-    through the lock-step engine, which feeds windows of input (zipped
+    states, or two input tapes with a bounded lag between them, and at
+    most ``_LOCKSTEP_MAX_ENTRIES`` entries; the first such run builds it),
+    goes through the lock-step engine, which feeds windows of input (zipped
     (x, y) pairs on two tapes) to every macro state at once; silent
     states and ``record_path`` do not matter.  Every other run, and the
     end of every run (halts and the trailing flush), goes through one

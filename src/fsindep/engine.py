@@ -1,26 +1,32 @@
 """The compiled form of a deterministic machine and the engines that run it.
 
-:func:`fsindep.automata.compile` turns an ell-deterministic machine into
-a :class:`CompiledAutomaton`: flat Python tables for one scalar loop,
-which ends every run, and a macro-step table (:class:`_MacroTable`) for
-a lock-step engine (Mytkowicz, Musuvathi & Schulte 2014) that long runs
-go through first.  :func:`fsindep.automata.run` drives them.
+:func:`build` turns an ell-deterministic machine into a
+:class:`CompiledAutomaton`: flat Python tables for one scalar loop, which
+ends every run.  The first run long enough for the lock-step engine
+(Mytkowicz, Musuvathi & Schulte 2014) builds its macro-step table
+(:class:`_MacroTable`) from those tables.  :func:`fsindep.automata.compile`
+checks and caches the compiled form, and :func:`fsindep.automata.run`
+drives the engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import Alphabet, FiniteWord
+from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
 _WINDOW = 8192  # input symbols the engine takes from a source at a time
 _CHUNK = 16  # lock-step chunk length, i.e. gathers per window and pass
 _LOCKSTEP_MIN = 256  # smaller budgets run the scalar loop (measured crossover)
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
+# (macro state, key) pairs in one macro-step table; each costs about 7 us
+# and 260 B to build, so a table costs at most about 0.25 s and 9 MiB
+_LOCKSTEP_MAX_ENTRIES = 1 << 15
 
 
 class _Run:
@@ -111,15 +117,16 @@ class _MacroTable:
     unit: bool
 
 
-def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_MacroTable]:
-    """The macro-step table of a compiled machine (flat tables as in
-    :class:`CompiledAutomaton`), or None when it has more than
-    ``_LOCKSTEP_MAX_STATES`` macro states.
+def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
+    """The macro-step table of C, or None when it has more than
+    ``_LOCKSTEP_MAX_STATES`` macro states or more than
+    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs.
 
     For ell=1 the macro states are the machine states.  For ell=2 they
     are found by a breadth-first search from the initial state; they are
     finitely many exactly when the lag between the tapes is bounded.
     """
+    read, delta, emit, b, ell, initial = C.read, C.delta_list, C.emit_list, C.b, C.ell, C.initial
     sink, width = len(read) - 1, b**ell
     end, visited, tags = _silent_closure(read, delta, emit, width)
 
@@ -151,8 +158,9 @@ def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_Mac
             q = end[q]
         return None  # a silent cycle
 
+    cap = min(_LOCKSTEP_MAX_STATES, _LOCKSTEP_MAX_ENTRIES // width)
     order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(initial, (), ())]
-    if len(order) > _LOCKSTEP_MAX_STATES:
+    if len(order) > cap:
         return None
     ids = {m: i for i, m in enumerate(order)}
     steps = []
@@ -163,7 +171,7 @@ def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_Mac
             if res is not None:
                 target = res[0]
                 if target not in ids:
-                    if len(order) == _LOCKSTEP_MAX_STATES:
+                    if len(order) == cap:
                         return None
                     ids[target] = len(order)
                     order.append(target)
@@ -189,7 +197,7 @@ def _macro_table(read, delta, emit, b, ell, initial, tag_dtype) -> Optional[_Mac
         nb=nb,
         out_len=out_len,
         out_off=out_off,
-        pool=np.array(pool, dtype=tag_dtype),
+        pool=np.array(pool, dtype=C.tag_dtype),
         cost=cost,
         path_off=path_off,
         path_pool=np.array(path_pool, dtype=np.intp),
@@ -218,9 +226,43 @@ def _last(tail, fed, n):
     return np.concatenate([tail[tail.size - (n - fed.size) :], fed])
 
 
+def build(M, ell: int) -> CompiledAutomaton:
+    """The compiled form of M, which must be ell-deterministic."""
+    b, n_states = M.alphabet.size, len(M.states)
+    width, n_out = b**ell, M.k - ell
+    read = [-1] * (n_states + 1)
+    delta = [n_states] * ((n_states + 1) * width)
+    emit = [()] * ((n_states + 1) * width)
+    for q, s in enumerate(M.states):
+        outs = M.out(s)
+        if not outs:
+            continue
+        pat = [j for j in range(ell) if outs[0].label[j]]
+        read[q] = sum(1 << j for j in pat)
+        for t in outs:
+            key = 0
+            for j in pat:
+                key = key * b + t.label[j][0]
+            delta[q * width + key] = M._id[t.target]
+            emit[q * width + key] = tuple(
+                j * b + a for j in range(n_out) for a in t.label[ell + j]
+            )
+    return CompiledAutomaton(
+        states=M.states,
+        initial=M._id[M.initial[0]],
+        ell=ell,
+        b=b,
+        n_out=n_out,
+        read=read,
+        delta_list=delta,
+        emit_list=emit,
+        tag_dtype=np.dtype(_dtype_for(max(n_out, 1) * b)),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledAutomaton:
-    """Dense tables of an ell-deterministic machine; see :func:`compile`.
+    """Dense tables of an ell-deterministic machine; see :func:`build`.
 
     States are numbered in ``M.states`` order, and number ``sink = |Q|``
     is a dead sink that every missing transition leads to.  ``read[q]``
@@ -230,9 +272,7 @@ class CompiledAutomaton:
     key``: a state reading one tape has key a, one reading both
     ``a1 * b + a2``, a silent one 0.  ``delta_list`` holds the next state
     and ``emit_list`` the output symbols, tagged ``tape * b + symbol``
-    (output tapes counted from 0) and stored as ``tag_dtype``.  ``macro``
-    is the macro-step table of the lock-step engine, or None when the
-    machine has too many states or, on two tapes, an unbounded lag.
+    (output tapes counted from 0) and stored as ``tag_dtype``.
     """
 
     states: tuple
@@ -244,20 +284,27 @@ class CompiledAutomaton:
     delta_list: list
     emit_list: list
     tag_dtype: np.dtype
-    macro: Optional[_MacroTable]
+
+    @cached_property
+    def macro(self) -> Optional[_MacroTable]:
+        """The macro-step table of the lock-step engine, built on first use;
+        None when the machine has too many states or, on two tapes, an
+        unbounded lag or too many (x, y) keys."""
+        return _macro_table(self)
 
     def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
         """Step r until n tape-1 symbols are consumed or the run halts.
 
-        When the machine has a macro-step table, a run with at least
-        ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through the lock-step
-        engine first, whatever its tapes, silent states or path
-        recording.  The scalar loop always finishes, so every halt and the
-        rest of the trailing flush happen there.
+        A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes
+        through the lock-step engine first, whatever its tapes, silent
+        states or path recording, when the machine has a macro-step table
+        (the first such run builds it).  The scalar loop always finishes,
+        so every halt and the rest of the trailing flush happen there.
         """
-        X = self.macro
-        if X is not None and n - r.consumed[0] >= _LOCKSTEP_MIN and X.entry[r.q] >= 0:
-            self._lockstep(r, inputs, n - r.consumed[0], max_steps)
+        if n - r.consumed[0] >= _LOCKSTEP_MIN:
+            X = self.macro
+            if X is not None and X.entry[r.q] >= 0:
+                self._lockstep(r, inputs, n - r.consumed[0], max_steps)
         self._scalar(r, inputs, n, max_steps)
 
     def outputs(self, r: _Run, alphabet: Alphabet) -> tuple:
@@ -364,7 +411,9 @@ class CompiledAutomaton:
         the run really visits.  The window stops before the first step
         into the sink and before the step budget.  The symbols from there
         on, and those fed but not read yet, go back to their sources for
-        the scalar loop.
+        the scalar loop.  When every macro step is one machine step
+        (``X.unit``), the step budget cuts the count up front, so windows
+        need no running sum of step costs.
         """
         X = self.macro
         K, sink = X.keys, X.rows - 1
@@ -423,11 +472,7 @@ class CompiledAutomaton:
                 r.chunks.append(_gather(X.pool, X.out_off[idx], lens, cum))
                 c0 = r.consumed[0]
                 read0 = k + X.lag0[m0] - X.lag0[m1]  # tape-1 symbols read
-                if X.unit:
-                    while r.next_cp <= c0 + k:
-                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[r.next_cp - c0 - 1])))
-                        r.next_cp *= 2
-                elif r.next_cp <= c0 + read0:
+                if r.next_cp <= c0 + read0:
                     r1 = X.reads1[idx]
                     cr = np.cumsum(r1)
                     while r.next_cp <= c0 + read0:
@@ -438,7 +483,7 @@ class CompiledAutomaton:
                         r.next_cp *= 2
                 if r.path is not None:
                     if X.unit:
-                        r.path.append(X.state[nb[idx] // K])
+                        r.path.append(X.path_pool[X.path_off[idx]])
                     else:
                         r.path.append(_gather(X.path_pool, X.path_off[idx], costs, spent))
                 r.q = int(X.state[m1])

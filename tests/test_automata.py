@@ -843,6 +843,22 @@ def test_two_tape_machine_with_unbounded_lag_runs_the_scalar_loop(lockstep_calls
     assert lockstep_calls == []
 
 
+def test_two_tape_tables_stay_within_the_entry_cap(lockstep_calls):
+    # one state that copies x: one macro state and b**2 keys
+    assert 181**2 <= engine._LOCKSTEP_MAX_ENTRIES < 182**2
+    n = _LOCKSTEP_MIN + 1
+    for b, fits in ((181, True), (182, False)):
+        trans = [("s", ((x,), (y,), (x,)), "s") for x in range(b) for y in range(b)]
+        M = KAutomaton(3, Alphabet(b), ["s"], "s", trans)
+        assert (compile(M, 2).macro is not None) == fits
+        x, y = RandomSource(M.alphabet, b).prefix(n), RandomSource(M.alphabet, b + 1).prefix(n)
+        a, c = (f(M, 2, [LiteralSource(x), LiteralSource(y)], n) for f in (run, run_scalar))
+        for f in TRACE_FIELDS:
+            assert getattr(a, f) == getattr(c, f), f
+        assert a.output == x and not a.halted
+    assert lockstep_calls == [n]  # the b = 181 run
+
+
 def y_ahead_machine(lead: int) -> KAutomaton:
     """Reads lead y symbols, then x and y in turn, writing both: its macro
     states hold up to lead pending x symbols."""
