@@ -143,9 +143,9 @@ class TransducerOutputSource(WordSource):
     transition; a silent cycle also ends the stream, exactly where
     :func:`run` would halt.  The stream is made by the same engine as
     ``run``: each request runs T over at least ``_WINDOW`` further input
-    symbols (lock-step, unless T has more than ``_LOCKSTEP_MAX_STATES``
-    states) and keeps the output beyond the request for the next one, so
-    x is read ahead in windows.
+    symbols (lock-step when T has a macro-step table, as :func:`run`
+    explains) and keeps the output beyond the request for the next one,
+    so x is read ahead in windows.
     Once the stream has ended, x is left just after the last symbol T
     consumed.
     """
@@ -168,6 +168,7 @@ class TransducerOutputSource(WordSource):
         have = self._extra.size
         while have < n and not self._dead:
             r = _Run(self._state, 1, False)
+            r.next_cp = sys.maxsize  # the stream keeps no checkpoints
             self._compiled.advance(r, [self.x], max(n - have, _WINDOW), sys.maxsize)
             self._state = r.q
             self._dead = r.reason is not None
