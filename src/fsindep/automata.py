@@ -50,7 +50,7 @@ import numpy as np
 
 from .words import Alphabet, FiniteWord
 from .sources import WordSource
-from .engine import CompiledAutomaton, _Run, _step_budget, build
+from .engine import CompiledAutomaton, _read_pattern, _Run, _step_budget, build
 
 Label = tuple  # k-tuple of symbol tuples; () is the empty word
 
@@ -223,10 +223,6 @@ class DeterminismReport:
 
     def __bool__(self):
         return self.deterministic
-
-
-def _read_pattern(t: Transition, ell: int) -> tuple:
-    return tuple(j for j in range(ell) if t.label[j])
 
 
 class NotDeterministicError(ValueError):

@@ -226,6 +226,11 @@ def _last(tail, fed, n):
     return np.concatenate([tail[tail.size - (n - fed.size) :], fed])
 
 
+def _read_pattern(t, ell: int) -> tuple:
+    """The input tapes, among the first ell, that transition t reads."""
+    return tuple(j for j in range(ell) if t.label[j])
+
+
 def build(M, ell: int) -> CompiledAutomaton:
     """The compiled form of M, which must be ell-deterministic."""
     b, n_states = M.alphabet.size, len(M.states)
@@ -237,7 +242,7 @@ def build(M, ell: int) -> CompiledAutomaton:
         outs = M.out(s)
         if not outs:
             continue
-        pat = [j for j in range(ell) if outs[0].label[j]]
+        pat = _read_pattern(outs[0], ell)
         read[q] = sum(1 << j for j in pat)
         for t in outs:
             key = 0
