@@ -79,6 +79,73 @@ def rand_text(rng: random.Random, n: int, b: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# self-similar stream oracle
+
+
+def _naive_track_extend(w: list, ell: int, step: int, b: int) -> list:
+    """Each aligned ell-block of w spread over every step-th position of a
+    (step*ell)-block; the other positions carry the base-b digits (most
+    significant first) of the block's occurrence rank mod b**((step-1)*ell)."""
+    width = (step - 1) * ell
+    seen: dict = {}
+    out = []
+    for i in range(0, len(w), ell):
+        blk = tuple(w[i : i + ell])
+        rank = seen.get(blk, 0)
+        seen[blk] = rank + 1
+        rank %= b**width
+        digits = [(rank // b ** (width - 1 - j)) % b for j in range(width)]
+        for p in range(ell):
+            out.extend(digits[p * (step - 1) : (p + 1) * (step - 1)])
+            out.append(blk[p])
+    return out
+
+
+def _naive_stages(base: int):
+    """Endless (n, ell, rule, symbols) stages, built from the seeds.
+
+    Stage n+1 grows the block length ell to base*ell when ell * base**(base*ell)
+    divides |stage n|; otherwise it keeps ell, filling around the old word
+    (ell = 1) or track-extending its (ell/base)-blocks.
+    """
+    b = base
+    if b == 2:
+        yield (1, 1, "seed", [0, 1])
+        stage = (2, 1, "seed", [1, 0, 0, 1])
+    else:
+        others = [a for a in range(b) if a != 1]
+        stage = (1, 1, "seed", (others + [1]) * (b - 1))
+    while True:
+        yield stage
+        n, ell, _, w = stage
+        if len(w) % (ell * b ** (b * ell)) == 0:
+            stage = (n + 1, ell * b, "grow-blocks", _naive_track_extend(w, ell, b, b))
+        elif ell == 1:
+            fill = []
+            for i, a in enumerate(w):
+                fill.extend((i * (b - 1) + j) % b for j in range(b - 1))
+                fill.append(a)
+            stage = (n + 1, 1, "same-blocks", fill)
+        else:
+            stage = (n + 1, ell, "same-blocks", _naive_track_extend(w, ell // b, b, b))
+
+
+def naive_self_similar_stages(n_max: int, base: int) -> list:
+    """Stages 1..n_max as (n, ell, rule, symbols), rebuilt on every call."""
+    return list(itertools.islice(_naive_stages(base), n_max))
+
+
+def naive_self_similar_prefix(n: int, base: int) -> np.ndarray:
+    """First n symbols of the self-similar stream as int64: base-many 1s,
+    then the stage words in order, rebuilt from stage 1 on every call."""
+    out = [1] * base
+    stages = _naive_stages(base)
+    while len(out) < n:
+        out.extend(next(stages)[3])
+    return np.asarray(out[:n], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # text oracles
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -1,12 +1,15 @@
 """Block-perfect words, the doubling construction, and the self-similar
 stream built from the stage tower."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
 from fsindep import (
+    Alphabet,
+    FiniteWord,
     build_sequence,
     double_length_extend,
     even,
@@ -16,6 +19,8 @@ from fsindep import (
     self_similar_source,
     word,
 )
+
+from conftest import naive_self_similar_prefix, naive_self_similar_stages
 
 
 def test_is_perfect_basic():
@@ -196,3 +201,88 @@ def test_self_similar_base3():
     assert x.segment(1, 3).to_text() == "111"
     n = np.arange(1, 3**7 + 1)
     assert np.array_equal(d[3 * n - 1], d[n - 1])  # x[3n] == x[n]
+
+
+# ---------------------------------------------------------------------------
+# the stream and the stages against the per-call oracle
+
+N_ORACLE = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_prefix(base):
+    return naive_self_similar_prefix(N_ORACLE, base)
+
+
+def stage_offsets(base, end):
+    """0-based stream positions up to end where a stage word starts: stage n
+    starts after base + (base-1)*(base + ... + base**(n-1)) = base**n symbols."""
+    out, n = [], 1
+    while base**n <= end:
+        out.append(base**n)
+        n += 1
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_self_similar_stream_matches_oracle(base):
+    want = oracle_prefix(base)
+    assert np.array_equal(self_similar_source(base).take(N_ORACLE), want)
+    s = self_similar_source(base)
+    rng = random.Random(base)
+    parts, got = [], 0
+    while got < N_ORACLE:
+        k = min(rng.choice([1, 2, 7, 100, 4093, 1 << 16]), N_ORACLE - got)
+        parts.append(s.take(k))
+        got += k
+    assert np.array_equal(np.concatenate(parts), want)
+    n = np.arange(1, N_ORACLE // base + 1)
+    assert np.array_equal(want[base * n - 1], want[n - 1])  # x[base*n] == x[n]
+
+
+def test_self_similar_sources_read_interleaved():
+    want = oracle_prefix(2)
+    a, b = self_similar_source(), self_similar_source()
+    pos_a, pos_b = 0, 0
+    for k_a, k_b in [(1, 3000), (5000, 1), (70000, 2), (1, 300000), (200000, 17)]:
+        assert np.array_equal(a.take(k_a), want[pos_a : pos_a + k_a])
+        pos_a += k_a
+        assert np.array_equal(b.take(k_b), want[pos_b : pos_b + k_b])
+        pos_b += k_b
+
+
+def test_self_similar_clones_taken_mid_stream():
+    want = oracle_prefix(3)
+    s = self_similar_source(3)
+    assert np.array_equal(s.take(1000), want[:1000])
+    c = s.clone()
+    assert np.array_equal(c.take(40000), want[:40000])
+    cc = c.clone()
+    assert np.array_equal(s.take(300), want[1000:1300])
+    assert np.array_equal(cc.take(100), want[:100])
+    assert np.array_equal(c.take(5), want[40000:40005])
+    assert s.prefix(50) == c.prefix(50) == FiniteWord(Alphabet(3), want[:50])
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_self_similar_windows_across_stage_boundaries(base):
+    want = oracle_prefix(base)
+    for off in stage_offsets(base, N_ORACLE - 4):
+        for lo, hi in ((off - 1, off + 1), (off - 2, off + 3), (off, off + 1), (off - 1, off)):
+            s = self_similar_source(base)
+            s.take(lo)
+            assert np.array_equal(s.take(hi - lo), want[lo:hi]), (off, lo, hi)
+        s = self_similar_source(base)
+        s.take(off - 2)
+        assert [s.pop() for _ in range(4)] == want[off - 2 : off + 2].tolist(), off
+
+
+@pytest.mark.parametrize("base, n_max", [(2, 17), (3, 9), (5, 6)])
+def test_build_sequence_matches_oracle(base, n_max):
+    for size in (n_max, 1, n_max - 2):
+        stages = build_sequence(size, base=base)
+        want = naive_self_similar_stages(size, base)
+        assert len(stages) == size
+        for s, (n, ell, rule, symbols) in zip(stages, want):
+            assert (s.n, s.ell, s.rule) == (n, ell, rule)
+            assert s.word.data.tolist() == symbols, n
