@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import statistics
@@ -389,8 +390,9 @@ def _measure_one_trial(packed):
 
 def _cmd_experiment(args) -> int:
     # join-dependence peaks just past a power of two, where the self-similar
-    # prefix grows by a whole stage: 1 MiB + 75.1 B/symbol measured at
-    # n = 2**20 + 32 (74.2 at 2**19 + 32); 96 B/symbol leaves a 28 % margin
+    # tower grows by a whole stage: 1 MiB + 67.0 B/symbol measured at
+    # n = 2**20 + 32 with no stage built yet (66.1 at 2**19 + 32); 96
+    # B/symbol leaves a 43 % margin
     _check_memory(
         _BASE_BYTES + 96 * args.n if args.name == "join-dependence" else 64 * args.n
     )
@@ -553,9 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves no state in the parser, so one serves every main() call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except MemoryCapExceeded as e:

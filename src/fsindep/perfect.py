@@ -6,10 +6,21 @@ two deterministic extension steps, both doubling-type interleavings that
 place the old word on every second (more generally every base-th)
 position.  Iterating them yields a stream x whose decimated copy equals
 itself: x[base * n] == x[n] for all n.
+
+The process keeps one tower per base: the seed stages and every stage
+built so far, each stage word a chunk of the stream at a fixed offset.
+Every :class:`SelfSimilarSource`, every clone of one and every
+:func:`build_sequence` call read the same tower and extend it in place,
+so each stage is built (and checked perfect) once per process, and
+growing the tower copies nothing.  It holds what the sources used to
+hold while they were alive: about 1 byte per symbol (the alphabet dtype)
+of the longest prefix any of them has requested, rounded up to a whole
+stage, for the life of the process.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,20 +183,71 @@ def _advance(stage: PerfectStage, base: int) -> PerfectStage:
     )
 
 
+class _Tower:
+    """The stages of one base built so far, and the stream they spell.
+
+    chunks[0] is the base-many leading 1s and chunks[i] the word of stage
+    i; chunk i holds stream positions starts[i] .. starts[i+1] - 1
+    (0-based).  The chunks are the stage words' own read-only arrays.
+    """
+
+    def __init__(self, base: int):
+        self.base = base
+        self.stages = []
+        self.chunks = [np.ones(base, dtype=_dtype_for(base))]
+        self.starts = [0, base]
+        for stage in _seed_stages(base):
+            self._append(stage)
+
+    def _append(self, stage: PerfectStage):
+        self.stages.append(stage)
+        self.chunks.append(stage.word.data)
+        self.starts.append(self.starts[-1] + len(stage.word))
+
+    def grow(self):
+        self._append(_advance(self.stages[-1], self.base))
+
+    def window(self, start: int, n: int) -> np.ndarray:
+        """Stream positions start .. start+n-1 (0-based), copied to int64."""
+        end = start + n
+        while self.starts[-1] < end:
+            self.grow()
+        out = np.empty(n, dtype=np.int64)
+        i = bisect.bisect_right(self.starts, start) - 1
+        pos = start
+        while pos < end:
+            lo, stop = self.starts[i], min(end, self.starts[i + 1])
+            out[pos - start : stop - start] = self.chunks[i][pos - lo : stop - lo]
+            pos = stop
+            i += 1
+        return out
+
+
+_TOWERS: dict = {}  # base -> _Tower, shared by the whole process
+
+
+def _tower(base: int) -> _Tower:
+    tower = _TOWERS.get(base)
+    if tower is None:
+        tower = _TOWERS[base] = _Tower(base)
+    return tower
+
+
 def build_sequence(n_max: int, base: int = 2):
     """Stages 1..n_max of the perfect-word tower.
 
     Stage n has length (base - 1) * base**n and block length ell_n; the
     block length multiplies by base exactly when base**(base*ell) * ell
     divides the current length, so it grows without bound while every
-    stage stays ell_n-perfect.
+    stage stays ell_n-perfect.  The stages are those of the process-wide
+    tower (see the module docstring), built on first request.
     """
     if n_max < 1:
         raise ValueError("need at least one stage")
-    stages = [s for s in _seed_stages(base) if s.n <= n_max]
-    while stages[-1].n < n_max:
-        stages.append(_advance(stages[-1], base))
-    return stages
+    tower = _tower(base)
+    while len(tower.stages) < n_max:
+        tower.grow()
+    return tower.stages[:n_max]
 
 
 class SelfSimilarSource(WordSource):
@@ -193,7 +255,11 @@ class SelfSimilarSource(WordSource):
 
     Satisfies x[base * n] == x[n] for every n >= 1, yet the block
     statistics of its prefixes converge to uniform at every block
-    length.  Deterministic, so clones replay the identical stream.
+    length.  A source keeps only its base and position: the symbols live
+    in the process-wide tower of its base (see the module docstring),
+    which a read extends as far as it needs.  Every window a read
+    returns is an int64 copy, so callers never hold the tower's memory.
+    Deterministic, so clones replay the identical stream.
     """
 
     def __init__(self, base: int = 2):
@@ -201,34 +267,10 @@ class SelfSimilarSource(WordSource):
             raise ValueError("base must be at least 2")
         super().__init__(Alphabet(base))
         self.base = base
-        self._seeds = _seed_stages(base)
-        self._next_seed = 0
-        self._stage = None
-        # the prefix keeps the words' own dtype (uint8 up to base 256);
-        # only the window a caller takes is cast to int64
-        self._chunks = [np.ones(base, dtype=_dtype_for(base))]
-        self._size = base
         self._count = 0
 
-    def _grow(self):
-        if self._next_seed < len(self._seeds):
-            self._stage = self._seeds[self._next_seed]
-            self._next_seed += 1
-        else:
-            self._stage = _advance(self._stage, self.base)
-        self._chunks.append(self._stage.word.data)
-        self._size += len(self._stage.word)
-
-    def _ensure(self, total: int):
-        while self._size < total:
-            self._grow()
-        if len(self._chunks) > 1:
-            self._chunks = [np.concatenate(self._chunks)]
-
     def _produce(self, n):
-        self._ensure(self._count + n)
-        data = self._chunks[0]
-        out = data[self._count : self._count + n].astype(np.int64)
+        out = _tower(self.base).window(self._count, n)
         self._count += n
         return out
 

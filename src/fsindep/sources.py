@@ -30,7 +30,9 @@ class WordSource:
 
     # Subclass contract: return 1..n fresh symbols as a numpy array, or an
     # empty array once the stream is exhausted.  Infinite sources must
-    # return exactly n.
+    # return exactly n.  The array is either new memory nothing else refers
+    # to, which take_available hands out as it is, or a view of data the
+    # source keeps (flags.owndata false), which take_available copies.
     def _produce(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -60,7 +62,8 @@ class WordSource:
         if not parts:
             return np.zeros(0, dtype=_dtype_for(self.alphabet.size))
         if len(parts) == 1:
-            return parts[0].copy()
+            # a view of _buf or of the source's own data must not escape
+            return parts[0] if parts[0].flags.owndata else parts[0].copy()
         return np.concatenate(parts)
 
     def take(self, n: int) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_check_automaton_reports_shuffle_violation():
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
     import tracemalloc
 
-    from fsindep import cli
+    from fsindep import cli, perfect
 
     word_file = str(tmp_path / "w.txt")
     argv = [word_file if a == "WORD" else a for a in argv]
@@ -233,6 +233,8 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         sizes += ((1 << 19) + 32,)
     for n in sizes:
         args = args_for(n)
+        # no self-similar stages built yet, as in a fresh process
+        monkeypatch.setattr(perfect, "_TOWERS", {})
         tracemalloc.start()
         try:
             rc, _ = run_cli(*args)
@@ -241,6 +243,33 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
             tracemalloc.stop()
         assert rc == 0
         assert estimates[-1] >= peak, (argv, n, estimates[-1], peak)
+
+
+def test_main_calls_in_one_process_print_what_each_prints_alone():
+    calls = [
+        ("perfect-sequence",),
+        ("experiment", "join-normal", "-n", "4096", "--max-block", "3"),
+        ("generate", "--gen", "selfsim:b=3", "-n", "40"),
+        ("perfect-sequence", "--stages", "4", "--base", "3"),
+    ]
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "fsindep", *argv], capture_output=True, text=True
+        ).stdout
+        for argv in calls
+    ]
+    # each call follows one that argparse rejects half-way through its options
+    rejected = [
+        ("perfect-sequence", "--stages", "3", "--base", "x"),
+        ("experiment", "no-such-experiment", "-n", "8"),
+        ("generate", "--gen", "selfsim"),
+        ("perfect-sequence", "--stages", "2", "--bogus"),
+    ]
+    for bad, argv, want in zip(rejected, calls, alone):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*bad)
+        assert exc.value.code == 2
+        assert run_cli(*argv) == (0, want), argv
 
 
 def test_compress_copy_ratio_is_one():

@@ -10,6 +10,7 @@ import pytest
 from fsindep import (
     Alphabet,
     FiniteWord,
+    SelfSimilarSource,
     build_sequence,
     double_length_extend,
     even,
@@ -286,3 +287,49 @@ def test_build_sequence_matches_oracle(base, n_max):
         for s, (n, ell, rule, symbols) in zip(stages, want):
             assert (s.n, s.ell, s.rule) == (n, ell, rule)
             assert s.word.data.tolist() == symbols, n
+
+
+# ---------------------------------------------------------------------------
+# one tower per base per process
+
+
+def test_advance_runs_once_per_stage_per_base(monkeypatch):
+    from fsindep import perfect
+
+    monkeypatch.setattr(perfect, "_TOWERS", {})  # start from no stages
+    built = []
+    advance = perfect._advance
+
+    def spy(stage, base):
+        built.append((base, stage.n + 1))
+        return advance(stage, base)
+
+    monkeypatch.setattr(perfect, "_advance", spy)
+    for base in (2, 3):
+        x = self_similar_source(base)
+        x.take(1000)
+        c = x.clone()
+        c.take(base**9)
+        build_sequence(5, base=base)
+        x.take(base**10)  # into stage 10, which starts at base**10
+        self_similar_source(base).prefix(base**10 + 1)
+        c.clone().take(7)
+        build_sequence(11, base=base)
+    seeds = {2: 2, 3: 1}
+    assert built == [(b, n) for b in (2, 3) for n in range(seeds[b] + 1, 12)]
+
+
+def test_a_second_source_builds_no_second_tower():
+    import tracemalloc
+
+    n = 1 << 20
+    first = SelfSimilarSource(2).take(n)
+    tracemalloc.start()
+    try:
+        second = SelfSimilarSource(2).take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 window itself, and no stage words
+    assert peak <= 8 * n + (1 << 20), peak
+    assert np.array_equal(first, second)

@@ -106,6 +106,64 @@ def test_random_source_take_has_a_bounded_peak_per_symbol():
     assert np.array_equal(got, whole[3:])
 
 
+def test_random_source_take_hands_out_its_fresh_array():
+    import tracemalloc
+
+    n = 1 << 21
+    tracemalloc.start()
+    try:
+        RandomSource(A2, seed=5).take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the uint8 symbols and the mixing temporaries, but no copy of the symbols
+    assert peak < 1.9 * n, peak / n
+
+
+def arrays_held_by(src):
+    """The numpy arrays a source refers to: its fields, its words' data and,
+    for the self-similar stream, the stage chunks of its base."""
+    from fsindep import SelfSimilarSource, perfect
+
+    held = []
+    for v in vars(src).values():
+        if isinstance(v, np.ndarray):
+            held.append(v)
+        elif isinstance(v, FiniteWord):
+            held.append(v.data)
+    if isinstance(src, SelfSimilarSource):
+        held.extend(perfect._TOWERS[src.base].chunks)
+    return held
+
+
+def test_take_never_shares_memory_with_the_source():
+    from fsindep import SelfSimilarSource
+
+    def unread(s):
+        got = s.take(40)
+        s._unread(got[30:])
+        return s
+
+    def peeked(s):
+        s.peek()
+        return s
+
+    sources = [
+        LiteralSource(word("0110" * 300)),
+        PeriodicSource(word("011")),
+        SelfSimilarSource(2),
+        SelfSimilarSource(3),
+        unread(RandomSource(A2, seed=3)),
+        unread(LiteralSource(word("01" * 300))),
+        peeked(LiteralSource(word("0011" * 100))),
+    ]
+    for s in sources:
+        for k in (1, 4, 10, 37, 300):  # inside and across the buffer and stages
+            got = s.take(k)
+            for held in arrays_held_by(s):
+                assert not np.shares_memory(got, held), (type(s).__name__, k)
+
+
 def test_random_source_seed_sensitivity():
     x = RandomSource(A2, seed=1).take(64)
     y = RandomSource(A2, seed=2).take(64)
