@@ -37,7 +37,9 @@ paired with the symbols of the tape that runs ahead number at most
 ``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b
 or b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
 two-tape lock-step for alphabets past 181 symbols.  Silent states and
-path recording do not matter.
+path recording do not matter.  From ``_GRAM_MIN`` symbols on, the engine
+feeds G keys per gather through the table's gram view, with G as large
+as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.
 """
 
 from __future__ import annotations
@@ -424,7 +426,8 @@ def run(
     states, or two input tapes with a bounded lag between them, and at
     most ``_LOCKSTEP_MAX_ENTRIES`` entries; the first such run builds it),
     goes through the lock-step engine, which feeds windows of input (zipped
-    (x, y) pairs on two tapes) to every macro state at once; silent
+    (x, y) pairs on two tapes, G at a time from ``_GRAM_MIN`` symbols on)
+    to every macro state at once; silent
     states and ``record_path`` do not matter.  Every other run, and the
     end of every run (halts and the trailing flush), goes through one
     scalar loop over the compiled tables.  Both give the same trace.

@@ -367,7 +367,8 @@ _IND_HEADER = ("trial", "n", "k", "rho_x", "rho_y", "rho_x_given_y", "rho_y_give
 def _cmd_independence(args) -> int:
     parse_generator(args.x_gen)
     parse_generator(args.y_gen)  # validate before spawning workers
-    _check_memory(64 * args.n)
+    # each worker holds one trial at a time
+    _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
     work = [
         (args.x_gen, args.y_gen, args.n, args.k, args.seed, t)
         for t in range(1, args.trials + 1)

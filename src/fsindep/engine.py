@@ -4,7 +4,11 @@
 :class:`CompiledAutomaton`: flat Python tables for one scalar loop, which
 ends every run.  The first run long enough for the lock-step engine
 (Mytkowicz, Musuvathi & Schulte 2014) builds its macro-step table
-(:class:`_MacroTable`) from those tables.  :func:`fsindep.automata.compile`
+(:class:`_MacroTable`) from those tables.  The first run of at least
+``_GRAM_MIN`` symbols builds, from that table, its gram view
+(:class:`_Grams`): the same macro states, with every entry G consecutive
+keys, so that one gather moves the run G symbols on (multi-stride
+automata; Brodie, Taylor & Cytron 2006).  :func:`fsindep.automata.compile`
 checks and caches the compiled form, and :func:`fsindep.automata.run`
 drives the engines.
 """
@@ -21,12 +25,26 @@ from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
 _WINDOW = 8192  # input symbols the engine takes from a source at a time
-_CHUNK = 16  # lock-step chunk length, i.e. gathers per window and pass
-_LOCKSTEP_MIN = 256  # smaller budgets run the scalar loop (measured crossover)
+_CHUNK = 16  # lock-step chunk length (gathers per window and pass), and the longest gram
+# Smaller budgets run the scalar loop.  On copy.aut, the odd projection and
+# join.aut, lock-step (key table, as below _GRAM_MIN) won from 180-380
+# symbols on with the table built, and from 300-500 with its build included.
+_LOCKSTEP_MIN = 256
+# Smaller budgets feed the key table one key a gather.  On the same machines
+# the gram view won from 2-4k symbols on once built, and from 7-16k with its
+# build (about 0.25 ms) included; at _WINDOW it lost up to 18 % on a fresh
+# machine and won 20-22 % on one that had built it.
+_GRAM_MIN = _WINDOW
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
 # (macro state, key) pairs in one macro-step table; each costs about 7 us
 # and 260 B to build, so a table costs at most about 0.25 s and 9 MiB
 _LOCKSTEP_MAX_ENTRIES = 1 << 15
+# (macro state, gram) pairs and bytes in one gram view.  Longer grams save
+# less per window than they cost to build: the benchmark's transduce cycle,
+# which builds four views, ran alike from 2**8 to 2**10 entries and about
+# 12 % slower at 2**12, where small commands also passed their memory estimate.
+_GRAM_MAX_ENTRIES = 1 << 10
+_GRAM_MAX_BYTES = 1 << 16
 
 
 class _Run:
@@ -96,7 +114,8 @@ class _MacroTable:
     pending symbols of tape 1/2; ``entry[q]`` is the macro state a run may
     enter at machine state q (-1: none; on two tapes only the initial
     state, with nothing pending).  ``unit``: every step is one machine
-    step that reads one tape-1 symbol.
+    step that reads one tape-1 symbol.  ``span``: an entry feeds one key
+    here and G in the gram view (:attr:`grams`).
     """
 
     keys: int
@@ -115,6 +134,37 @@ class _MacroTable:
     lag1: list
     entry: list
     unit: bool
+    span = 1
+
+    @cached_property
+    def grams(self) -> _Grams | _MacroTable:
+        """The gram view of this table, built on first use (:func:`_gram_view`)."""
+        return _gram_view(self)
+
+
+@dataclass(frozen=True, eq=False)
+class _Grams:
+    """The gram view of a macro-step table X: the same macro states, with
+    every entry ``span`` (G) consecutive keys, a gram.
+
+    A gram's id holds its keys as digits in base ``X.keys``, first key
+    first, so a row has ``keys`` = ``X.keys ** G`` entries.  At flat index
+    ``m * keys + gram``, ``nb`` holds the macro state after the G macro
+    steps times ``keys``, ``out_len``/``out_off`` locate their output tags
+    in ``pool`` and ``cost`` is their machine steps.  A gram that meets
+    the sink part-way leads to the sink, which absorbs.  The states visited
+    and the checkpoint offsets stay in X: a window that needs them expands
+    its grams into X's entries.  When no gram of two keys fits the bounds,
+    the gram view is X itself.
+    """
+
+    span: int
+    keys: int
+    nb: np.ndarray
+    out_len: np.ndarray
+    out_off: np.ndarray
+    pool: np.ndarray
+    cost: np.ndarray
 
 
 def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
@@ -211,6 +261,44 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
     )
 
 
+def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
+    """The gram view of X, with G as large as the bounds allow.
+
+    G is the largest gram length, at most ``_CHUNK``, whose view has at
+    most ``_GRAM_MAX_ENTRIES`` entries and, at the longest output of one
+    key-table entry, at most ``_GRAM_MAX_BYTES`` bytes.  Below G = 2 the
+    view is X.  Every array comes from G gathers through X's tables, not
+    from one macro step at a time.
+    """
+    K, rows = X.keys, X.rows
+    longest = X.pool.itemsize * int(X.out_len.max())
+
+    def fits(G):
+        size = rows * K**G
+        return size <= _GRAM_MAX_ENTRIES and size * (4 * 8 + G * longest) <= _GRAM_MAX_BYTES
+
+    G = 1
+    while G < _CHUNK and fits(G + 1):
+        G += 1
+    if G == 1:
+        return X
+    KG = K**G
+    digits = np.indices((K,) * G).reshape(G, KG)  # key i of every gram
+    E = np.empty((rows, KG, G), dtype=np.intp)  # X's entry for key i of every (row, gram)
+    cur = np.arange(rows)[:, None] * K
+    for i in range(G):
+        np.add(cur, digits[i], out=E[:, :, i])
+        cur = X.nb[E[:, :, i]]
+    E = E.reshape(-1, G)
+    lens = X.out_len[E]
+    out_len = lens.sum(axis=1)
+    pool = _gather(X.pool, X.out_off[E].ravel(), lens.ravel(), np.cumsum(lens))
+    return _Grams(
+        G, KG, cur.ravel() // K * KG, out_len, np.cumsum(out_len) - out_len, pool,
+        X.cost[E].sum(axis=1),
+    )
+
+
 def _gather(pool, off, lens, cum):
     """``pool[off[i] : off[i] + lens[i]]`` for every i, back to back;
     ``cum`` is the running sum of ``lens``."""
@@ -303,7 +391,8 @@ class CompiledAutomaton:
         A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes
         through the lock-step engine first, whatever its tapes, silent
         states or path recording, when the machine has a macro-step table
-        (the first such run builds it).  The scalar loop always finishes,
+        (the first such run builds it; from ``_GRAM_MIN`` symbols on, the
+        table's gram view too).  The scalar loop always finishes,
         so every halt and the rest of the trailing flush happen there.
         """
         if n - r.consumed[0] >= _LOCKSTEP_MIN:
@@ -408,43 +497,57 @@ class CompiledAutomaton:
             r.path.append(np.array(path, dtype=np.intp))
 
     def _lockstep(self, r, inputs, count, max_steps):
-        """Feed up to count keys to the macro-step table in lock-step windows.
+        """Feed up to count keys to the macro-step table, a gram of G keys
+        per gather, in lock-step windows.
 
-        Each window is cut into chunks; every chunk runs from all macro
-        states at once (one gather per position), the chunk start states
-        are stitched in order, and a second pass gathers the macro states
-        the run really visits.  The window stops before the first step
-        into the sink and before the step budget.  The symbols from there
-        on, and those fed but not read yet, go back to their sources for
-        the scalar loop.  When every macro step is one machine step
-        (``X.unit``), the step budget cuts the count up front, so windows
-        need no running sum of step costs.
+        A count below ``_GRAM_MIN`` feeds the key table itself (G = 1), so
+        short runs do not pay for building the gram view.  Windows are
+        whole grams, so at most G - 1 keys of count are left to the scalar
+        loop.  A window's keys are packed into gram ids and cut into
+        chunks; every chunk runs from all macro states at once (one gather
+        per gram), the chunk start states are stitched in order, and a
+        second pass gathers the macro states the run really visits.  The
+        window stops at the start of the gram that steps into the sink and
+        of the gram that would pass the step budget; the symbols from there
+        on, and those fed but not read yet, go back to their sources, and
+        the scalar loop halts inside that gram.  Outputs and step costs
+        come from the gram view.  A window that records the path or holds
+        a checkpoint expands its grams into key-table entries, which give
+        the states visited and the output count at each tape-1 read.  When
+        every macro step is one machine step (``X.unit``), the step budget
+        cuts the count up front, so windows need no running sum of step
+        costs.
         """
         X = self.macro
-        K, sink = X.keys, X.rows - 1
-        nb = X.nb
+        V = X.grams if count >= _GRAM_MIN else X
+        G, K, sink = V.span, V.keys, X.rows - 1
+        nb = V.nb
         every = np.arange(X.rows) * K
+        digits = X.keys ** np.arange(G - 1, -1, -1)  # gram id = keys @ digits
         src0 = inputs[0]
         src1 = inputs[1] if self.ell == 2 else None
         if X.unit:
             count = min(count, max_steps - r.steps)
+        count -= count % G
         m0 = X.entry[r.q]
         raw0 = raw1 = tail0 = tail1 = np.zeros(0, dtype=np.intp)
         k = done = 0
         while done < count:
-            want = min(_WINDOW, count - done)
+            want = min(_WINDOW - _WINDOW % G, count - done)
             raw0 = src0.take_available(want)
             if src1 is None:
-                a = raw0.astype(np.intp)
+                keys = raw0.astype(np.intp)
             else:
                 raw1 = src1.take_available(raw0.size)
-                a = raw0[: raw1.size].astype(np.intp)
-                a *= self.b
-                a += raw1
-            m = a.size
+                keys = raw0[: raw1.size].astype(np.intp)
+                keys *= self.b
+                keys += raw1
+            m = keys.size // G  # whole grams
             if m == 0:
                 k = 0
                 break
+            keys = keys[: m * G].reshape(m, G)
+            a = keys @ digits if G > 1 else keys[:, 0]
             c = -(-m // _CHUNK)
             A = np.zeros(c * _CHUNK, dtype=np.intp)
             A[:m] = a
@@ -461,36 +564,46 @@ class CompiledAutomaton:
             for t in range(_CHUNK):
                 before[t] = cur
                 cur = nb[cur + A[:, t]]
-            idx = before.T.reshape(-1)[:m] + a  # flat (macro state, key) index per step
+            idx = before.T.reshape(-1)[:m] + a  # flat (macro state, gram) index per gram
             if nb[idx[-1]] == sink * K:  # the sink absorbs, so the run died in here
                 idx = idx[: int(np.argmax(nb[idx] == sink * K))]
             if not X.unit and idx.size:
-                costs = X.cost[idx]
-                spent = np.cumsum(costs)
+                spent = np.cumsum(V.cost[idx])
                 fit = int(np.searchsorted(spent, max_steps - r.steps, side="right"))
-                idx, costs, spent = idx[:fit], costs[:fit], spent[:fit]
-            k = idx.size
+                idx, spent = idx[:fit], spent[:fit]
+            k = idx.size * G  # keys fed
             if k:
                 m1 = int(nb[idx[-1]]) // K
-                lens = X.out_len[idx]
+                lens = V.out_len[idx]
                 cum = np.cumsum(lens)
-                r.chunks.append(_gather(X.pool, X.out_off[idx], lens, cum))
+                r.chunks.append(_gather(V.pool, V.out_off[idx], lens, cum))
                 c0 = r.consumed[0]
                 read0 = k + X.lag0[m0] - X.lag0[m1]  # tape-1 symbols read
+                if r.next_cp <= c0 + read0 or r.path is not None:
+                    # the key-table entry of every key fed
+                    e = np.empty((idx.size, G), dtype=np.intp)
+                    at = idx // K * X.keys
+                    for i in range(G):
+                        e[:, i] = at + keys[: idx.size, i]
+                        at = X.nb[e[:, i]]
+                    e = e.ravel()
                 if r.next_cp <= c0 + read0:
-                    r1 = X.reads1[idx]
+                    r1 = X.reads1[e]
                     cr = np.cumsum(r1)
                     while r.next_cp <= c0 + read0:
                         t = r.next_cp - c0  # the t-th tape-1 read of this window
-                        j = int(np.searchsorted(cr, t))
-                        off = X.cp_off[int(idx[j])][t - int(cr[j] - r1[j]) - 1]
-                        r.checkpoints.append((r.next_cp, r.out_total + int(cum[j] - lens[j]) + off))
+                        j = int(np.searchsorted(cr, t))  # in key j, of gram g
+                        g = j // G
+                        off = X.cp_off[int(e[j])][t - int(cr[j] - r1[j]) - 1]
+                        off += int(cum[g] - lens[g] + X.out_len[e[g * G : j]].sum())
+                        r.checkpoints.append((r.next_cp, r.out_total + off))
                         r.next_cp *= 2
                 if r.path is not None:
                     if X.unit:
-                        r.path.append(X.path_pool[X.path_off[idx]])
+                        r.path.append(X.path_pool[X.path_off[e]])
                     else:
-                        r.path.append(_gather(X.path_pool, X.path_off[idx], costs, spent))
+                        costs = X.cost[e]
+                        r.path.append(_gather(X.path_pool, X.path_off[e], costs, np.cumsum(costs)))
                 r.q = int(X.state[m1])
                 r.consumed[0] += read0
                 r.steps += k if X.unit else int(spent[-1])

@@ -208,11 +208,12 @@ class _Tower:
         self._append(_advance(self.stages[-1], self.base))
 
     def window(self, start: int, n: int) -> np.ndarray:
-        """Stream positions start .. start+n-1 (0-based), copied to int64."""
+        """Stream positions start .. start+n-1 (0-based), copied out in
+        the tower's dtype."""
         end = start + n
         while self.starts[-1] < end:
             self.grow()
-        out = np.empty(n, dtype=np.int64)
+        out = np.empty(n, dtype=self.chunks[0].dtype)
         i = bisect.bisect_right(self.starts, start) - 1
         pos = start
         while pos < end:
@@ -258,7 +259,8 @@ class SelfSimilarSource(WordSource):
     length.  A source keeps only its base and position: the symbols live
     in the process-wide tower of its base (see the module docstring),
     which a read extends as far as it needs.  Every window a read
-    returns is an int64 copy, so callers never hold the tower's memory.
+    returns is a copy in the alphabet's dtype, one byte a symbol up to
+    base 256, so callers never hold the tower's memory.
     Deterministic, so clones replay the identical stream.
     """
 

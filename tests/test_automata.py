@@ -3,6 +3,7 @@ forward-pair analysis."""
 
 import random
 
+import numpy as np
 import pytest
 
 from fsindep import (
@@ -28,6 +29,8 @@ from fsindep import (
 import fsindep.engine as engine
 from fsindep.automata import compile
 from fsindep.engine import (
+    _GRAM_MAX_BYTES,
+    _GRAM_MAX_ENTRIES,
     _LOCKSTEP_MAX_STATES,
     _LOCKSTEP_MIN,
     _WINDOW,
@@ -480,6 +483,16 @@ def test_compile_tables_are_pinned():
     assert 0 not in C.read  # no silent state
     # one machine step per macro step; next macro state times the 2 keys
     assert C.macro.unit and C.macro.nb.tolist() == [2, 2, 0, 0, 4, 4]
+    # grams of 8 keys: rows keep, drop and the sink, 2**8 grams each
+    V = C.macro.grams
+    assert (V.span, V.keys) == (8, 256)
+    assert V.nb.tolist() == [0] * 256 + [256] * 256 + [512] * 256
+    assert V.out_len.tolist() == [4] * 512 + [0] * 256
+    assert V.out_off.tolist() == list(range(0, 2048, 4)) + [2048] * 256
+    assert V.cost.tolist() == [8] * 512 + [0] * 256
+    keys = np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1  # first key first
+    # from keep the gram's 1st, 3rd, 5th and 7th keys are written, from drop the others
+    assert V.pool.tolist() == np.concatenate([keys[:, 0::2], keys[:, 1::2]]).ravel().tolist()
     M = parse_automaton(CHAIN)
     assert 0 in compile(M, 1).read and not compile(M, 1).macro.unit
     assert compile(M, 1) is compile(M, 1)  # cached on the machine
@@ -879,6 +892,141 @@ def test_two_tape_machines_with_many_macro_states_run_the_scalar_loop(lockstep_c
         tr = check_engines(M, (rand_text(rng, n, 2), rand_text(rng, n + 16, 2)), n)
         assert not tr.halted and tr.consumed == (n, n + lead)
     assert len(lockstep_calls) == 2 * 1
+
+
+# ---------------------------------------------------------------------------
+# the gram view: lock-step G keys a gather, halts resolved key by key
+
+
+def gram_length(M, ell=1):
+    return compile(M, ell).macro.grams.span
+
+
+def test_engines_agree_on_budgets_around_gram_boundaries(
+    copy_aut, join_aut, lockstep_calls, monkeypatch
+):
+    rng = random.Random(81)
+    x, y = rand_text(rng, 2 * _WINDOW + 64, 2), rand_text(rng, 2 * _WINDOW + 64, 2)
+    machines = (
+        (copy_aut, x), (odd_projection_transducer(A2), x), (budget_chain_machine(5), x),
+        (join_aut, (x, y)),
+    )
+    runs = 0
+    for M, text in machines:
+        G = gram_length(M, 1 if isinstance(text, str) else 2)
+        assert G > 1
+        # budgets = 0, 1 and G - 1 mod G around _GRAM_MIN, below which the
+        # key table runs, and around the end of the second gram window
+        budgets = []
+        for edge in (engine._GRAM_MIN, 2 * (_WINDOW - _WINDOW % G)):
+            base = edge - edge % G
+            budgets += [e + r for e in (base - G, base) for r in (0, 1, G - 1)]
+        for n in budgets:
+            tr = check_engines(M, text, n, naive=False)
+            assert tr.consumed[0] == n and not tr.halted
+        runs += len(budgets)
+    assert len(lockstep_calls) == 2 * runs
+    # lock-step feeds every whole gram; the scalar loop gets the last n mod G keys
+    left = []
+    scalar = CompiledAutomaton._scalar
+
+    def spy(self, r, inputs, n, max_steps):
+        left.append(n - r.consumed[0])
+        return scalar(self, r, inputs, n, max_steps)
+
+    monkeypatch.setattr(CompiledAutomaton, "_scalar", spy)
+    G = gram_length(copy_aut)
+    budgets = range(2 * _WINDOW, 2 * _WINDOW + G)
+    for n in budgets:
+        run(copy_aut, 1, [lit(x + x)], n)
+    assert left == [n % G for n in budgets]
+
+
+def test_lockstep_halts_at_every_offset_inside_a_gram(lockstep_calls):
+    # one state that copies 0 and 1 and has no transition on 2
+    M = KAutomaton(2, Alphabet(3), ["s"], "s", [("s", ((a,), (a,)), "s") for a in (0, 1)])
+    G = gram_length(M)
+    assert G > 1
+    rng = random.Random(82)
+    # a gram of the first window, and the first gram of the second
+    for start in (50 * G, _WINDOW - _WINDOW % G):
+        for p in range(start, start + G):
+            text = rand_text(rng, p, 2) + "2" + rand_text(rng, _WINDOW, 2)
+            tr = check_engines(M, text, len(text), naive=False)
+            assert tr.halt_reason == "no-transition" and tr.consumed == (p,)
+    assert len(lockstep_calls) == 2 * 2 * G
+
+
+def test_step_budgets_run_out_inside_a_gram(copy_aut, join_aut, lockstep_calls):
+    rng = random.Random(83)
+    x, y = rand_text(rng, 3 * _WINDOW, 2), rand_text(rng, 3 * _WINDOW, 2)
+    # one machine step a key, two (join.aut), and six for every 1 read
+    machines = ((copy_aut, x), (join_aut, (x, y)), (budget_chain_machine(5), x))
+    runs = 0
+    for M, text in machines:
+        G = gram_length(M, 1 if isinstance(text, str) else 2)
+        for max_steps in range(100 * G, 102 * G):
+            tr = check_engines(M, text, 3 * _WINDOW, max_steps=max_steps, naive=False)
+            assert tr.halt_reason == "step-budget" and tr.steps == max_steps
+            runs += 1
+    assert len(lockstep_calls) == 2 * runs
+
+
+def test_checkpoints_inside_a_gram(copy_aut, lockstep_calls):
+    text = rand_text(random.Random(84), 2 * _WINDOW + 5, 2)
+    machines = (copy_aut, budget_chain_machine(5), parse_automaton(CHAIN))
+    for M in machines:
+        G = gram_length(M)
+        # record_path off and on, and the scalar loop, agree on every checkpoint
+        tr = check_engines(M, text, len(text), naive=False)
+        assert len([c for c, _ in tr.checkpoints if c % G]) >= 3
+    assert len(lockstep_calls) == 2 * len(machines)
+
+
+def test_only_runs_from_the_gram_budget_up_build_the_gram_view():
+    M = copy_automaton(A2)
+    text = rand_text(random.Random(87), engine._GRAM_MIN, 2)
+    run(M, 1, [lit(text)], engine._GRAM_MIN - 1)
+    X = compile(M, 1).macro
+    assert "grams" not in vars(X)  # the cached view is not built yet
+    run(M, 1, [lit(text)], engine._GRAM_MIN)
+    assert vars(X)["grams"].span > 1
+
+
+def test_tables_past_the_gram_bound_feed_one_key_a_gather(lockstep_calls):
+    rng = random.Random(85)
+    b = 10
+    for n_states in (11, 110):  # rows * b**2 past the bound; rows * b too
+        states = [f"s{i}" for i in range(n_states)]
+        trans = [
+            (s, ((a,), (rng.randrange(b),)), rng.choice(states)) for s in states for a in range(b)
+        ]
+        M = KAutomaton(2, Alphabet(b), states, states[0], trans)
+        X = compile(M, 1).macro
+        assert X.rows * b**2 > _GRAM_MAX_ENTRIES
+        assert X.grams is X
+        check_engines(M, rand_text(rng, _WINDOW + 7, b), _WINDOW + 7, naive=False)
+    assert len(lockstep_calls) == 2 * 2
+
+
+def test_gram_views_stay_within_their_bounds(copy_aut, join_aut):
+    # 40 output symbols a key: the byte bound, not the entry bound, sets G
+    loud = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), (a,) * 40), "s") for a in range(2)])
+    machines = (
+        (copy_aut, 1), (odd_projection_transducer(A2), 1), (join_aut, 2),
+        (budget_chain_machine(5), 1), (parse_automaton(CHAIN), 1), (loud, 1),
+    )
+    for M, ell in machines:
+        X = compile(M, ell).macro
+        V = X.grams
+        assert 1 < V.span <= engine._CHUNK
+        assert X.rows * V.keys <= _GRAM_MAX_ENTRIES
+        arrays = (V.nb, V.out_len, V.out_off, V.pool, V.cost)
+        assert sum(a.nbytes for a in arrays) <= _GRAM_MAX_BYTES
+    assert X.rows * V.keys * X.keys <= _GRAM_MAX_ENTRIES  # loud: a longer gram had fit
+    text = rand_text(random.Random(86), _WINDOW + 3, 2)
+    tr = check_engines(loud, text, len(text), naive=False)
+    assert tr.output.to_text() == "".join(a * 40 for a in text)
 
 
 def read_in_requests(src, size):

@@ -403,6 +403,23 @@ def test_independence_parallel_equals_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_independence_memory_check_counts_every_worker(monkeypatch):
+    from fsindep import cli
+
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "1")
+    # 64 B/symbol a trial: one trial fits in 1 MiB, two do not
+    n = 10_000
+    assert 64 * n <= 1 << 20 < 2 * 64 * n
+    args = ["independence", "--x-gen", "rand", "--y-gen", "rand", "-n", str(n), "--trials", "2"]
+    with pytest.raises(cli.MemoryCapExceeded):
+        cli._cmd_independence(cli._parser().parse_args([*args, "--jobs", "2"]))
+    assert pools == []  # refused before any worker started
+    rc, text = run_cli(*args, "--jobs", "1")
+    assert rc == 0 and len(text.splitlines()) == 3  # header and two trials
+
+
 def test_experiment_join_dependence_shows_the_witness(tmp_path):
     out = tmp_path / "dep.csv"
     rc, _ = run_cli(

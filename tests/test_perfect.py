@@ -20,6 +20,7 @@ from fsindep import (
     self_similar_source,
     word,
 )
+from fsindep.words import _dtype_for
 
 from conftest import naive_self_similar_prefix, naive_self_similar_stages
 
@@ -181,8 +182,8 @@ def test_self_similar_chunking_and_clone():
     parts = [s.take(k) for k in (1, 2, 5, 100, 1000)]
     a = np.concatenate(parts)
     assert np.array_equal(a, s.clone().take(1108))
-    # the prefix is stored narrow, but every window comes out as int64
-    assert {p.dtype for p in parts} == {np.dtype(np.int64)}
+    # every window comes out in the tower's own narrow dtype
+    assert {p.dtype for p in parts} == {np.dtype(_dtype_for(2))}
 
 
 def test_self_similar_even_projection_is_itself():
@@ -330,6 +331,6 @@ def test_a_second_source_builds_no_second_tower():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int64 window itself, and no stage words
-    assert peak <= 8 * n + (1 << 20), peak
+    # the window itself, one byte a symbol, and no stage words
+    assert peak <= n + (1 << 20), peak
     assert np.array_equal(first, second)
