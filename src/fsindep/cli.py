@@ -86,7 +86,7 @@ def _check_memory(n_bytes: int):
         raise MemoryCapExceeded(f"FSINDEP_MAX_MEM_MB is not an integer: {cap!r}")
     if n_bytes > cap_mb * 1024 * 1024:
         raise MemoryCapExceeded(
-            f"estimated working set {n_bytes // (1024 * 1024)} MiB exceeds "
+            f"estimated working set {-(-n_bytes // (1024 * 1024))} MiB exceeds "
             f"FSINDEP_MAX_MEM_MB={cap_mb}"
         )
 
@@ -272,16 +272,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _table_bytes(b: int, max_block: int, n: int) -> int:
+    """Bytes of a normality report's largest block table: b**ell int64
+    counts and max_deviation's three float64 arrays (halving keeps less)."""
+    ell = max(0, min(max_block, n, _TABLE_CAP.bit_length()))
+    return 32 * min(b**ell, _TABLE_CAP)
+
+
 def _cmd_stats(args) -> int:
     # checked before reading: the file holds one byte per symbol, plus at
-    # most a line terminator.  Counting peaks at 13 B/symbol: the symbols,
-    # their int64 copy and the ids of the length-2 blocks.  The block table
-    # of length ell holds b**ell int64 counts, and max_deviation makes three
-    # float64 arrays of that size; only the largest table counts, as each
-    # is freed before the next is built.
+    # most a line terminator.  Counting peaks at 8.5 B/symbol over 1 MiB
+    # (2**21 symbols, --max-block 1): the symbols and np.bincount's int64
+    # copy of the block ids, at length 1 the symbols.  Only lengths above
+    # max_block // 2 read the word, so a longer max_block peaks lower (2.3
+    # B/symbol at 8); 12 B/symbol leaves a 41 % margin.
     size = os.path.getsize(args.word)
-    ell = max(0, min(args.max_block, size, _TABLE_CAP.bit_length()))
-    _check_memory(_BASE_BYTES + 14 * size + 32 * min(args.base**ell, _TABLE_CAP))
+    _check_memory(_BASE_BYTES + 12 * size + _table_bytes(args.base, args.max_block, size))
     w = read_word_file(args.word, args.base)
     report = normality_report(w, args.max_block, threshold=args.threshold)
     rows = []
@@ -393,10 +399,16 @@ def _cmd_experiment(args) -> int:
     # join-dependence peaks just past a power of two, where the self-similar
     # tower grows by a whole stage: 1 MiB + 67.0 B/symbol measured at
     # n = 2**20 + 32 with no stage built yet (66.1 at 2**19 + 32); 96
-    # B/symbol leaves a 43 % margin
-    _check_memory(
-        _BASE_BYTES + 96 * args.n if args.name == "join-dependence" else 64 * args.n
-    )
+    # B/symbol leaves a 43 % margin.  join-normal peaks there too, at 1 MiB
+    # + 11.0 B/symbol with --max-block 1 (10.1 at 8), plus the block table
+    # as in stats; 16 B/symbol leaves a 45 % margin.  Each measure-one
+    # worker holds one trial at a time, as in independence
+    if args.name == "join-dependence":
+        _check_memory(_BASE_BYTES + 96 * args.n)
+    elif args.name == "join-normal":
+        _check_memory(_BASE_BYTES + 16 * args.n + _table_bytes(args.base, args.max_block, args.n))
+    else:
+        _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
     if args.name == "join-dependence":
         # odd(x) alone looks incompressible, but even(x) predicts it exactly
         # (the stream satisfies x[2n] = x[n]), so the match-run compressor

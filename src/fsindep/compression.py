@@ -24,6 +24,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .blocks import aligned_ids, digits
 from .words import Alphabet, FiniteWord
 from .sources import WordSource, SourceExhausted
 from .automata import KAutomaton, RunTrace, compile, run
@@ -476,19 +477,11 @@ class PrefixCode:
             )
         self._cache: Dict[int, _CodeTable] = {}
 
-    def _digits(self, val: int) -> tuple:
-        b, k = self.model.alphabet.size, self.model.k
-        out = []
-        for _ in range(k):
-            out.append(val % b)
-            val //= b
-        return tuple(reversed(out))
-
     def _neglog_for_conditions(self, v_ids: np.ndarray) -> np.ndarray:
         """-log_b nu(u | v): one row per condition v, one column per block u."""
         b, k = self.model.alphabet.size, self.model.k
         m = v_ids.size
-        dv = v_ids[:, None] // b ** np.arange(k - 1, -1, -1, dtype=np.int64) % b
+        dv = digits(v_ids, k, b)
         s = np.zeros((m, 1))
         for i in range(k):
             # the newest digit goes on the slow axis, which keeps numpy's
@@ -595,9 +588,7 @@ class PrefixCode:
         codewords = [None] * table.lengths.size
         for L, _, start, count in table.groups:
             blocks = table.order[start : start + count]
-            powers = _powers(b, L, table.values.dtype)[::-1]
-            digits = table.values[blocks][:, None] // powers % b
-            for u, cw in zip(blocks.tolist(), digits.tolist()):
+            for u, cw in zip(blocks.tolist(), digits(table.values[blocks], L, b).tolist()):
                 codewords[u] = tuple(cw)
         return table.lengths, codewords
 
@@ -622,11 +613,6 @@ def build_prefix_code(model: ConditionalModel) -> PrefixCode:
     return PrefixCode(model)
 
 
-def _block_ids(arr: np.ndarray, k: int, b: int) -> np.ndarray:
-    powers = b ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return arr.reshape(-1, k).astype(np.int64) @ powers
-
-
 def _powers(b: int, width: int, dtype) -> np.ndarray:
     """b**0 .. b**(width-1), as int64 or as Python ints in an object array."""
     return np.array([b**e for e in range(width)], dtype=dtype)
@@ -648,8 +634,8 @@ def cond_encode(
     n = int(n)
     if n % k:
         raise ValueError(f"budget {n} is not a multiple of block length {k}")
-    u_ids = _block_ids(x.take(n), k, b)
-    conds, cond_of = np.unique(_block_ids(y.take(n), k, b), return_inverse=True)
+    u_ids = aligned_ids(x.take(n), k, b)
+    conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
     tables = code._tables(conds.tolist())
     lengths = np.zeros(u_ids.size, dtype=np.int64)
     values = np.zeros(u_ids.size, dtype=np.int64)
@@ -664,7 +650,7 @@ def cond_encode(
     # codeword, counted from the least significant end
     place = np.repeat(cum, lengths) - 1 - np.arange(total)
     width = int(lengths.max()) if lengths.size else 0
-    digits = np.repeat(values, lengths) // _powers(b, width, values.dtype)[place] % b
+    syms = np.repeat(values, lengths) // _powers(b, width, values.dtype)[place] % b
 
     def out_at(c):
         blocks = c // k
@@ -673,7 +659,7 @@ def cond_encode(
     est = RatioEstimate(
         n=n, output_symbols=total, checkpoints=_power_checkpoints(n, out_at)
     )
-    return FiniteWord(model.alphabet, digits.astype(np.int64, copy=False)), est
+    return FiniteWord(model.alphabet, syms.astype(np.int64, copy=False)), est
 
 
 def cond_decode(
@@ -696,7 +682,7 @@ def cond_decode(
         raise ValueError(f"length {n} is not a multiple of block length {k}")
     comp = compressed.data
     size = comp.size
-    conds, cond_of = np.unique(_block_ids(y.take(n), k, b), return_inverse=True)
+    conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
     tables = code._tables(conds.tolist())
     width = max((t.groups[-1][0] for t in tables), default=0)
     dtype = np.int64 if b**width <= 2**63 else object
@@ -733,9 +719,7 @@ def cond_decode(
         raise DecodeDeadEnd(f"{size - pos} trailing symbols after the last block")
     order = np.concatenate([t.order for t in tables] or [np.zeros(0, np.int64)])
     blocks = order[np.asarray(picks, dtype=np.int64)]
-    powers = _powers(b, k, np.int64)[::-1]
-    flat = blocks[:, None] // powers % b
-    return FiniteWord(model.alphabet, flat.reshape(-1))
+    return FiniteWord(model.alphabet, digits(blocks, k, b).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -894,12 +878,9 @@ def bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessRepor
                 at = np.flatnonzero(same)
                 p = at[np.argmin(order[at + 1])]
                 checked += int(order[p + 1]) + 1
-                first, second = (_word_number(M.alphabet, idx[order[i]], L) for i in (p, p + 1))
+                first, second = (
+                    FiniteWord(M.alphabet, digits(idx[order[i]], L, b)) for i in (p, p + 1)
+                )
                 return LosslessnessReport(False, max_len, checked, (first, second))
         checked += idx.size
     return LosslessnessReport(True, max_len, checked, None)
-
-
-def _word_number(alphabet: Alphabet, i: int, L: int) -> FiniteWord:
-    """Word i of length L in ``itertools.product`` order."""
-    return FiniteWord(alphabet, i // alphabet.size ** np.arange(L - 1, -1, -1) % alphabet.size)

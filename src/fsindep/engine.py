@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blocks import aligned_ids
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
@@ -523,7 +524,6 @@ class CompiledAutomaton:
         G, K, sink = V.span, V.keys, X.rows - 1
         nb = V.nb
         every = np.arange(X.rows) * K
-        digits = X.keys ** np.arange(G - 1, -1, -1)  # gram id = keys @ digits
         src0 = inputs[0]
         src1 = inputs[1] if self.ell == 2 else None
         if X.unit:
@@ -546,8 +546,8 @@ class CompiledAutomaton:
             if m == 0:
                 k = 0
                 break
+            a = aligned_ids(keys, G, X.keys)  # gram ids
             keys = keys[: m * G].reshape(m, G)
-            a = keys @ digits if G > 1 else keys[:, 0]
             c = -(-m // _CHUNK)
             A = np.zeros(c * _CHUNK, dtype=np.intp)
             A[:m] = a

@@ -9,6 +9,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from .blocks import aligned_ids, sliding_ids
 from .words import Alphabet, FiniteWord, MAX_TEXT_ALPHABET
 
 #: largest block table we are willing to allocate
@@ -46,11 +47,7 @@ class BlockCountTable:
             raise ValueError(
                 f"block has length {data.size}, table holds length {self.block_length}"
             )
-        b = self.alphabet.size
-        val = 0
-        for a in data:
-            val = val * b + int(a)
-        return val
+        return int(aligned_ids(data, self.block_length, self.alphabet.size)[0])
 
     def count(self, u) -> int:
         return int(self.counts[self._block_id(u)])
@@ -76,15 +73,6 @@ class BlockCountTable:
         return float(np.max(np.abs(freqs - target)))
 
 
-def _sliding_ids(data: np.ndarray, ell: int, b: int) -> np.ndarray:
-    n = data.size
-    ids = np.zeros(n - ell + 1, dtype=np.int64)
-    for j in range(ell):
-        ids *= b
-        ids += data[j : n - ell + 1 + j]
-    return ids
-
-
 def block_counts(w: FiniteWord, ell: int, aligned: bool = True) -> BlockCountTable:
     ell = int(ell)
     if ell < 1:
@@ -93,20 +81,9 @@ def block_counts(w: FiniteWord, ell: int, aligned: bool = True) -> BlockCountTab
         raise ValueError(f"block length {ell} exceeds word length {len(w)}")
     b = w.alphabet.size
     _table_guard(b, ell)
-    if aligned:
-        m = len(w) // ell
-        trimmed = w.data[: m * ell]
-        if ell == 1:
-            ids = trimmed.astype(np.int64)
-        else:
-            powers = b ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-            ids = trimmed.reshape(m, ell).astype(np.int64) @ powers
-        total = m
-    else:
-        ids = _sliding_ids(w.data.astype(np.int64), ell, b)
-        total = ids.size
+    ids = (aligned_ids if aligned else sliding_ids)(w.data, ell, b)
     counts = np.bincount(ids, minlength=b**ell)
-    return BlockCountTable(w.alphabet, ell, aligned, counts, total)
+    return BlockCountTable(w.alphabet, ell, aligned, counts, ids.size)
 
 
 def discrepancy(w: FiniteWord, ell: int) -> float:
@@ -139,23 +116,39 @@ class NormalityReport:
 def normality_report(
     w: FiniteWord, max_block: int, threshold: float = 3.0
 ) -> NormalityReport:
+    """Discrepancies at block lengths 1 .. min(max_block, |w|).
+
+    Lengths are walked from the longest down.  The aligned table of a
+    length ell whose double was counted is the sum of the double's table
+    over each half, plus the tail block at 2 * (n // (2 * ell)) * ell when
+    n // ell is odd, so only the lengths above half the longest read the
+    word.  A table is dropped once its half is derived.
+    """
     if max_block < 1:
         raise ValueError("max_block must be at least 1")
-    b = w.alphabet.size
-    disc = {}
-    limits = {}
-    flagged = []
-    for ell in range(1, max_block + 1):
-        if ell > len(w):
-            break
-        disc[ell] = discrepancy(w, ell)
-        m = len(w) // ell
+    n, b = len(w), w.alphabet.size
+    top = min(max_block, n)
+    for ell in range(1, top + 1):
+        _table_guard(b, ell)  # raises for the shortest length over the cap
+    disc, limits, doubles = {}, {}, {}
+    for ell in range(top, 0, -1):
+        m = n // ell
+        double = doubles.pop(2 * ell, None)
+        if double is None:
+            table = block_counts(w, ell)
+        else:
+            halves = double.reshape(b**ell, b**ell)
+            counts = halves.sum(axis=1) + halves.sum(axis=0)
+            if m % 2:
+                counts[aligned_ids(w.data[(m - 1) * ell :], ell, b)[0]] += 1
+            table = BlockCountTable(w.alphabet, ell, True, counts, m)
+        if ell % 2 == 0:
+            doubles[ell] = table.counts
+        disc[ell] = table.max_deviation()
         limits[ell] = threshold * math.sqrt(math.log(2 * b**ell) / (2 * m))
-        if disc[ell] > limits[ell]:
-            flagged.append(ell)
-    return NormalityReport(
-        len(w), max_block, threshold, disc, limits, tuple(flagged)
-    )
+    disc, limits = (dict(sorted(d.items())) for d in (disc, limits))  # ell ascending
+    flagged = tuple(ell for ell in disc if disc[ell] > limits[ell])
+    return NormalityReport(n, max_block, threshold, disc, limits, flagged)
 
 
 # ---------------------------------------------------------------------------

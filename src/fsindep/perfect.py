@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import aligned_ids, digits
 from .words import Alphabet, FiniteWord, _dtype_for, alocc, word
 from .sources import WordSource
 
@@ -40,17 +41,9 @@ def is_perfect(w: FiniteWord, ell: int) -> bool:
     n = len(w)
     if n % (ell * b**ell) != 0:
         return False
-    ids = _block_ids(w.data, ell, b)
+    ids = aligned_ids(w.data, ell, b)
     counts = np.bincount(ids, minlength=b**ell)
     return bool(np.all(counts == n // (ell * b**ell)))
-
-
-def _block_ids(data: np.ndarray, ell: int, b: int) -> np.ndarray:
-    """Aligned length-ell block values of data (length must divide)."""
-    if ell == 1:
-        return data.astype(np.int64)
-    powers = b ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    return data.reshape(-1, ell).astype(np.int64) @ powers
 
 
 def _occurrence_ranks(ids: np.ndarray) -> np.ndarray:
@@ -66,16 +59,6 @@ def _occurrence_ranks(ids: np.ndarray) -> np.ndarray:
     ranks = np.empty(r, dtype=np.int64)
     ranks[order] = rank_sorted
     return ranks
-
-
-def _digits(vals: np.ndarray, width: int, b: int) -> np.ndarray:
-    """Base-b digit matrix (len(vals), width), most significant first."""
-    out = np.empty((vals.size, width), dtype=np.int64)
-    rest = vals.copy()
-    for j in range(width - 1, -1, -1):
-        out[:, j] = rest % b
-        rest //= b
-    return out
 
 
 def _track_extend(w: FiniteWord, ell: int, step: int) -> FiniteWord:
@@ -95,10 +78,10 @@ def _track_extend(w: FiniteWord, ell: int, step: int) -> FiniteWord:
         raise ValueError(
             f"length {len(w)} not divisible by {ell} * {b}**{step * ell}"
         )
-    ids = _block_ids(w.data, ell, b)
+    ids = aligned_ids(w.data, ell, b)
     fresh_width = (step - 1) * ell
     prefix_vals = _occurrence_ranks(ids) % (b**fresh_width)
-    prefix_digits = _digits(prefix_vals, fresh_width, b)
+    prefix_digits = digits(prefix_vals, fresh_width, b)
     r = ids.size
     out = np.empty((r, ell, step), dtype=np.int64)
     out[:, :, step - 1] = w.data.reshape(r, ell)

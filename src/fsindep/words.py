@@ -263,9 +263,9 @@ def regroup(w: FiniteWord, r: int) -> FiniteWord:
         raise ValueError(f"power alphabet {b}**{r} too large")
     if r == 1:
         return w
-    powers = b ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    ids = w.data.reshape(-1, r).astype(np.int64) @ powers
-    return FiniteWord(Alphabet(b**r), ids)
+    from .blocks import aligned_ids
+
+    return FiniteWord(Alphabet(b**r), aligned_ids(w.data, r, b))
 
 
 def even(w):

@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import (
     FIXTURES,
+    _naive_digits,
     naive_alocc,
     naive_block_counts,
     naive_forward_pairs,
@@ -249,9 +250,9 @@ def test_c13_codebooks_satisfy_kraft_and_length_bound():
             lengths, codewords = code.codebook(v_id)
             kraft = sum(Fraction(1, b ** int(L)) for L in lengths if L >= 0)
             assert kraft <= 1
-            dv = code._digits(v_id)
+            dv = _naive_digits(v_id, b, k)
             for u_id in range(b**k):
-                du = code._digits(u_id)
+                du = _naive_digits(u_id, b, k)
                 s = sum(model.neglog[du[i], dv[i]] for i in range(k))
                 if s == 0.0:
                     assert int(lengths[u_id]) == 0 and codewords[u_id] == ()

@@ -197,6 +197,8 @@ def test_check_automaton_reports_shuffle_violation():
         ("generate", "--gen", "selfsim", "--out", "WORD"),
         ("stats", "--word", "WORD"),
         ("stats", "--word", "WORD", "--base", "3", "--max-block", "14"),
+        ("stats", "--word", "WORD", "--max-block", "1"),
+        ("experiment", "join-normal"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
@@ -418,6 +420,30 @@ def test_independence_memory_check_counts_every_worker(monkeypatch):
     assert pools == []  # refused before any worker started
     rc, text = run_cli(*args, "--jobs", "1")
     assert rc == 0 and len(text.splitlines()) == 3  # header and two trials
+
+
+def test_measure_one_memory_check_counts_every_worker(monkeypatch):
+    from fsindep import cli
+
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "1")
+    n = 10_000  # 64 B/symbol a trial: one trial fits in 1 MiB, two do not
+    args = ["experiment", "measure-one", "--gen", "rand", "-n", str(n), "--trials", "2"]
+    with pytest.raises(cli.MemoryCapExceeded):
+        cli._cmd_experiment(cli._parser().parse_args([*args, "--jobs", "2"]))
+    assert pools == []  # refused before any worker started
+    rc, text = run_cli(*args, "--jobs", "1")
+    assert rc == 0 and len(text.splitlines()) == 5  # header, two trials, min, median
+
+
+def test_memory_refusal_rounds_the_estimate_up(monkeypatch):
+    from fsindep import cli
+
+    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "1")
+    cli._check_memory(1 << 20)  # exactly the cap fits
+    with pytest.raises(cli.MemoryCapExceeded, match=r"^estimated working set 2 MiB exceeds FSINDEP_MAX_MEM_MB=1$"):
+        cli._check_memory((1 << 20) + 1)
 
 
 def test_experiment_join_dependence_shows_the_witness(tmp_path):

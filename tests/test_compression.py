@@ -46,7 +46,7 @@ from fsindep import (
     train_model,
     word,
 )
-from conftest import naive_cond_decode, naive_cond_encode
+from conftest import _naive_digits, naive_cond_decode, naive_cond_encode
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -342,9 +342,9 @@ def test_code_lengths_match_ceil_formula():
         code = build_prefix_code(model)
         for v_id in range(b**k):
             lengths, _ = code.codebook(v_id)
-            dv = code._digits(v_id)
+            dv = _naive_digits(v_id, b, k)
             for u_id in range(b**k):
-                du = code._digits(u_id)
+                du = _naive_digits(u_id, b, k)
                 p = 1.0
                 for i in range(k):
                     p *= nu[du[i], dv[i]]

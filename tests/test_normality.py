@@ -97,6 +97,50 @@ def test_normality_report_blocks_longer_than_word_are_skipped():
     assert max(rep.discrepancies) <= 4
 
 
+def test_normality_report_halving_matches_block_counts(monkeypatch):
+    """Every length's table equals block_counts' table, derived from its
+    double or not, also when n // ell is odd and when max_block > |w|;
+    only the lengths above max_block // 2 read the word."""
+    from fsindep import normality
+
+    read, deviation = normality.block_counts, normality.BlockCountTable.max_deviation
+    reads, tables = [], []
+    monkeypatch.setattr(
+        normality, "block_counts", lambda w, ell: reads.append(ell) or read(w, ell)
+    )
+
+    def record(table):
+        tables.append((table.block_length, table.counts.copy(), table.total))
+        return deviation(table)
+
+    monkeypatch.setattr(normality.BlockCountTable, "max_deviation", record)
+    rng = random.Random(909)
+    odd_tails = 0
+    for b in (2, 3, 5):
+        for n in (1, 2, 3, 5, 6, 7, 9, 11, 13, 21, 23, 45, 47, 95, 97):
+            w = word(rand_text(rng, n, b), base=b)
+            for max_block in (1, 2, 4, 7, 8) + ((n + 3,) if n < 10 else ()):
+                reads.clear()
+                tables.clear()
+                rep = normality_report(w, max_block)
+                top = min(max_block, n)
+                assert sorted(reads) == list(range(top // 2 + 1, top + 1))
+                assert sorted(t[0] for t in tables) == list(range(1, top + 1))
+                for ell, counts, total in tables:
+                    expect = read(w, ell)
+                    assert counts.tolist() == expect.counts.tolist()
+                    assert total == expect.total
+                    assert rep.discrepancies[ell] == deviation(expect)
+                    odd_tails += 2 * ell <= top and (n // ell) % 2
+                assert list(rep.discrepancies) == list(range(1, top + 1))
+    assert odd_tails > 100
+
+
+def test_normality_report_raises_for_the_shortest_length_over_the_cap():
+    with pytest.raises(ValueError, match=r"^block table 36\*\*5 exceeds cap 16777216$"):
+        normality_report(word("0" * 40, base=36), max_block=9)
+
+
 def naive_profile(k: int, r: int, b: int) -> dict:
     """Histogram of sliding occurrence counts over all (u, w) pairs."""
     out: dict = {}
