@@ -87,6 +87,21 @@ def _power_checkpoints(n: int, out_at) -> list:
     return cps
 
 
+def _block_estimate(n: int, k: int, lengths: np.ndarray) -> RatioEstimate:
+    """The ratio estimate of n input symbols coded as k-blocks of the given lengths."""
+    cum = np.cumsum(lengths)
+
+    def out_at(c):
+        blocks = c // k
+        return int(cum[blocks - 1]) if blocks else 0
+
+    return RatioEstimate(
+        n=n,
+        output_symbols=int(cum[-1]) if cum.size else 0,
+        checkpoints=_power_checkpoints(n, out_at),
+    )
+
+
 def _estimate_from_trace(trace: RunTrace) -> RatioEstimate:
     n_in = trace.consumed[0]
     n_out = trace.checkpoints[-1][1]
@@ -386,27 +401,33 @@ class ConditionalModel:
             else:
                 self.neglog = -np.log(nu) / np.log(b)
 
-    @classmethod
-    def from_probabilities(cls, alphabet, k, nu) -> "ConditionalModel":
-        return cls(alphabet, k, nu)
-
     def symbol_code_lengths(self, primary: np.ndarray, reference: np.ndarray):
         """Per-block codeword lengths for paired symbol arrays (length n, k | n)."""
         if primary.size != reference.size:
             raise ValueError("paired arrays must have equal length")
         if primary.size % self.k:
             raise ValueError(f"length {primary.size} not a multiple of k={self.k}")
-        s = self.neglog[primary.astype(np.int64), reference.astype(np.int64)]
-        block = s.reshape(-1, self.k).sum(axis=1)
-        return _lengths_from_neglog(block)
+        s = self.neglog[primary, reference]
+        lengths = _code_lengths(s.reshape(-1, self.k).sum(axis=1))
+        if np.any(lengths < 0):
+            raise ValueError("model assigns probability 0 to an observed block")
+        return lengths
 
 
-def _lengths_from_neglog(s: np.ndarray) -> np.ndarray:
-    """Codeword length ceil(s) clamped to >= 1, except exactly-sure blocks get 0."""
+def _fit(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
+    """nu(a | c) of paired symbol arrays, with add-one smoothing."""
+    pair_ids = np.multiply(primary, b, dtype=np.intp)  # a*b + c
+    pair_ids += reference
+    counts = np.bincount(pair_ids, minlength=b * b).reshape(b, b).astype(float)
+    return (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + b)
+
+
+def _code_lengths(s: np.ndarray) -> np.ndarray:
+    """Codeword lengths for -log_b probabilities s: ceil(s) clamped to >= 1,
+    0 for a sure block (s = 0) and -1 for an impossible one (s = inf)."""
     lengths = np.maximum(np.ceil(s), 1.0)
-    lengths = np.where(s == 0.0, 0.0, lengths)
-    if np.any(np.isinf(lengths)):
-        raise ValueError("model assigns probability 0 to an observed block")
+    lengths[s == 0.0] = 0.0
+    lengths[np.isinf(s)] = -1.0
     return lengths.astype(np.int64)
 
 
@@ -425,10 +446,7 @@ def train_model(
         raise ValueError("training words need equal lengths")
     if len(x_train) == 0:
         raise ValueError("training words must be nonempty")
-    b = x_train.alphabet.size
-    pair_ids = x_train.data.astype(np.int64) * b + y_train.data.astype(np.int64)
-    counts = np.bincount(pair_ids, minlength=b * b).reshape(b, b).astype(float)
-    nu = (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + b)
+    nu = _fit(x_train.data, y_train.data, x_train.alphabet.size)
     return ConditionalModel(x_train.alphabet, k, nu)
 
 
@@ -504,15 +522,19 @@ class PrefixCode:
             self._build_tables(np.asarray(missing[i : i + step], dtype=np.int64))
         return [self._cache[v] for v in v_ids]
 
+    def _conditions(self, y: WordSource, n: int):
+        """The tables of the condition blocks among y's first n symbols, and
+        for each block the index of its table."""
+        k, b = self.model.k, self.model.alphabet.size
+        conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
+        return self._tables(conds.tolist()), cond_of
+
     def _build_tables(self, v_ids: np.ndarray) -> None:
         """Build and cache the tables of several conditions at once."""
         b = self.model.alphabet.size
         s = self._neglog_for_conditions(v_ids)
         m, width = s.shape
-        lengths = np.maximum(np.ceil(s), 1.0)
-        lengths[s == 0.0] = 0.0
-        lengths[np.isinf(s)] = -1.0
-        lengths = lengths.astype(np.int64)
+        lengths = _code_lengths(s)
         # the length is nondecreasing in s, so a stable sort by s gives the
         # (length, s, id) order, impossible blocks (s = inf) last.  The one
         # exception, a sure block (s = 0) after blocks with s < 0 (nu above
@@ -573,9 +595,6 @@ class PrefixCode:
             )
             lo = hi + 1
 
-    def lengths(self, v_id: int) -> np.ndarray:
-        return self._tables([v_id])[0].lengths
-
     def codebook(self, v_id: int):
         """(lengths array, list of codeword tuples), canonically assigned.
 
@@ -635,8 +654,7 @@ def cond_encode(
     if n % k:
         raise ValueError(f"budget {n} is not a multiple of block length {k}")
     u_ids = aligned_ids(x.take(n), k, b)
-    conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
-    tables = code._tables(conds.tolist())
+    tables, cond_of = code._conditions(y, n)
     lengths = np.zeros(u_ids.size, dtype=np.int64)
     values = np.zeros(u_ids.size, dtype=np.int64)
     if tables:
@@ -644,21 +662,13 @@ def cond_encode(
         values = np.stack([t.values for t in tables])[cond_of, u_ids]
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
+    est = _block_estimate(n, k, lengths)
     cum = np.cumsum(lengths)
-    total = int(cum[-1]) if cum.size else 0
     # output symbol p is digit number cum[block] - 1 - p of its block's
     # codeword, counted from the least significant end
-    place = np.repeat(cum, lengths) - 1 - np.arange(total)
+    place = np.repeat(cum, lengths) - 1 - np.arange(est.output_symbols)
     width = int(lengths.max()) if lengths.size else 0
     syms = np.repeat(values, lengths) // _powers(b, width, values.dtype)[place] % b
-
-    def out_at(c):
-        blocks = c // k
-        return int(cum[blocks - 1]) if blocks else 0
-
-    est = RatioEstimate(
-        n=n, output_symbols=total, checkpoints=_power_checkpoints(n, out_at)
-    )
     return FiniteWord(model.alphabet, syms.astype(np.int64, copy=False)), est
 
 
@@ -682,8 +692,7 @@ def cond_decode(
         raise ValueError(f"length {n} is not a multiple of block length {k}")
     comp = compressed.data
     size = comp.size
-    conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
-    tables = code._tables(conds.tolist())
+    tables, cond_of = code._conditions(y, n)
     width = max((t.groups[-1][0] for t in tables), default=0)
     dtype = np.int64 if b**width <= 2**63 else object
     padded = np.concatenate((comp.astype(dtype), np.zeros(width, dtype=dtype)))
@@ -730,26 +739,25 @@ def _ratio_from_arrays(
     primary: np.ndarray, reference: np.ndarray, k: int, alphabet: Alphabet
 ) -> RatioEstimate:
     """Train on the first half, measure ideal code lengths on the second half."""
-    n = primary.size
-    half = n // 2
-    model = train_model(
-        FiniteWord(alphabet, primary[:half]),
-        FiniteWord(alphabet, reference[:half]),
-        k,
+    half = primary.size // 2
+    model = ConditionalModel(
+        alphabet, k, _fit(primary[:half], reference[:half], alphabet.size)
     )
     lengths = model.symbol_code_lengths(primary[half:], reference[half:])
-    cum = np.cumsum(lengths)
+    return _block_estimate(primary.size - half, k, lengths)
 
-    def out_at(c):
-        blocks = c // k
-        return int(cum[blocks - 1]) if blocks else 0
 
-    n_test = n - half
-    return RatioEstimate(
-        n=n_test,
-        output_symbols=int(cum[-1]) if cum.size else 0,
-        checkpoints=_power_checkpoints(n_test, out_at),
-    )
+def _paired_prefixes(x: WordSource, y: WordSource, n: int, k: int):
+    """n and k, checked for a block-coder estimate, and x's and y's first n symbols."""
+    k = int(k)
+    n = int(n)
+    if k < 1:
+        raise ValueError("block length must be at least 1")
+    if n < 2 * k or n % (2 * k):
+        raise ValueError(f"budget {n} must be a positive multiple of 2k = {2 * k}")
+    if x.alphabet != y.alphabet:
+        raise ValueError("sources need matching alphabets")
+    return n, k, x.prefix(n).data, y.prefix(n).data
 
 
 def conditional_ratio_estimate(
@@ -762,16 +770,7 @@ def conditional_ratio_estimate(
     be a multiple of 2k.  The sources are read through clones, so the
     originals are not consumed.
     """
-    k = int(k)
-    n = int(n)
-    if k < 1:
-        raise ValueError("block length must be at least 1")
-    if n < 2 * k or n % (2 * k):
-        raise ValueError(f"budget {n} must be a positive multiple of 2k = {2 * k}")
-    if x.alphabet != y.alphabet:
-        raise ValueError("sources need matching alphabets")
-    xa = x.prefix(n).data
-    ya = y.prefix(n).data
+    n, k, xa, ya = _paired_prefixes(x, y, n, k)
     return _ratio_from_arrays(xa, ya, k, x.alphabet)
 
 
@@ -813,14 +812,7 @@ def independence_report(
     x: WordSource, y: WordSource, n: int, k: int
 ) -> IndependenceReport:
     """Two-sided conditional compression comparison of paired sources."""
-    k = int(k)
-    n = int(n)
-    if n < 2 * k or n % (2 * k):
-        raise ValueError(f"budget {n} must be a positive multiple of 2k = {2 * k}")
-    if x.alphabet != y.alphabet:
-        raise ValueError("sources need matching alphabets")
-    xa = x.prefix(n).data
-    ya = y.prefix(n).data
+    n, k, xa, ya = _paired_prefixes(x, y, n, k)
     za = np.zeros(n, dtype=xa.dtype)
     alph = x.alphabet
     return IndependenceReport(

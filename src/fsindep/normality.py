@@ -69,8 +69,10 @@ class BlockCountTable:
         target = self.alphabet.size**-self.block_length
         if self.total == 0:
             return target
-        freqs = self.counts / self.total
-        return float(np.max(np.abs(freqs - target)))
+        # division and subtraction are monotone, so the extreme counts give
+        # the extreme deviations, with no array of b**ell frequencies
+        c, total = self.counts, self.total
+        return float(max(c.max() / total - target, target - c.min() / total))
 
 
 def block_counts(w: FiniteWord, ell: int, aligned: bool = True) -> BlockCountTable:

@@ -276,7 +276,7 @@ def test_c13_codebooks_satisfy_kraft_and_length_bound():
     sample = rng.choice(2**8, size=50, replace=False)
     check(build_prefix_code(model), model, 2, 8, [int(v) for v in sample])
     # degenerate sure model: the empty codeword still leaves Kraft feasible
-    code = build_prefix_code(ConditionalModel.from_probabilities(A2, 2, np.eye(2)))
+    code = build_prefix_code(ConditionalModel(A2, 2, np.eye(2)))
     for v_id in range(4):
         lengths, _ = code.codebook(v_id)
         assert sum(Fraction(1, 2 ** int(L)) for L in lengths if L >= 0) <= 1

@@ -199,6 +199,8 @@ def test_check_automaton_reports_shuffle_violation():
         ("stats", "--word", "WORD", "--base", "3", "--max-block", "14"),
         ("stats", "--word", "WORD", "--max-block", "1"),
         ("experiment", "join-normal"),
+        ("stats", "--word", "WORD", "--base", "3", "--max-block", "15"),
+        ("stats", "--word", "WORD", "--max-block", "22"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
@@ -341,6 +343,19 @@ def test_condcompress_alignment_error_exits_2():
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("condcompress", "--gen", "rand:seed=1", "--ref-gen", "rand:seed=2"),
+        ("independence", "--x-gen", "rand", "--y-gen", "rand"),
+        ("experiment", "join-dependence"),
+    ],
+)
+def test_block_length_zero_exits_2(argv, capsys):
+    assert run_cli(*argv, "-n", "64", "-k", "0")[0] == 2
+    assert capsys.readouterr().err == "error: block length must be at least 1\n"
+
+
 def test_condcompress_reads_word_files_and_needs_a_source(tmp_path, capsys):
     x, y = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
     for spec, path in (("rand:seed=11", x), ("rand:seed=12", y)):
@@ -481,6 +496,39 @@ def test_experiment_join_normal(tmp_path):
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
     assert rows["join_roundtrip"] == "1"
     assert rows["flagged"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("condcompress", "--gen", "rand:seed=11,b=3", "--ref-gen", "selfsim:b=3",
+             "-n", "4098", "-k", "3"),
+            "34f91a38937c103ab976673268ab05d28b3984e1cb5bff9076d663f357b264cc",
+        ),
+        (
+            ("independence", "--x-gen", "rand", "--y-gen", "odd(selfsim)",
+             "-n", "4096", "-k", "4", "--trials", "2", "--seed", "7"),
+            "1ec965e00bfdbd741fc290b2dc44f0daf3b97d9dcfc8e96fc33fa02422a01c4e",
+        ),
+        (
+            ("experiment", "join-dependence", "-n", "4096", "-k", "8"),
+            "5e4b926e3fd5f2004c4b25d76175c03dbeab6783114a0b1d9dcfb881cf0d834a",
+        ),
+        (
+            ("experiment", "measure-one", "--gen", "rand:b=3", "-n", "4104", "-k", "3",
+             "--trials", "2", "--seed", "3"),
+            "23ac82e3e27a3f20af2bec27312d10cfc46ae7b65c7d97753cef03cea01f9012",
+        ),
+    ],
+    ids=["condcompress", "independence", "join-dependence", "measure-one"],
+)
+def test_block_coder_csv_bytes_are_pinned(argv, digest, tmp_path):
+    import hashlib
+
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--csv", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_perfect_sequence_table(tmp_path):

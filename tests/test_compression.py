@@ -323,7 +323,7 @@ def test_model_validation():
 
 
 def test_uniform_model_gives_flat_code():
-    model = ConditionalModel.from_probabilities(A2, 3, np.full((2, 2), 0.5))
+    model = ConditionalModel(A2, 3, np.full((2, 2), 0.5))
     code = build_prefix_code(model)
     lengths, codewords = code.codebook(0)
     assert lengths.tolist() == [3] * 8
@@ -360,19 +360,30 @@ def test_code_lengths_match_ceil_formula():
 
 
 def test_fast_length_path_agrees_with_codebook():
-    rng = np.random.default_rng(9)
-    raw = rng.random((3, 3)) + 0.02
-    nu = raw / raw.sum(axis=0, keepdims=True)
-    model = ConditionalModel(A3, 3, nu)
-    code = build_prefix_code(model)
-    n = 60
-    x = rng.integers(0, 3, n)
-    y = rng.integers(0, 3, n)
-    fast = model.symbol_code_lengths(x, y)
-    for i in range(n // 3):
-        u = x[3 * i] * 9 + x[3 * i + 1] * 3 + x[3 * i + 2]
-        v = y[3 * i] * 9 + y[3 * i + 1] * 3 + y[3 * i + 2]
-        assert fast[i] == code.codebook(int(v))[0][int(u)]
+    # from k = 8 terms on, numpy's sum(axis=1) in symbol_code_lengths adds
+    # pairwise, while the codebook's table sums each block left to right
+    for b, k in ((3, 3), (2, 8), (2, 9)):
+        rng = np.random.default_rng(9)
+        raw = rng.random((b, b)) + 0.02
+        nu = raw / raw.sum(axis=0, keepdims=True)
+        model = ConditionalModel(Alphabet(b), k, nu)
+        code = build_prefix_code(model)
+        n = 20 * k
+        x = rng.integers(0, b, n)
+        y = rng.integers(0, b, n)
+        fast = model.symbol_code_lengths(x, y)
+        place = b ** np.arange(k - 1, -1, -1)
+        for i in range(n // k):
+            u = x[k * i : k * (i + 1)] @ place
+            v = y[k * i : k * (i + 1)] @ place
+            assert fast[i] == code.codebook(int(v))[0][int(u)], (b, k, i)
+
+
+def test_symbol_code_lengths_rejects_impossible_blocks():
+    model = ConditionalModel(A2, 2, np.eye(2))
+    assert model.symbol_code_lengths(np.array([1, 0]), np.array([1, 0])).tolist() == [0]
+    with pytest.raises(ValueError, match="probability 0"):
+        model.symbol_code_lengths(np.array([0, 1]), np.array([0, 0]))
 
 
 def test_codebooks_are_prefix_free_and_kraft_feasible():
@@ -408,7 +419,7 @@ def test_codebook_determinism():
 
 
 def test_degenerate_model_empty_codeword():
-    sure = ConditionalModel.from_probabilities(A2, 2, np.eye(2))
+    sure = ConditionalModel(A2, 2, np.eye(2))
     code = build_prefix_code(sure)
     lengths, codewords = code.codebook(0)  # condition block 00
     assert lengths[0] == 0 and codewords[0] == ()
@@ -479,14 +490,14 @@ def test_cond_round_trip_randomized():
 
 def test_cond_encode_validates_block_alignment():
     code = build_prefix_code(
-        ConditionalModel.from_probabilities(A2, 2, np.full((2, 2), 0.5))
+        ConditionalModel(A2, 2, np.full((2, 2), 0.5))
     )
     with pytest.raises(ValueError):
         cond_encode(RandomSource(A2, 1), RandomSource(A2, 2), code, 7)
 
 
 def test_cond_encode_with_sure_model_emits_nothing():
-    code = build_prefix_code(ConditionalModel.from_probabilities(A2, 2, np.eye(2)))
+    code = build_prefix_code(ConditionalModel(A2, 2, np.eye(2)))
     x = RandomSource(A2, seed=8)
     comp, est = cond_encode(x.clone(), x.clone(), code, 64)
     assert len(comp) == 0 and est.final_ratio == 0.0
@@ -494,7 +505,7 @@ def test_cond_encode_with_sure_model_emits_nothing():
 
 
 def test_cond_encode_rejects_impossible_blocks():
-    code = build_prefix_code(ConditionalModel.from_probabilities(A2, 1, np.eye(2)))
+    code = build_prefix_code(ConditionalModel(A2, 1, np.eye(2)))
     with pytest.raises(ValueError):
         cond_encode(lit("01"), lit("00"), code, 2)  # pair (1, 0) has prob 0
 
@@ -617,6 +628,12 @@ def test_conditional_ratio_estimate_validation():
         conditional_ratio_estimate(
             RandomSource(A2, 1), RandomSource(A2, 2), 100, 8
         )
+
+
+@pytest.mark.parametrize("estimate", [conditional_ratio_estimate, independence_report])
+def test_block_coder_estimates_refuse_block_length_zero(estimate):
+    with pytest.raises(ValueError, match="^block length must be at least 1$"):
+        estimate(RandomSource(A2, 1), RandomSource(A2, 2), 64, 0)
 
 
 def test_independence_report_identical_pair_is_dependent():

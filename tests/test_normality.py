@@ -63,6 +63,9 @@ def test_discrepancy_pinned_values():
     assert discrepancy(word("0011"), 1) == 0.0
     assert discrepancy(word("0001"), 1) == pytest.approx(0.25)
     assert discrepancy(word("0000"), 1) == pytest.approx(0.5)
+    # in base 3 the rarest and the most frequent block deviate unequally
+    assert discrepancy(word("0011", base=3), 1) == pytest.approx(1 / 3)
+    assert discrepancy(word("0012", base=3), 1) == pytest.approx(1 / 6)
 
 
 def test_discrepancy_shrinks_for_random_words():
