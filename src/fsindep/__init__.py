@@ -41,7 +41,6 @@ from .automata import (
     DeterminismReport,
     NotDeterministicError,
     check_l_deterministic,
-    eliminate_eps_input_transitions,
     RunTrace,
     run,
     accepts_prefix_tuple,

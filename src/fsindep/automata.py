@@ -19,34 +19,20 @@ Text format::
     q0 0,-,0 q1
     q1 -,0,0 q0
 
-Deterministic machines may still contain silent steps (all input labels
-empty); :func:`eliminate_eps_input_transitions` rewrites them away by
-composing their output into the following transition, dropping states
-trapped on silent cycles.  :func:`run` does not need that: it runs them
-as they are.
+Deterministic machines may contain silent steps (all input labels
+empty); :func:`run` runs them as they are.
 
-:func:`run` compiles a machine once (:func:`compile`; the compiled form
-and its engines are in :mod:`fsindep.engine`) and has one scalar loop
-over the compiled tables, which ends every run.  A long run goes
-through a lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014)
-when the machine has a macro-step table, which the first such run
-builds: a one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states
-has one, and so has a two-tape machine whose tapes keep a bounded lag (a
-synchronized relation, Frougny & Sakarovitch 1993), so that its states
-paired with the symbols of the tape that runs ahead number at most
-``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b
-or b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
-two-tape lock-step for alphabets past 181 symbols.  Silent states and
-path recording do not matter.  From ``_GRAM_MIN`` symbols on, the engine
-feeds G keys per gather through the table's gram view, with G as large
-as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.
+:func:`run` compiles a machine once (:func:`compile`) and ends every run
+with one scalar loop over the compiled tables; a long run of a machine
+with a macro-step table goes through a lock-step engine first (the rule
+in full is in :mod:`fsindep.engine`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -260,106 +246,6 @@ def check_l_deterministic(M: KAutomaton, ell: int) -> DeterminismReport:
     return DeterminismReport(ell, not violations, tuple(violations))
 
 
-def _require_deterministic(M: KAutomaton, ell: int) -> None:
-    """Raise NotDeterministicError unless M is ell-deterministic.
-
-    The report is computed once per (machine, ell) and kept on M.
-    """
-    report = M._reports.get(ell)
-    if report is None:
-        report = M._reports[ell] = check_l_deterministic(M, ell)
-    if not report.deterministic:
-        kinds = sorted({v.kind for v in report.violations})
-        raise NotDeterministicError(
-            f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# silent-transition elimination
-
-
-def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
-    """Remove transitions whose first ell labels are all empty.
-
-    Needs an ell-deterministic machine, so a silent state has exactly one
-    outgoing transition.  Each silent chain is composed into the next
-    reading transition (outputs concatenated in order); states on silent
-    cycles can never take part in a completed run and are dropped, except
-    that the initial state is always kept.  Returns M itself when there
-    is nothing to do.
-    """
-    _require_deterministic(M, ell)
-
-    def is_silent(s: str) -> bool:
-        outs = M.out(s)
-        return bool(outs) and not _read_pattern(outs[0], ell)
-
-    if not any(is_silent(s) for s in M.states):
-        return M
-
-    DEAD = object()
-    memo = {}
-
-    def resolve(s):
-        """Follow the silent chain from s: (solid state, output words) or DEAD."""
-        chain = []
-        cur = s
-        while True:
-            if cur in memo:
-                base = memo[cur]
-                break
-            if cur in chain:
-                base = DEAD
-                break
-            if not is_silent(cur):
-                base = (cur, tuple(() for _ in range(M.k - ell)))
-                break
-            chain.append(cur)
-            t = M.out(cur)[0]
-            cur = t.target
-        # replay the chain backwards, accumulating outputs front to back
-        for s2 in reversed(chain):
-            if base is DEAD:
-                memo[s2] = DEAD
-                continue
-            t = M.out(s2)[0]
-            solid, tail = base
-            piece = tuple(t.label[ell + j] + tail[j] for j in range(M.k - ell))
-            base = (solid, piece)
-            memo[s2] = base
-        return memo.get(s, base)
-
-    for s in M.states:
-        resolve(s)
-
-    dead = {s for s in M.states if memo.get(s) is DEAD and s not in M.initial}
-    keep = [s for s in M.states if s not in dead]
-
-    new_trans = []
-    for s in keep:
-        outs = M.out(s)
-        if not outs:
-            continue
-        if is_silent(s):
-            if memo.get(s) is DEAD:
-                continue  # initial on a silent cycle: it keeps no transitions
-            solid, acc = memo[s]
-            for t in M.out(solid):
-                if t.target in dead:
-                    continue
-                label = t.label[:ell] + tuple(
-                    acc[j] + t.label[ell + j] for j in range(M.k - ell)
-                )
-                new_trans.append((s, label, t.target))
-        else:
-            for t in outs:
-                if t.target in dead:
-                    continue
-                new_trans.append((t.source, t.label, t.target))
-    return KAutomaton(M.k, M.alphabet, keep, list(M.initial), new_trans)
-
-
 # ---------------------------------------------------------------------------
 # compiling and running
 
@@ -373,7 +259,15 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     ell = int(ell)
     C = M._compiled.get(ell)
     if C is None:
-        _require_deterministic(M, ell)
+        # the report is kept on M, so a machine that fails is checked once
+        report = M._reports.get(ell)
+        if report is None:
+            report = M._reports[ell] = check_l_deterministic(M, ell)
+        if not report.deterministic:
+            kinds = sorted({v.kind for v in report.violations})
+            raise NotDeterministicError(
+                f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
+            )
         C = M._compiled[ell] = build(M, ell)
     return C
 
@@ -420,17 +314,11 @@ def run(
     'no-transition', 'input-exhausted', 'silent-cycle' or 'step-budget'.
     Each input source is left just after its last consumed symbol.
 
-    Engine: the machine is compiled once (:func:`compile`).  A run with a
-    budget of at least ``_LOCKSTEP_MIN`` symbols, of a machine with a
-    macro-step table (one input tape and at most ``_LOCKSTEP_MAX_STATES``
-    states, or two input tapes with a bounded lag between them, and at
-    most ``_LOCKSTEP_MAX_ENTRIES`` entries; the first such run builds it),
-    goes through the lock-step engine, which feeds windows of input (zipped
-    (x, y) pairs on two tapes, G at a time from ``_GRAM_MIN`` symbols on)
-    to every macro state at once; silent
-    states and ``record_path`` do not matter.  Every other run, and the
-    end of every run (halts and the trailing flush), goes through one
-    scalar loop over the compiled tables.  Both give the same trace.
+    Engine: the machine is compiled once (:func:`compile`), and a run of
+    at least ``_LOCKSTEP_MIN`` symbols of a machine with a macro-step
+    table goes through the lock-step engine before the scalar loop that
+    ends every run (the rule in full is in :mod:`fsindep.engine`).  Both
+    give the same trace.
     """
     C = compile(M, ell)
     if len(inputs) != C.ell:

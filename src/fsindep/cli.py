@@ -35,7 +35,6 @@ from .words import Alphabet, word, read_word_file, write_word_file
 from .sources import (
     EvenSource,
     JoinSource,
-    LiteralSource,
     OddSource,
     PeriodicSource,
     RandomSource,
@@ -274,9 +273,9 @@ def _cmd_generate(args) -> int:
 
 def _table_bytes(b: int, max_block: int, n: int) -> int:
     """Bytes of a normality report's block tables, as 16 B per entry of the
-    largest: its int64 counts and the next two lengths' tables are live
-    together, at most 14.0 B/entry under tracemalloc (b = 2 with an even
-    top length; 8.5 at b = 16), so 16 leaves a 14 % margin."""
+    largest: its int64 counts and the next length's table are live
+    together, at most 13.4 B/entry under tracemalloc (b = 2 with an even
+    top length; 8.5 at b = 16), so 16 leaves a 19 % margin."""
     ell = max(0, min(max_block, n, _TABLE_CAP.bit_length()))
     return 16 * min(b**ell, _TABLE_CAP)
 
@@ -373,6 +372,8 @@ _IND_HEADER = ("trial", "n", "k", "rho_x", "rho_y", "rho_x_given_y", "rho_y_give
 
 
 def _cmd_independence(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     parse_generator(args.x_gen)
     parse_generator(args.y_gen)  # validate before spawning workers
     # each worker holds one trial at a time
@@ -407,11 +408,6 @@ def _cmd_experiment(args) -> int:
     # worker holds one trial at a time, as in independence
     if args.name == "join-dependence":
         _check_memory(_BASE_BYTES + 96 * args.n)
-    elif args.name == "join-normal":
-        _check_memory(_BASE_BYTES + 16 * args.n + _table_bytes(args.base, args.max_block, args.n))
-    else:
-        _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
-    if args.name == "join-dependence":
         # odd(x) alone looks incompressible, but even(x) predicts it exactly
         # (the stream satisfies x[2n] = x[n]), so the match-run compressor
         # conditioned on even(x) drives the ratio down to 1/k.
@@ -438,6 +434,9 @@ def _cmd_experiment(args) -> int:
             )
         return 0
     if args.name == "measure-one":
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
+        _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
         work = [
             (args.gen, args.n, args.k, args.seed, t)
             for t in range(1, args.trials + 1)
@@ -450,22 +449,20 @@ def _cmd_experiment(args) -> int:
         if args.csv:
             print(f"trials={args.trials} median_rho={_fmt(statistics.median(ratios))}")
         return 0
-    if args.name == "join-normal":
-        x = SelfSimilarSource(args.base)
-        xw = x.prefix(args.n)
-        rejoined = JoinSource(OddSource(x.clone()), EvenSource(x.clone())).prefix(args.n)
-        report = normality_report(xw, args.max_block)
-        rows = [("join_roundtrip", int(rejoined == xw))]
-        for ell, disc in report.discrepancies.items():
-            rows.append((f"discrepancy_{ell}", disc))
-        rows.append(("flagged", len(report.flagged)))
-        _emit_csv(rows, ("metric", "value"), args.csv)
-        if args.csv:
-            print(
-                f"join_roundtrip={int(rejoined == xw)} flagged={len(report.flagged)}"
-            )
-        return 0
-    raise ValueError(f"unknown experiment {args.name!r}")
+    # join-normal
+    _check_memory(_BASE_BYTES + 16 * args.n + _table_bytes(args.base, args.max_block, args.n))
+    x = SelfSimilarSource(args.base)
+    xw = x.prefix(args.n)
+    rejoined = JoinSource(OddSource(x.clone()), EvenSource(x.clone())).prefix(args.n)
+    report = normality_report(xw, args.max_block)
+    rows = [("join_roundtrip", int(rejoined == xw))]
+    for ell, disc in report.discrepancies.items():
+        rows.append((f"discrepancy_{ell}", disc))
+    rows.append(("flagged", len(report.flagged)))
+    _emit_csv(rows, ("metric", "value"), args.csv)
+    if args.csv:
+        print(f"join_roundtrip={int(rejoined == xw)} flagged={len(report.flagged)}")
+    return 0
 
 
 def _cmd_perfect_sequence(args) -> int:

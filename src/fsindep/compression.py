@@ -26,7 +26,7 @@ import numpy as np
 
 from .blocks import aligned_ids, digits
 from .words import Alphabet, FiniteWord
-from .sources import WordSource, SourceExhausted
+from .sources import WordSource
 from .automata import KAutomaton, RunTrace, compile, run
 from .engine import _WINDOW, _Run
 
@@ -480,8 +480,8 @@ class PrefixCode:
     code value, the first canonical index and the count (Moffat & Turpin
     1997).  Building a table checks the Kraft inequality exactly in
     integers and raises ValueError when it fails, also under python -O.
-    ``codebook`` and ``decode_tree`` derive the explicit codewords and
-    the trie from the same table, as reference views.
+    ``codebook`` derives the explicit codewords from the same table, as a
+    reference view.
     """
 
     _TABLE_CAP = 2**20
@@ -610,22 +610,6 @@ class PrefixCode:
             for u, cw in zip(blocks.tolist(), digits(table.values[blocks], L, b).tolist()):
                 codewords[u] = tuple(cw)
         return table.lengths, codewords
-
-    def decode_tree(self, v_id: int):
-        """Trie for decoding: internal nodes are dicts, leaves are block ids."""
-        lengths, codewords = self.codebook(v_id)
-        if (lengths == 0).any():
-            # a zero-length codeword means the condition determines the block
-            return int(np.flatnonzero(lengths == 0)[0])
-        root: dict = {}
-        for u, cw in enumerate(codewords):
-            if cw is None:
-                continue
-            node = root
-            for a in cw[:-1]:
-                node = node.setdefault(a, {})
-            node[cw[-1]] = u
-        return root
 
 
 def build_prefix_code(model: ConditionalModel) -> PrefixCode:

@@ -2,15 +2,27 @@
 
 :func:`build` turns an ell-deterministic machine into a
 :class:`CompiledAutomaton`: flat Python tables for one scalar loop, which
-ends every run.  The first run long enough for the lock-step engine
-(Mytkowicz, Musuvathi & Schulte 2014) builds its macro-step table
-(:class:`_MacroTable`) from those tables.  The first run of at least
-``_GRAM_MIN`` symbols builds, from that table, its gram view
-(:class:`_Grams`): the same macro states, with every entry G consecutive
-keys, so that one gather moves the run G symbols on (multi-stride
-automata; Brodie, Taylor & Cytron 2006).  :func:`fsindep.automata.compile`
-checks and caches the compiled form, and :func:`fsindep.automata.run`
-drives the engines.
+ends every run, so every halt and the trailing flush happen there.
+:func:`fsindep.automata.compile` checks and caches the compiled form,
+and :func:`fsindep.automata.run` drives the engines.
+
+A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through
+the lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014) when the
+machine has a macro-step table (:class:`_MacroTable`), which the first
+such run builds: a one-tape machine with at most
+``_LOCKSTEP_MAX_STATES`` states has one, and so has a two-tape machine
+whose tapes keep a bounded lag (a synchronized relation, Frougny &
+Sakarovitch 1993), so that its states paired with the symbols of the
+tape that runs ahead number at most ``_LOCKSTEP_MAX_STATES``.  Either way
+the table, macro states times b or b**2 keys, must stay within
+``_LOCKSTEP_MAX_ENTRIES``; that rules out two-tape lock-step for
+alphabets past 181 symbols.  Silent states and path recording do not
+matter.  The first run of at least ``_GRAM_MIN`` symbols builds, from
+that table, its gram view (:class:`_Grams`): the same macro states, with
+every entry G consecutive keys, so that one gather moves the run G
+symbols on (multi-stride automata; Brodie, Taylor & Cytron 2006), with G
+as large as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  Both
+engines give the same trace.
 """
 
 from __future__ import annotations
@@ -390,11 +402,9 @@ class CompiledAutomaton:
         """Step r until n tape-1 symbols are consumed or the run halts.
 
         A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes
-        through the lock-step engine first, whatever its tapes, silent
-        states or path recording, when the machine has a macro-step table
-        (the first such run builds it; from ``_GRAM_MIN`` symbols on, the
-        table's gram view too).  The scalar loop always finishes,
-        so every halt and the rest of the trailing flush happen there.
+        through the lock-step engine first when the machine has a
+        macro-step table (the rule in full is in the module docstring);
+        the scalar loop always finishes.
         """
         if n - r.consumed[0] >= _LOCKSTEP_MIN:
             X = self.macro

@@ -134,6 +134,7 @@ def normality_report(
         _table_guard(b, ell)  # raises for the shortest length over the cap
     disc, limits, doubles = {}, {}, {}
     for ell in range(top, 0, -1):
+        table = None  # free length ell + 1's table first (doubles keeps even ones)
         m = n // ell
         double = doubles.pop(2 * ell, None)
         if double is None:

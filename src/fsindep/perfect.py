@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import aligned_ids, digits
-from .words import Alphabet, FiniteWord, _dtype_for, alocc, word
+from .words import Alphabet, FiniteWord, _dtype_for, word
 from .sources import WordSource
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures and naive reference implementations.
 
 The naive_* helpers are deliberately slow, string-based reimplementations
-used as independent oracles against the vectorized library code.  They
-must not import anything from fsindep internals beyond the public API.
+used as independent oracles against the vectorized library code, and
+eliminate_eps_input_transitions rewrites silent steps away so that tests
+can compare run() on a machine with and without them.  They must not
+import anything from fsindep internals beyond the public API.
 """
 
 import itertools
@@ -19,6 +21,8 @@ from fsindep import (
     KAutomaton,
     LiteralSource,
     LosslessnessReport,
+    NotDeterministicError,
+    check_l_deterministic,
     load_automaton,
     run,
 )
@@ -293,6 +297,92 @@ def naive_run(M: KAutomaton, ell: int, input_texts, n: int):
         "halt": halt,
         "events": events,
     }
+
+
+def eliminate_eps_input_transitions(M: KAutomaton, ell: int) -> KAutomaton:
+    """Remove transitions whose first ell labels are all empty.
+
+    Needs an ell-deterministic machine, so a silent state has exactly one
+    outgoing transition.  Each silent chain is composed into the next
+    reading transition (outputs concatenated in order); states on silent
+    cycles can never take part in a completed run and are dropped, except
+    that the initial state is always kept.  Returns M itself when there
+    is nothing to do.
+    """
+    report = check_l_deterministic(M, ell)
+    if not report:
+        kinds = sorted({v.kind for v in report.violations})
+        raise NotDeterministicError(
+            f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
+        )
+
+    def is_silent(s: str) -> bool:
+        outs = M.out(s)
+        return bool(outs) and not any(outs[0].label[:ell])
+
+    if not any(is_silent(s) for s in M.states):
+        return M
+
+    DEAD = object()
+    memo = {}
+
+    def resolve(s):
+        """Follow the silent chain from s: (solid state, output words) or DEAD."""
+        chain = []
+        cur = s
+        while True:
+            if cur in memo:
+                base = memo[cur]
+                break
+            if cur in chain:
+                base = DEAD
+                break
+            if not is_silent(cur):
+                base = (cur, tuple(() for _ in range(M.k - ell)))
+                break
+            chain.append(cur)
+            t = M.out(cur)[0]
+            cur = t.target
+        # replay the chain backwards, accumulating outputs front to back
+        for s2 in reversed(chain):
+            if base is DEAD:
+                memo[s2] = DEAD
+                continue
+            t = M.out(s2)[0]
+            solid, tail = base
+            piece = tuple(t.label[ell + j] + tail[j] for j in range(M.k - ell))
+            base = (solid, piece)
+            memo[s2] = base
+        return memo.get(s, base)
+
+    for s in M.states:
+        resolve(s)
+
+    dead = {s for s in M.states if memo.get(s) is DEAD and s not in M.initial}
+    keep = [s for s in M.states if s not in dead]
+
+    new_trans = []
+    for s in keep:
+        outs = M.out(s)
+        if not outs:
+            continue
+        if is_silent(s):
+            if memo.get(s) is DEAD:
+                continue  # initial on a silent cycle: it keeps no transitions
+            solid, acc = memo[s]
+            for t in M.out(solid):
+                if t.target in dead:
+                    continue
+                label = t.label[:ell] + tuple(
+                    acc[j] + t.label[ell + j] for j in range(M.k - ell)
+                )
+                new_trans.append((s, label, t.target))
+        else:
+            for t in outs:
+                if t.target in dead:
+                    continue
+                new_trans.append((t.source, t.label, t.target))
+    return KAutomaton(M.k, M.alphabet, keep, list(M.initial), new_trans)
 
 
 def naive_bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessReport:

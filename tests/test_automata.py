@@ -16,7 +16,6 @@ from fsindep import (
     accepts_prefix_tuple,
     check_l_deterministic,
     copy_automaton,
-    eliminate_eps_input_transitions,
     even_projection_transducer,
     find_forward_word,
     forward_pairs,
@@ -38,6 +37,7 @@ from fsindep.engine import (
 )
 from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
 from conftest import (
+    eliminate_eps_input_transitions,
     naive_bounded_losslessness_check,
     naive_check_deterministic,
     naive_forward_pairs,
@@ -520,7 +520,6 @@ def test_determinism_gate_runs_once_per_machine(monkeypatch):
     bad = KAutomaton(2, A2, ["s"], "s", [("s", ((0,), (0,)), "s"), ("s", ((0,), (1,)), "s")])
     for call in (
         lambda: run(bad, 1, [lit("0")], 1),
-        lambda: eliminate_eps_input_transitions(bad, 1),
         lambda: TransducerOutputSource(bad, lit("0")),
     ):
         with pytest.raises(NotDeterministicError, match="same-input"):
@@ -530,12 +529,8 @@ def test_determinism_gate_runs_once_per_machine(monkeypatch):
 
 def test_not_deterministic_error_is_a_value_error(shuffle_aut):
     assert issubclass(NotDeterministicError, ValueError)
-    for call in (
-        lambda: run(shuffle_aut, 2, [lit("0"), lit("0")], 1),
-        lambda: eliminate_eps_input_transitions(shuffle_aut, 2),
-    ):
-        with pytest.raises(NotDeterministicError, match="read-pattern"):
-            call()
+    with pytest.raises(NotDeterministicError, match="read-pattern"):
+        run(shuffle_aut, 2, [lit("0"), lit("0")], 1)
 
 
 def test_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):

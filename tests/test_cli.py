@@ -356,6 +356,23 @@ def test_block_length_zero_exits_2(argv, capsys):
     assert capsys.readouterr().err == "error: block length must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("independence", "--x-gen", "rand", "--y-gen", "rand"),
+        ("experiment", "measure-one", "--gen", "rand"),
+    ],
+)
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("csv", [False, True])
+def test_trials_below_one_exit_2_before_any_output(argv, trials, csv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    extra = ("--csv", str(out)) if csv else ()
+    assert run_cli(*argv, "-n", "64", "-k", "4", "--trials", trials, *extra) == (2, "")
+    assert capsys.readouterr().err == "error: --trials must be at least 1\n"
+    assert not out.exists()
+
+
 def test_condcompress_reads_word_files_and_needs_a_source(tmp_path, capsys):
     x, y = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
     for spec, path in (("rand:seed=11", x), ("rand:seed=12", y)):

@@ -424,7 +424,8 @@ def test_degenerate_model_empty_codeword():
     lengths, codewords = code.codebook(0)  # condition block 00
     assert lengths[0] == 0 and codewords[0] == ()
     assert lengths[1] == -1 and codewords[1] is None  # impossible block
-    assert code.decode_tree(0) == 0  # bare block id, no trie needed
+    # the condition determines the block, so no compressed symbol is read
+    assert cond_decode(word(""), lit("00"), code, 2) == word("00")
 
 
 KRAFT_VIOLATION = """

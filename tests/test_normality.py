@@ -139,6 +139,25 @@ def test_normality_report_halving_matches_block_counts(monkeypatch):
     assert odd_tails > 100
 
 
+def test_normality_report_drops_each_table_before_counting_the_next():
+    """Up to length 20 over 2**21 binary symbols the traced peak stays
+    within 1.8 top tables (2**20 int64 counts): a length's table is
+    dropped before the next length is counted, unless it is kept to be
+    halved."""
+    import tracemalloc
+
+    w = RandomSource(Alphabet(2), seed=5).prefix(1 << 21)
+    normality_report(w, 1)  # first calls fill lazy caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        normality_report(w, 20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 8 * 2**20, peak / (8 * 2**20)
+
+
 def test_normality_report_raises_for_the_shortest_length_over_the_cap():
     with pytest.raises(ValueError, match=r"^block table 36\*\*5 exceeds cap 16777216$"):
         normality_report(word("0" * 40, base=36), max_block=9)
