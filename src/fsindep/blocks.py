@@ -2,13 +2,11 @@
 
 A length-ell block over b symbols is one symbol of the power alphabet of
 size b**ell; its id is the block read in base b, first symbol most
-significant.  Ids come in that alphabet's dtype unless the input is wider,
-so counting never widens the word.
+significant.  Ids of two or more symbols come in that alphabet's dtype,
+whatever the input's; counting widens at most max(2**16, b**ell) at once.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,21 +25,11 @@ def _horner(cols, ell: int, b: int) -> np.ndarray:
     return ids
 
 
-@lru_cache(maxsize=64)
-def _place_values(b: int, ell: int) -> np.ndarray:
-    return b ** np.arange(ell - 1, -1, -1)  # the run engine asks once a window
-
-
 def aligned_ids(data: np.ndarray, ell: int, b: int) -> np.ndarray:
-    """Ids of the aligned length-ell blocks of data; a partial tail is dropped."""
+    """Ids of the aligned length-ell blocks of any integer data; a partial tail is dropped."""
     if ell == 1:
         return data  # a symbol is its own id
     m = data.size // ell
-    if data.dtype == np.intp:
-        # already as wide as any id, so a matmul over the rows widens
-        # nothing, and on a short window (the run engine's keys) its one
-        # call beats Horner's 2 * ell
-        return data[: m * ell].reshape(m, ell) @ _place_values(int(b), ell)
     return _horner(lambda j: data[j : m * ell : ell], ell, b)
 
 
@@ -49,6 +37,15 @@ def sliding_ids(data: np.ndarray, ell: int, b: int) -> np.ndarray:
     """Ids of the length-ell windows of data starting at 0 .. size - ell."""
     m = data.size - ell + 1
     return _horner(lambda j: data[j : j + m], ell, b)
+
+
+def _count_ids(ids: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(ids, minlength=size)``, max(2**16, size) ids a call."""
+    step = max(1 << 16, size)
+    counts = np.bincount(ids[:step], minlength=size)
+    for i in range(step, ids.size, step):
+        counts += np.bincount(ids[i : i + step], minlength=size)
+    return counts
 
 
 def digits(vals, width: int, b: int) -> np.ndarray:

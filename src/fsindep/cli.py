@@ -273,20 +273,19 @@ def _cmd_generate(args) -> int:
 
 def _table_bytes(b: int, max_block: int, n: int) -> int:
     """Bytes of a normality report's block tables, as 16 B per entry of the
-    largest: its int64 counts and the next length's table are live
-    together, at most 13.4 B/entry under tracemalloc (b = 2 with an even
-    top length; 8.5 at b = 16), so 16 leaves a 19 % margin."""
+    largest, which is live with the next length's.  Traced over 1-2 random
+    symbols per entry, a report peaks at 13.4 B/entry at most (b = 2, even
+    top length; 12.8 at b = 16, top length 5): a 19 % margin."""
     ell = max(0, min(max_block, n, _TABLE_CAP.bit_length()))
     return 16 * min(b**ell, _TABLE_CAP)
 
 
 def _cmd_stats(args) -> int:
     # checked before reading: the file holds one byte per symbol, plus at
-    # most a line terminator.  Counting peaks at 8.5 B/symbol over 1 MiB
-    # (2**21 symbols, --max-block 1): the symbols and np.bincount's int64
-    # copy of the block ids, at length 1 the symbols.  Only lengths above
-    # max_block // 2 read the word, so a longer max_block peaks lower (2.3
-    # B/symbol at 8); 12 B/symbol leaves a 41 % margin.
+    # most a line terminator.  Over 2**21 symbols the command peaks at 2.0
+    # B/symbol under tracemalloc, reading the file (--max-block 1, 2 and 8
+    # alike); counting, chunked, holds at most 0.75 B/symbol beside the
+    # symbols.  12 B/symbol stays until the estimates are re-measured.
     size = os.path.getsize(args.word)
     _check_memory(_BASE_BYTES + 12 * size + _table_bytes(args.base, args.max_block, size))
     w = read_word_file(args.word, args.base)

@@ -616,11 +616,6 @@ def build_prefix_code(model: ConditionalModel) -> PrefixCode:
     return PrefixCode(model)
 
 
-def _powers(b: int, width: int, dtype) -> np.ndarray:
-    """b**0 .. b**(width-1), as int64 or as Python ints in an object array."""
-    return np.array([b**e for e in range(width)], dtype=dtype)
-
-
 def cond_encode(
     x: WordSource, y: WordSource, code: PrefixCode, n: int
 ) -> Tuple[FiniteWord, RatioEstimate]:
@@ -628,9 +623,9 @@ def cond_encode(
 
     n must be a multiple of the model's block length.  Both sources are
     consumed in lockstep, k symbols per block.  Codes are built only for
-    the condition blocks that occur; each block's codeword is gathered
-    from its condition's table and expanded into digits with one
-    vectorized divmod.
+    the condition blocks that occur; a block's codeword is the last
+    ``lengths[i]`` of the ``width`` base-b digits of its value in its
+    condition's table, ``width`` being the longest codeword used.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
@@ -647,13 +642,9 @@ def cond_encode(
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
     est = _block_estimate(n, k, lengths)
-    cum = np.cumsum(lengths)
-    # output symbol p is digit number cum[block] - 1 - p of its block's
-    # codeword, counted from the least significant end
-    place = np.repeat(cum, lengths) - 1 - np.arange(est.output_symbols)
     width = int(lengths.max()) if lengths.size else 0
-    syms = np.repeat(values, lengths) // _powers(b, width, values.dtype)[place] % b
-    return FiniteWord(model.alphabet, syms.astype(np.int64, copy=False)), est
+    kept = np.arange(width) >= width - lengths[:, None]
+    return FiniteWord(model.alphabet, digits(values, width, b)[kept]), est
 
 
 def cond_decode(
@@ -844,7 +835,7 @@ def bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessRepor
         if idx.size > 1:
             # the stable sort keeps words with equal keys in product order,
             # so a word equal to its predecessor repeats an earlier key
-            keys = [*out[:, idx], out_len[idx], q[idx]]
+            keys = [out[idx], out_len[idx], q[idx]]
             order = np.lexsort(keys)
             same = np.ones(idx.size - 1, dtype=bool)
             for key in keys:

@@ -33,7 +33,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import aligned_ids
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
@@ -160,19 +159,20 @@ class _Grams:
     """The gram view of a macro-step table X: the same macro states, with
     every entry ``span`` (G) consecutive keys, a gram.
 
-    A gram's id holds its keys as digits in base ``X.keys``, first key
-    first, so a row has ``keys`` = ``X.keys ** G`` entries.  At flat index
-    ``m * keys + gram``, ``nb`` holds the macro state after the G macro
-    steps times ``keys``, ``out_len``/``out_off`` locate their output tags
-    in ``pool`` and ``cost`` is their machine steps.  A gram that meets
-    the sink part-way leads to the sink, which absorbs.  The states visited
-    and the checkpoint offsets stay in X: a window that needs them expands
-    its grams into X's entries.  When no gram of two keys fits the bounds,
-    the gram view is X itself.
+    A gram's id is its keys, base-``X.keys`` digits with the first key first,
+    times ``place`` (``X.keys ** (G - 1)`` .. 1), so a row has ``keys`` =
+    ``X.keys ** G`` entries.  At flat index ``m * keys + gram``, ``nb`` holds
+    the macro state after the G macro steps times ``keys``,
+    ``out_len``/``out_off`` locate their output tags in ``pool`` and ``cost``
+    is their machine steps.  A gram that meets the sink part-way leads to the
+    sink, which absorbs.  The states visited and the checkpoint offsets stay
+    in X: a window that needs them expands its grams into X's entries.  When
+    no gram of two keys fits the bounds, the gram view is X itself.
     """
 
     span: int
     keys: int
+    place: np.ndarray
     nb: np.ndarray
     out_len: np.ndarray
     out_off: np.ndarray
@@ -307,8 +307,8 @@ def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
     out_len = lens.sum(axis=1)
     pool = _gather(X.pool, X.out_off[E].ravel(), lens.ravel(), np.cumsum(lens))
     return _Grams(
-        G, KG, cur.ravel() // K * KG, out_len, np.cumsum(out_len) - out_len, pool,
-        X.cost[E].sum(axis=1),
+        G, KG, K ** np.arange(G - 1, -1, -1), cur.ravel() // K * KG, out_len,
+        np.cumsum(out_len) - out_len, pool, X.cost[E].sum(axis=1),
     )
 
 
@@ -512,22 +512,21 @@ class CompiledAutomaton:
         per gather, in lock-step windows.
 
         A count below ``_GRAM_MIN`` feeds the key table itself (G = 1), so
-        short runs do not pay for building the gram view.  Windows are
-        whole grams, so at most G - 1 keys of count are left to the scalar
-        loop.  A window's keys are packed into gram ids and cut into
-        chunks; every chunk runs from all macro states at once (one gather
-        per gram), the chunk start states are stitched in order, and a
-        second pass gathers the macro states the run really visits.  The
-        window stops at the start of the gram that steps into the sink and
-        of the gram that would pass the step budget; the symbols from there
-        on, and those fed but not read yet, go back to their sources, and
-        the scalar loop halts inside that gram.  Outputs and step costs
-        come from the gram view.  A window that records the path or holds
-        a checkpoint expands its grams into key-table entries, which give
-        the states visited and the output count at each tape-1 read.  When
-        every macro step is one machine step (``X.unit``), the step budget
-        cuts the count up front, so windows need no running sum of step
-        costs.
+        short runs do not pay for building the gram view.  Windows are whole
+        grams, so at most G - 1 keys of count are left to the scalar loop.  A
+        window's keys are packed into gram ids (at G = 1 the keys themselves)
+        and cut into chunks; every chunk runs from all macro states at once
+        (one gather per gram), the chunk start states are stitched in order,
+        and a second pass gathers the macro states the run really visits.  The
+        window stops at the start of the gram that steps into the sink and of
+        the gram that would pass the step budget; the symbols from there on,
+        and those fed but not read yet, go back to their sources, and the
+        scalar loop halts inside that gram.  Outputs and step costs come from
+        the gram view.  A window that records the path or holds a checkpoint
+        expands its grams into key-table entries, which give the states
+        visited and the output count at each tape-1 read.  When every macro
+        step is one machine step (``X.unit``), the step budget cuts the count
+        up front, so windows need no running sum of step costs.
         """
         X = self.macro
         V = X.grams if count >= _GRAM_MIN else X
@@ -556,8 +555,8 @@ class CompiledAutomaton:
             if m == 0:
                 k = 0
                 break
-            a = aligned_ids(keys, G, X.keys)  # gram ids
             keys = keys[: m * G].reshape(m, G)
+            a = keys[:, 0] if G == 1 else keys @ V.place  # gram ids
             c = -(-m // _CHUNK)
             A = np.zeros(c * _CHUNK, dtype=np.intp)
             A[:m] = a
@@ -640,17 +639,19 @@ class CompiledAutomaton:
         """Run the ell=1 machine on every input word of length 1..max_len.
 
         Yields, for each length L, four arrays over the b**L words in
-        ``itertools.product`` order: final state, output tags (one column
-        per word, zero past its length), output length, and whether
-        :func:`run` with budget L and its default step budget ends
-        without a halt.  Word i of length L is word i // b of length
-        L - 1 followed by symbol i % b, so each length is one gather from
-        the one before.  The silent steps that :func:`run` fires after a
-        read (or at the start, or as the trailing flush) are resolved once
-        per state (:func:`_silent_closure`); a chain that ends on a silent
-        cycle leads to the sink, which halts the word and all its
-        extensions, as a missing transition does.  The step budget grows
-        with L, so it halts a word but not its extensions.
+        ``itertools.product`` order: final state, output value (its tags as
+        digits in base ``max(n_out, 1) * b``, first tag most significant),
+        output length, and whether :func:`run` with budget L and its default
+        step budget ends without a halt.  Value and length give the output
+        back.  Values are int64 while the longest possible output fits 63
+        bits, else Python ints in an object array.  Word i of length L is word
+        i // b of length L - 1 followed by symbol i % b, so each length is one
+        gather from the one before.  The silent steps that :func:`run` fires
+        after a read (or at the start, or as the trailing flush) are resolved
+        once per state (:func:`_silent_closure`); a chain that ends on a
+        silent cycle leads to the sink, which halts the word and all its
+        extensions, as a missing transition does.  The step budget grows with
+        L, so it halts a word but not its extensions.
         """
         b, sink = self.b, len(self.states)
         delta, emit = self.delta_list, self.emit_list
@@ -659,26 +660,21 @@ class CompiledAutomaton:
         nxt = np.array([end[d] for d in delta], dtype=np.intp)
         cost = np.array([1 + len(visited[d]) for d in delta], dtype=np.intp)
         tail = [emit[j] + tags[d] for j, d in enumerate(delta)]
+        q0, base = self.initial, max(self.n_out, 1) * b
         tail_len = np.array([len(t) for t in tail], dtype=np.intp)
-        tail_tags = np.zeros((int(tail_len.max()), len(tail)), dtype=self.tag_dtype)
-        for j, t in enumerate(tail):
-            tail_tags[: len(t), j] = t
-        q0 = self.initial
+        longest = len(tags[q0]) + max_len * int(tail_len.max())
+        dtype = np.int64 if base**longest <= 2**63 else object
+        value_of = lambda t: sum(c * base**i for i, c in enumerate(reversed(t)))
+        tail_val = np.array([value_of(t) for t in tail], dtype=dtype)
+        tail_scale = np.array([base**n for n in tail_len.tolist()], dtype=dtype)
         q = np.array([end[q0]], dtype=np.intp)
         n_steps = np.array([len(visited[q0])], dtype=np.intp)
         out_len = np.array([len(tags[q0])], dtype=np.intp)
-        out = np.array(tags[q0], dtype=self.tag_dtype).reshape(-1, 1)
+        out = np.array([value_of(tags[q0])], dtype=dtype)
         for L in range(1, max_len + 1):
             j = (q[:, None] * b + np.arange(b)).ravel()
-            start = np.repeat(out_len, b)
-            add = tail_len[j]
-            out_len = start + add
-            grown = np.zeros((int(out_len.max()), j.size), dtype=out.dtype)
-            grown[: out.shape[0]].reshape(*out.shape, b)[...] = out[:, :, None]
-            for c in range(tail_tags.shape[0]):
-                cols = np.flatnonzero(add > c)
-                grown[start[cols] + c, cols] = tail_tags[c, j[cols]]
-            out = grown
+            out = np.repeat(out, b) * tail_scale[j] + tail_val[j]
+            out_len = np.repeat(out_len, b) + tail_len[j]
             q = nxt[j]
             n_steps = np.repeat(n_steps, b) + cost[j]
             yield q, out, out_len, (q != sink) & (n_steps <= _step_budget(L, sink))

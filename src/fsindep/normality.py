@@ -9,7 +9,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from .blocks import aligned_ids, sliding_ids
+from .blocks import _count_ids, aligned_ids, sliding_ids
 from .words import Alphabet, FiniteWord, MAX_TEXT_ALPHABET
 
 #: largest block table we are willing to allocate
@@ -84,8 +84,7 @@ def block_counts(w: FiniteWord, ell: int, aligned: bool = True) -> BlockCountTab
     b = w.alphabet.size
     _table_guard(b, ell)
     ids = (aligned_ids if aligned else sliding_ids)(w.data, ell, b)
-    counts = np.bincount(ids, minlength=b**ell)
-    return BlockCountTable(w.alphabet, ell, aligned, counts, ids.size)
+    return BlockCountTable(w.alphabet, ell, aligned, _count_ids(ids, b**ell), ids.size)
 
 
 def discrepancy(w: FiniteWord, ell: int) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import aligned_ids, digits
+from .blocks import _count_ids, aligned_ids, digits
 from .words import Alphabet, FiniteWord, _dtype_for, word
 from .sources import WordSource
 
@@ -41,8 +41,7 @@ def is_perfect(w: FiniteWord, ell: int) -> bool:
     n = len(w)
     if n % (ell * b**ell) != 0:
         return False
-    ids = aligned_ids(w.data, ell, b)
-    counts = np.bincount(ids, minlength=b**ell)
+    counts = _count_ids(aligned_ids(w.data, ell, b), b**ell)
     return bool(np.all(counts == n // (ell * b**ell)))
 
 

@@ -890,6 +890,63 @@ def test_two_tape_machines_with_many_macro_states_run_the_scalar_loop(lockstep_c
 
 
 # ---------------------------------------------------------------------------
+# machines without exactly one output tape
+
+
+def test_engines_agree_on_two_output_tapes(lockstep_calls):
+    # odd positions to tape 2, even positions to tape 3
+    M = parse_automaton(
+        """
+        automaton k=3 alphabet=2 initial=o
+        o 0,0,- e
+        o 1,1,- e
+        e 0,-,0 o
+        e 1,-,1 o
+        """
+    )
+    G = gram_length(M)
+    assert G > 1
+    text = rand_text(random.Random(91), 2 * _WINDOW + 2 * G, 2)
+    budgets = (
+        1, _LOCKSTEP_MIN - 1, _WINDOW - 1, _WINDOW + 1,
+        engine._GRAM_MIN + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
+    )
+    for n in budgets:
+        tr = check_engines(M, text, n)
+        assert [o.to_text() for o in tr.outputs] == [text[:n][0::2], text[:n][1::2]]
+    assert len(lockstep_calls) == 2 * (len(budgets) - 2)
+
+
+def test_engines_agree_on_two_input_tapes_and_no_output_tape(lockstep_calls):
+    # two x symbols, then two y symbols, in turn; nothing written
+    M = parse_automaton(
+        """
+        automaton k=2 alphabet=2 initial=a
+        a 0,- b
+        a 1,- b
+        b 0,- c
+        b 1,- c
+        c -,0 d
+        c -,1 d
+        d -,0 a
+        d -,1 a
+        """
+    )
+    G = gram_length(M, 2)
+    assert G > 1
+    rng = random.Random(92)
+    x, y = rand_text(rng, 2 * _WINDOW + 2 * G, 2), rand_text(rng, 2 * _WINDOW + 2 * G, 2)
+    budgets = (
+        1, _LOCKSTEP_MIN - 1, _WINDOW - 1, _WINDOW + 1,
+        engine._GRAM_MIN + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
+    )
+    for n in budgets:
+        tr = check_engines(M, (x, y), n)
+        assert tr.outputs == () and tr.consumed[0] == n
+    assert len(lockstep_calls) == 2 * (len(budgets) - 2)
+
+
+# ---------------------------------------------------------------------------
 # the gram view: lock-step G keys a gather, halts resolved key by key
 
 
@@ -976,6 +1033,32 @@ def test_checkpoints_inside_a_gram(copy_aut, lockstep_calls):
         tr = check_engines(M, text, len(text), naive=False)
         assert len([c for c, _ in tr.checkpoints if c % G]) >= 3
     assert len(lockstep_calls) == 2 * len(machines)
+
+
+def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
+    """The last window feeds fewer keys than the final macro state holds
+    pending, so the pending symbols come partly from the window before."""
+    rows = ["automaton k=3 alphabet=2 initial=x0"]
+    for i in range(5):  # copy 5 x symbols, then 5 y symbols
+        nxt = f"x{i + 1}" if i < 4 else "y0"
+        rows += [f"x{i} {a},-,{a} {nxt}" for a in "01"]
+        nxt = f"y{i + 1}" if i < 4 else "x0"
+        rows += [f"y{i} -,{a},{a} {nxt}" for a in "01"]
+    M = parse_automaton("\n".join(rows))
+    X = compile(M, 2).macro
+    assert X.rows == 32 and X.grams.span == 2
+    longer = []
+    last = engine._last
+    monkeypatch.setattr(
+        engine, "_last", lambda tail, fed, n: longer.append(n > fed.size) or last(tail, fed, n)
+    )
+    rng = random.Random(93)
+    x, y = rand_text(rng, _WINDOW + 16, 2), rand_text(rng, _WINDOW + 16, 2)
+    for n in (_WINDOW + 2, _WINDOW + 3):
+        tr = check_engines(M, (x, y), n)
+        assert not tr.halted and tr.consumed[0] == n
+    assert any(longer)
+    assert len(lockstep_calls) == 2 * 2
 
 
 def test_only_runs_from_the_gram_budget_up_build_the_gram_view():
@@ -1139,6 +1222,24 @@ def test_losslessness_check_matches_per_word_oracle():
         assert got == naive_bounded_losslessness_check(M, max_len), M.to_text()
         lossless += got.lossless
     assert len(cases) >= 100 and 10 <= lossless <= len(cases) - 10
+
+
+def test_losslessness_check_on_both_sides_of_63_output_bits():
+    # w symbols a read: the longest output at max_len L has w * L bits, so
+    # its value is int64 up to 63 bits (all ones at 63: 2**63 - 1) and a
+    # Python int past them
+    for w, max_len, dtype in ((7, 9, np.int64), (8, 8, object)):
+        copy = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), (a,) * w), "s") for a in (0, 1)])
+        *_, (q, out, out_len, finished) = compile(copy, 1)._every_word(max_len)
+        assert out.dtype == dtype and out[-1] == 2 ** (w * max_len) - 1
+        lossy = KAutomaton(2, A2, ["s", "t"], "s", [
+            ("s", ((0,), (0,) * w), "s"), ("s", ((1,), (1,) + (0,) * (w - 1)), "t"),
+            ("t", ((0,), (1,) * w), "s"), ("t", ((1,), (1,) * w), "s"),
+        ])
+        for M in (copy, lossy):
+            got = bounded_losslessness_check(M, max_len)
+            assert got == naive_bounded_losslessness_check(M, max_len)
+        assert not got.lossless and got.counterexample == (word("10"), word("11"))
 
 
 @pytest.mark.parametrize("chain", [223, 240])

@@ -38,10 +38,10 @@ def test_aligned_and_sliding_ids_match_the_naive_id(b, ell):
         got = aligned_ids(data, ell, b)
         expect = [_naive_block_id(data[i : i + ell], b) for i in range(0, n - ell + 1, ell)]
         assert got.tolist() == expect
-        if ell > 1:
-            assert got.dtype == _dtype_for(b**ell)
-        wide = aligned_ids(data.astype(np.intp), ell, b)  # the matmul path
+        wide = aligned_ids(data.astype(np.intp), ell, b)  # a wider input, the same ids
         assert wide.tolist() == expect
+        if ell > 1:
+            assert got.dtype == wide.dtype == _dtype_for(b**ell)
         got = sliding_ids(data, ell, b)
         assert got.tolist() == [_naive_block_id(data[i : i + ell], b) for i in range(n - ell + 1)]
 

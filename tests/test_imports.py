@@ -1,4 +1,4 @@
-"""Static check on the library source: no unused module-level imports."""
+"""Static checks on the library source: no unused imports or private names."""
 
 import ast
 from pathlib import Path
@@ -27,3 +27,35 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_name_is_referenced():
+    """Each private module-level function, class and constant, and each
+    private method, defined in a module is used somewhere in the library
+    beyond its definition, as a name read or an attribute."""
+    paths = sorted(SRC.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(module, t.id) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.append((module, node.target.id))
+    dead = [f"{module}: {name}" for module, name in defined if _private(name) and name not in used]
+    assert dead == []

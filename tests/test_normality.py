@@ -158,6 +158,46 @@ def test_normality_report_drops_each_table_before_counting_the_next():
     assert peak <= 1.8 * 8 * 2**20, peak / (8 * 2**20)
 
 
+# traced peak of block_counts(w, ell) over 2**21 random binary symbols when
+# np.bincount counted an intp copy of all the ids, to 0.01 MiB
+WHOLE_COPY_PEAK_MIB = {1: 16.0, 2: 9.0, 4: 4.5, 8: 2.25, 12: 1.7, 16: 1.75, 20: 9.2}
+
+
+def test_block_counts_feed_bincount_in_chunks():
+    """Counting holds an intp copy of at most max(2**16, b**ell) ids at a
+    time: 0.5 MiB at ell = 1 in place of 16, and no length peaks higher
+    than a count over one whole copy did.  The counts stay exact."""
+    import tracemalloc
+
+    import numpy as np
+
+    from fsindep.blocks import aligned_ids, sliding_ids
+    from fsindep.perfect import is_perfect
+
+    w = RandomSource(Alphabet(2), seed=6).prefix(1 << 21)
+
+    def peak_mib(f):
+        f()  # first calls fill lazy caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mib(lambda: block_counts(w, 1)) <= 1.0
+    assert peak_mib(lambda: is_perfect(w, 1)) <= 1.0
+    # one id past three chunks at ell = 1
+    short = RandomSource(Alphabet(2), seed=7).prefix(3 * 2**16 + 1)
+    for ell, before in WHOLE_COPY_PEAK_MIB.items():
+        assert peak_mib(lambda: block_counts(w, ell)) <= before + 0.01, ell
+        for aligned, ids in ((True, aligned_ids), (False, sliding_ids)):
+            for v in (w, short):
+                expect = np.bincount(ids(v.data, ell, 2), minlength=2**ell)
+                assert block_counts(v, ell, aligned).counts.tolist() == expect.tolist()
+
+
 def test_normality_report_raises_for_the_shortest_length_over_the_cap():
     with pytest.raises(ValueError, match=r"^block table 36\*\*5 exceeds cap 16777216$"):
         normality_report(word("0" * 40, base=36), max_block=9)
