@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 invalid usage or malformed input, 3 domain
 error (the machine rejects the input, a stream cannot be decoded), 4
-resource cap exceeded.  Set FSINDEP_MAX_MEM_MB to bound the working-set
-estimate of a command.
+resource cap exceeded.  FSINDEP_MAX_MEM_MB caps a command's estimated
+working set, checked before any symbol is read: a fixed part plus, per
+worker and per generator spec read (word files are ``file`` specs), the
+n symbols taken and what the spec's atoms hold to produce them.
 
 Generator specs are a tiny composable language shared by several
 subcommands::
@@ -69,10 +71,18 @@ class DomainFailure(RuntimeError):
     """Raised by command bodies for machine-rejects-input style failures."""
 
 
-# Working-set estimates are tracemalloc peaks measured on the commands:
-# a fixed part (argument parsing, compiled tables, the run engine's input
-# windows) plus bytes per requested symbol.
-_BASE_BYTES = 1 << 20
+# _estimate's constants: tracemalloc peaks of the commands plus a margin
+_BASE_BYTES = 1 << 20  # argument parsing, compiled tables, engine windows
+_PREFIX_BYTES = 3  # per symbol a command takes from a source
+_ATOM_BYTES = 3  # per symbol a rand or periodic atom produces
+_TOWER_BYTES = 6  # per tower symbol and unit of b - 1 (to 5): a stage's temporaries
+_FILE_BYTES = 3  # per byte of a word file, read whole
+
+
+def _estimate(n: int, specs, workers: int = 1, extra: int = 0) -> int:
+    """Bytes for n symbols of each of specs on each of workers, plus extra."""
+    per_worker = sum(_PREFIX_BYTES * n + spec.atom_bytes(n) for spec in specs)
+    return _BASE_BYTES + workers * per_worker + extra
 
 
 def _check_memory(n_bytes: int):
@@ -118,6 +128,24 @@ class GeneratorSpec:
                 return v
         return default
 
+    def atom_bytes(self, n: int) -> int:
+        """Bytes the atoms under this spec hold while it produces n symbols."""
+        if self.kind in ("odd", "even"):
+            return self.children[0].atom_bytes(2 * n)
+        if self.kind == "join":
+            x, y = self.children
+            return x.atom_bytes((n + 1) // 2) + y.atom_bytes(n // 2)
+        if self.kind == "selfsim":
+            # whole stages to the first b**j >= n, each adding b - 1 symbols per kept one
+            b = max(2, int(self.get("b", "2")))
+            tower = b
+            while tower < n:
+                tower *= b
+            return _TOWER_BYTES * min(b - 1, 5) * tower
+        if self.kind == "file":
+            return _FILE_BYTES * os.path.getsize(self.get("path"))
+        return _ATOM_BYTES * n
+
     def build(self, default_seed=None):
         b = int(self.get("b", "2"))
         if self.kind == "selfsim":
@@ -130,15 +158,9 @@ class GeneratorSpec:
                 seed = default_seed
             return RandomSource(Alphabet(b), int(seed))
         if self.kind == "periodic":
-            w = self.get("word")
-            if not w:
-                raise ValueError("periodic needs word=...")
-            return PeriodicSource(word(w, base=b))
+            return PeriodicSource(word(self.get("word"), base=b))
         if self.kind == "file":
-            path = self.get("path")
-            if not path:
-                raise ValueError("file needs path=...")
-            return file_source(path, b)
+            return file_source(self.get("path"), b)
         if self.kind == "odd":
             return OddSource(self.children[0].build(default_seed))
         if self.kind == "even":
@@ -222,8 +244,15 @@ def parse_generator(s: str) -> GeneratorSpec:
     for k in params:
         if k not in order:
             raise ValueError(f"unknown parameter {k!r} for {head}")
+    need = {"periodic": "word", "file": "path"}.get(head)
+    if need and not params.get(need):
+        raise ValueError(f"{head} needs {need}=...")
     canon = tuple((k, params[k]) for k in order if k in params)
     return GeneratorSpec(head, canon)
+
+
+def _file_spec(path, base: int) -> GeneratorSpec:
+    return GeneratorSpec("file", (("path", path), ("b", str(base))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +280,11 @@ def _emit_csv(rows, header, path):
         sys.stdout.write(text)
 
 
-def _ratio_rows(est):
-    return [(c, m, m / c if c else 0.0) for c, m in est.checkpoints]
+def _emit_ratios(est, path):
+    rows = [(c, m, m / c if c else 0.0) for c, m in est.checkpoints]
+    _emit_csv(rows, ("n_in", "n_out", "ratio"), path)
+    if path:
+        print(f"ratio={_fmt(est.final_ratio)} min_ratio={_fmt(est.min_ratio)}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +293,8 @@ def _ratio_rows(est):
 
 def _cmd_generate(args) -> int:
     spec = parse_generator(args.gen)
-    _check_memory(_BASE_BYTES + 32 * args.n)
-    src = spec.build()
-    w = src.prefix(args.n)
+    _check_memory(_estimate(args.n, [spec]))
+    w = spec.build().prefix(args.n)
     if args.out:
         write_word_file(args.out, w)
     else:
@@ -281,13 +312,10 @@ def _table_bytes(b: int, max_block: int, n: int) -> int:
 
 
 def _cmd_stats(args) -> int:
-    # checked before reading: the file holds one byte per symbol, plus at
-    # most a line terminator.  Over 2**21 symbols the command peaks at 2.0
-    # B/symbol under tracemalloc, reading the file (--max-block 1, 2 and 8
-    # alike); counting, chunked, holds at most 0.75 B/symbol beside the
-    # symbols.  12 B/symbol stays until the estimates are re-measured.
+    # the file holds one byte per symbol, plus at most a line terminator
     size = os.path.getsize(args.word)
-    _check_memory(_BASE_BYTES + 12 * size + _table_bytes(args.base, args.max_block, size))
+    tables = _table_bytes(args.base, args.max_block, size)
+    _check_memory(_estimate(size, [_file_spec(args.word, args.base)], extra=tables))
     w = read_word_file(args.word, args.base)
     report = normality_report(w, args.max_block, threshold=args.threshold)
     rows = []
@@ -318,70 +346,61 @@ def _cmd_check_automaton(args) -> int:
     return 0
 
 
-def _build_input_source(args, gen_opt="--gen", file_opt="--input"):
-    """The source a generator-spec option names, else a word-file option."""
+def _input_spec(args, gen_opt="--gen", file_opt="--input") -> GeneratorSpec:
+    """The spec a generator-spec option names, else a word-file option's."""
     spec, path = (getattr(args, opt[2:].replace("-", "_")) for opt in (gen_opt, file_opt))
     if spec:
-        return parse_generator(spec).build()
+        return parse_generator(spec)
     if not path:
         raise ValueError(f"need {gen_opt} or {file_opt}")
-    return file_source(path, args.base)
+    return _file_spec(path, args.base)
 
 
 def _cmd_compress(args) -> int:
     M = load_automaton(args.automaton)
-    src = _build_input_source(args)
-    _check_memory(_BASE_BYTES + 48 * args.n)
-    est = plain_ratio(M, src, args.n)
-    _emit_csv(_ratio_rows(est), ("n_in", "n_out", "ratio"), args.csv)
-    if args.csv:
-        print(f"ratio={_fmt(est.final_ratio)} min_ratio={_fmt(est.min_ratio)}")
+    spec = _input_spec(args)
+    _check_memory(_estimate(args.n, [spec]))
+    est = plain_ratio(M, spec.build(), args.n)
+    _emit_ratios(est, args.csv)
     if est.halted:
         raise DomainFailure(f"run halted ({est.halt_reason}) after {est.n} symbols")
     return 0
 
 
 def _cmd_condcompress(args) -> int:
-    x = _build_input_source(args)
-    y = _build_input_source(args, "--ref-gen", "--ref")
-    _check_memory(64 * args.n)
-    est = conditional_ratio_estimate(x, y, args.n, args.k)
-    _emit_csv(_ratio_rows(est), ("n_in", "n_out", "ratio"), args.csv)
-    if args.csv:
-        print(f"ratio={_fmt(est.final_ratio)} min_ratio={_fmt(est.min_ratio)}")
+    specs = [_input_spec(args), _input_spec(args, "--ref-gen", "--ref")]
+    _check_memory(_estimate(args.n, specs))
+    x, y = (spec.build() for spec in specs)
+    _emit_ratios(conditional_ratio_estimate(x, y, args.n, args.k), args.csv)
     return 0
 
 
+def _run_trials(args, fn, specs, *fixed):
+    """fn((specs, *fixed, seed, t)) for t = 1 .. --trials, on --jobs workers."""
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    workers = max(1, min(args.jobs, args.trials))
+    _check_memory(_estimate(args.n, specs, workers))
+    work = [(specs, *fixed, args.seed, t) for t in range(1, args.trials + 1)]
+    if workers == 1:
+        return [fn(item) for item in work]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, work))
+
+
 def _independence_trial(packed):
-    x_spec, y_spec, n, k, seed, trial = packed
-    sx = parse_generator(x_spec).build(derive_seed(seed, trial, 0))
-    sy = parse_generator(y_spec).build(derive_seed(seed, trial, 1))
+    (x, y), n, k, seed, trial = packed
+    sx, sy = x.build(derive_seed(seed, trial, 0)), y.build(derive_seed(seed, trial, 1))
     rep = independence_report(sx, sy, n, k)
     return (trial, n, k, rep.rho_x, rep.rho_y, rep.rho_x_given_y, rep.rho_y_given_x)
-
-
-def _run_trials(fn, work, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, work))
 
 
 _IND_HEADER = ("trial", "n", "k", "rho_x", "rho_y", "rho_x_given_y", "rho_y_given_x")
 
 
 def _cmd_independence(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    parse_generator(args.x_gen)
-    parse_generator(args.y_gen)  # validate before spawning workers
-    # each worker holds one trial at a time
-    _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
-    work = [
-        (args.x_gen, args.y_gen, args.n, args.k, args.seed, t)
-        for t in range(1, args.trials + 1)
-    ]
-    rows = _run_trials(_independence_trial, work, args.jobs)
+    specs = (parse_generator(args.x_gen), parse_generator(args.y_gen))
+    rows = _run_trials(args, _independence_trial, specs, args.n, args.k)
     _emit_csv(rows, _IND_HEADER, args.csv)
     if args.csv:
         gx = statistics.median(abs(r[5] - r[3]) for r in rows)
@@ -391,31 +410,24 @@ def _cmd_independence(args) -> int:
 
 
 def _measure_one_trial(packed):
-    gen, n, k, seed, trial = packed
-    src = parse_generator(gen).build(derive_seed(seed, trial, 0))
+    # the constant reference, counted as periodic:word=0, takes gen's alphabet
+    (gen, _), n, k, seed, trial = packed
+    src = gen.build(derive_seed(seed, trial, 0))
     est = conditional_ratio_estimate(src, constant_source(0, src.alphabet), n, k)
     return (trial, n, k, est.final_ratio)
 
 
 def _cmd_experiment(args) -> int:
-    # join-dependence peaks just past a power of two, where the self-similar
-    # tower grows by a whole stage: 1 MiB + 67.0 B/symbol measured at
-    # n = 2**20 + 32 with no stage built yet (66.1 at 2**19 + 32); 96
-    # B/symbol leaves a 43 % margin.  join-normal peaks there too, at 1 MiB
-    # + 11.0 B/symbol with --max-block 1 (10.1 at 8), plus the block table
-    # as in stats; 16 B/symbol leaves a 45 % margin.  Each measure-one
-    # worker holds one trial at a time, as in independence
+    x = f"selfsim:b={args.base}"
     if args.name == "join-dependence":
-        _check_memory(_BASE_BYTES + 96 * args.n)
+        odd, even = (parse_generator(f"{half}({x})") for half in ("odd", "even"))
+        _check_memory(_estimate(args.n, [odd, even]))
         # odd(x) alone looks incompressible, but even(x) predicts it exactly
         # (the stream satisfies x[2n] = x[n]), so the match-run compressor
         # conditioned on even(x) drives the ratio down to 1/k.
-        x = SelfSimilarSource(args.base)
-        rep = independence_report(OddSource(x), EvenSource(x.clone()), args.n, args.k)
+        rep = independence_report(odd.build(), even.build(), args.n, args.k)
         T = odd_projection_transducer(Alphabet(args.base))
-        _, mr = match_run_compress(
-            T, args.k, OddSource(x.clone()), EvenSource(x.clone()), args.n
-        )
+        _, mr = match_run_compress(T, args.k, odd.build(), even.build(), args.n)
         rows = [
             ("n", args.n),
             ("k", args.k),
@@ -433,14 +445,8 @@ def _cmd_experiment(args) -> int:
             )
         return 0
     if args.name == "measure-one":
-        if args.trials < 1:
-            raise ValueError("--trials must be at least 1")
-        _check_memory(64 * args.n * max(1, min(args.jobs, args.trials)))
-        work = [
-            (args.gen, args.n, args.k, args.seed, t)
-            for t in range(1, args.trials + 1)
-        ]
-        rows = _run_trials(_measure_one_trial, work, args.jobs)
+        specs = (parse_generator(args.gen), parse_generator("periodic:word=0"))
+        rows = _run_trials(args, _measure_one_trial, specs, args.n, args.k)
         ratios = [r[3] for r in rows]
         rows.append(("min", args.n, args.k, min(ratios)))
         rows.append(("median", args.n, args.k, statistics.median(ratios)))
@@ -449,10 +455,10 @@ def _cmd_experiment(args) -> int:
             print(f"trials={args.trials} median_rho={_fmt(statistics.median(ratios))}")
         return 0
     # join-normal
-    _check_memory(_BASE_BYTES + 16 * args.n + _table_bytes(args.base, args.max_block, args.n))
-    x = SelfSimilarSource(args.base)
-    xw = x.prefix(args.n)
-    rejoined = JoinSource(OddSource(x.clone()), EvenSource(x.clone())).prefix(args.n)
+    specs = [parse_generator(s) for s in (x, f"join(odd({x}),even({x}))")]
+    tables = _table_bytes(args.base, args.max_block, args.n)
+    _check_memory(_estimate(args.n, specs, extra=tables))
+    xw, rejoined = (spec.build().prefix(args.n) for spec in specs)
     report = normality_report(xw, args.max_block)
     rows = [("join_roundtrip", int(rejoined == xw))]
     for ell, disc in report.discrepancies.items():
@@ -465,7 +471,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_perfect_sequence(args) -> int:
-    _check_memory(64 * (args.base**args.stages))
+    tower = args.base ** (args.stages + 1)  # stages 1 .. s fill b**(s + 1) symbols
+    _check_memory(_estimate(tower, [parse_generator(f"selfsim:b={args.base}")]))
     stages = build_sequence(args.stages, base=args.base)
     rows = []
     for st in stages:

@@ -112,9 +112,9 @@ class PeriodicSource(WordSource):
         self._count = 0  # symbols produced so far
 
     def _produce(self, n):
-        idx = (self._count + np.arange(n, dtype=np.int64)) % len(self.pattern)
+        turn = np.roll(self.pattern.data, -(self._count % len(self.pattern)))
         self._count += n
-        return self.pattern.data[idx]
+        return np.tile(turn, -(-n // turn.size))[:n]
 
     def clone(self):
         return PeriodicSource(self.pattern)

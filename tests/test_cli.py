@@ -201,6 +201,17 @@ def test_check_automaton_reports_shuffle_violation():
         ("experiment", "join-normal"),
         ("stats", "--word", "WORD", "--base", "3", "--max-block", "15"),
         ("stats", "--word", "WORD", "--max-block", "22"),
+        # specs that read more than n symbols
+        ("generate", "--gen", "odd(odd(odd(selfsim)))", "--out", "WORD"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "odd(odd(odd(selfsim)))"),
+        ("generate", "--gen", "odd(odd(odd(periodic:word=011)))", "--out", "WORD"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--input", "LONG"),
+        ("generate", "--gen", "file:path=LONG", "--out", "WORD"),
+        # two specs, and trials
+        ("condcompress", "--gen", "rand:seed=1", "--ref-gen", "rand:seed=2"),
+        ("condcompress", "--gen", "selfsim", "--ref-gen", "odd(selfsim)"),
+        ("independence", "--x-gen", "rand", "--y-gen", "rand", "--trials", "2"),
+        ("experiment", "measure-one", "--trials", "2"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
@@ -208,10 +219,14 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
 
     from fsindep import cli, perfect
 
-    word_file = str(tmp_path / "w.txt")
-    argv = [word_file if a == "WORD" else a for a in argv]
+    word_file, long_file = str(tmp_path / "w.txt"), str(tmp_path / "long.txt")
+    argv = [a.replace("WORD", word_file).replace("LONG", long_file) for a in argv]
 
     def args_for(n):
+        if any(long_file in a for a in argv):
+            # a word file 8 times longer than the prefix the command takes
+            gen = ("generate", "--gen", "rand:seed=5", "-n", str(8 * n), "--out", long_file)
+            assert run_cli(*gen)[0] == 0
         if argv[0] != "stats":
             return [*argv, "-n", str(n)]
         # stats takes its length from the word file
@@ -232,9 +247,10 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
     if argv[0] == "stats":
         # long enough for the per-symbol part to outweigh the fixed one
         sizes += (1 << 19,)
-    if argv[:2] == ["experiment", "join-dependence"]:
-        # just past a power of two, where the self-similar prefix doubles
-        sizes += ((1 << 19) + 32,)
+    # just past a power of two, where the self-similar prefix doubles; the
+    # fixed part no longer hides how tight the per-symbol part is
+    upper_n = (1 << 19) + 32
+    sizes += (upper_n,)
     for n in sizes:
         args = args_for(n)
         # no self-similar stages built yet, as in a fresh process
@@ -247,6 +263,9 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
             tracemalloc.stop()
         assert rc == 0
         assert estimates[-1] >= peak, (argv, n, estimates[-1], peak)
+        if n == upper_n:
+            # 4x leaves room for a tower two specs share, counted per spec
+            assert estimates[-1] <= 4 * peak, (argv, n, estimates[-1], peak)
 
 
 def test_main_calls_in_one_process_print_what_each_prints_alone():
@@ -442,10 +461,11 @@ def test_independence_memory_check_counts_every_worker(monkeypatch):
 
     pools = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
-    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "1")
-    # 64 B/symbol a trial: one trial fits in 1 MiB, two do not
-    n = 10_000
-    assert 64 * n <= 1 << 20 < 2 * 64 * n
+    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "2")
+    # one trial fits in 2 MiB, two do not
+    n = 65536
+    specs = [cli.parse_generator("rand")] * 2
+    assert cli._estimate(n, specs) <= 2 << 20 < cli._estimate(n, specs, workers=2)
     args = ["independence", "--x-gen", "rand", "--y-gen", "rand", "-n", str(n), "--trials", "2"]
     with pytest.raises(cli.MemoryCapExceeded):
         cli._cmd_independence(cli._parser().parse_args([*args, "--jobs", "2"]))
@@ -459,14 +479,66 @@ def test_measure_one_memory_check_counts_every_worker(monkeypatch):
 
     pools = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
-    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "1")
-    n = 10_000  # 64 B/symbol a trial: one trial fits in 1 MiB, two do not
+    monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "2")
+    n = 65536  # one trial fits in 2 MiB, two do not
     args = ["experiment", "measure-one", "--gen", "rand", "-n", str(n), "--trials", "2"]
     with pytest.raises(cli.MemoryCapExceeded):
         cli._cmd_experiment(cli._parser().parse_args([*args, "--jobs", "2"]))
     assert pools == []  # refused before any worker started
     rc, text = run_cli(*args, "--jobs", "1")
     assert rc == 0 and len(text.splitlines()) == 5  # header, two trials, min, median
+
+
+def test_measure_one_rejects_a_bad_spec_before_any_worker(monkeypatch, capsys):
+    from fsindep import cli
+
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    args = ("experiment", "measure-one", "--gen", "wat", "--trials", "2", "--jobs", "2")
+    assert run_cli(*args)[0] == 2
+    assert pools == []
+    assert capsys.readouterr().err == "error: unknown generator kind 'wat'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--gen", "selfsim", "-n", "1024"),
+        ("generate", "--gen", "odd(file:path=WORD)", "-n", "256"),
+        ("stats", "--word", "WORD"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "rand:seed=3", "-n", "1024"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--input", "WORD", "-n", "1024"),
+        ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "file:path=WORD", "-n", "1024"),
+        ("condcompress", "--gen", "selfsim", "--ref-gen", "rand:seed=1", "-n", "1024"),
+        ("condcompress", "--input", "WORD", "--ref", "WORD", "-n", "1024"),
+        ("condcompress", "--gen", "join(file:path=WORD,rand:seed=2)", "--ref", "WORD", "-n", "1024"),
+        ("independence", "--x-gen", "file:path=WORD", "--y-gen", "rand", "-n", "1024", "--trials", "2"),
+        ("experiment", "join-dependence", "-n", "1024"),
+        ("experiment", "measure-one", "--gen", "file:path=WORD", "-n", "1024", "--trials", "2"),
+        ("experiment", "join-normal", "-n", "1024"),
+        ("perfect-sequence", "--stages", "6"),
+    ],
+)
+def test_memory_cap_is_checked_once_before_any_file_is_read(argv, monkeypatch, tmp_path):
+    from fsindep import cli, words
+
+    w = tmp_path / "w.txt"
+    w.write_text("0110" * 256 + "\n")
+    argv = [a.replace("WORD", str(w)) for a in argv]
+    events = []
+    check, read = cli._check_memory, words.read_word_file
+    monkeypatch.setattr(cli, "_check_memory", lambda b: events.append("check") or check(b))
+
+    def spy_read(*args):
+        events.append("read")
+        return read(*args)
+
+    # stats reads through the CLI's import, file specs through the words module's
+    monkeypatch.setattr(cli, "read_word_file", spy_read)
+    monkeypatch.setattr(words, "read_word_file", spy_read)
+    assert run_cli(*argv)[0] == 0
+    assert events.count("check") == 1 and events[0] == "check", events
+    assert ("read" in events) == any(str(w) in a for a in argv), events
 
 
 def test_memory_refusal_rounds_the_estimate_up(monkeypatch):

@@ -120,6 +120,28 @@ def test_random_source_take_hands_out_its_fresh_array():
     assert peak < 1.9 * n, peak / n
 
 
+def test_periodic_source_take_stays_in_the_pattern_dtype():
+    import tracemalloc
+
+    pattern = word("01101", base=2)
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        PeriodicSource(pattern).take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tiled uint8 pattern and take's copy of it; two int64 index
+    # arrays (16 B/symbol) before
+    assert peak <= 3 << 20, peak / n
+    p = np.asarray(pattern.data)
+    for offset in range(2 * len(pattern) + 2):
+        s = PeriodicSource(pattern)
+        s.take(offset)
+        want = p[(offset + np.arange(37)) % len(pattern)]
+        assert np.array_equal(s.take(37), want), offset
+
+
 def arrays_held_by(src):
     """The numpy arrays a source refers to: its fields, its words' data and,
     for the self-similar stream, the stage chunks of its base."""
