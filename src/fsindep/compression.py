@@ -24,7 +24,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .blocks import aligned_ids, digits
+from .blocks import _count_ids, _horner, aligned_ids, digits
 from .words import Alphabet, FiniteWord
 from .sources import WordSource
 from .automata import KAutomaton, RunTrace, compile, run
@@ -407,18 +407,25 @@ class ConditionalModel:
             raise ValueError("paired arrays must have equal length")
         if primary.size % self.k:
             raise ValueError(f"length {primary.size} not a multiple of k={self.k}")
-        s = self.neglog[primary, reference]
+        s = self.neglog.ravel()[_pair_ids(primary, reference, self.alphabet.size)]
         lengths = _code_lengths(s.reshape(-1, self.k).sum(axis=1))
         if np.any(lengths < 0):
             raise ValueError("model assigns probability 0 to an observed block")
         return lengths
 
 
+def _pair_ids(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
+    """Ids a*b + c of the pairs (a, c), in the b*b alphabet's narrow dtype."""
+    for a in (primary, reference):
+        # a narrow id would wrap a symbol outside the alphabet silently
+        if a.size and not (np.issubdtype(a.dtype, np.integer) and 0 <= a.min() and a.max() < b):
+            raise ValueError(f"paired symbols must be integers in 0..{b - 1}")
+    return _horner((primary, reference).__getitem__, 2, b)
+
+
 def _fit(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
     """nu(a | c) of paired symbol arrays, with add-one smoothing."""
-    pair_ids = np.multiply(primary, b, dtype=np.intp)  # a*b + c
-    pair_ids += reference
-    counts = np.bincount(pair_ids, minlength=b * b).reshape(b, b).astype(float)
+    counts = _count_ids(_pair_ids(primary, reference, b), b * b).reshape(b, b).astype(float)
     return (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + b)
 
 

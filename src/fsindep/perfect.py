@@ -119,10 +119,9 @@ def _fill_extend(w: FiniteWord, step: int) -> FiniteWord:
     if not is_perfect(w, 1):
         raise ValueError("word is not 1-perfect")
     n = len(w)
-    out = np.empty((n, step), dtype=np.int64)
+    out = np.empty((n, step), dtype=w.data.dtype)
     out[:, step - 1] = w.data
-    fill = np.arange(n * (step - 1), dtype=np.int64) % b
-    out[:, : step - 1] = fill.reshape(n, step - 1)
+    out[:, : step - 1] = np.resize(np.arange(b, dtype=w.data.dtype), (n, step - 1))
     return FiniteWord(w.alphabet, out.reshape(-1))
 
 
@@ -143,11 +142,10 @@ def _seed_stages(base: int):
         ]
     # base >= 3: blocks of the track layout, cycling the non-track symbols
     b = base
-    out = np.empty((b - 1, b), dtype=np.int64)
+    out = np.empty((b - 1, b), dtype=_dtype_for(b))
     out[:, b - 1] = 1
-    others = np.array([a for a in range(b) if a != 1], dtype=np.int64)
-    fill = others[np.arange((b - 1) * (b - 1)) % (b - 1)]
-    out[:, : b - 1] = fill.reshape(b - 1, b - 1)
+    others = np.array([a for a in range(b) if a != 1], dtype=out.dtype)
+    out[:, : b - 1] = np.resize(others, (b - 1, b - 1))
     w1 = FiniteWord(Alphabet(b), out.reshape(-1))
     return [PerfectStage(1, w1, 1, "seed")]
 

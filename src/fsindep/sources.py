@@ -131,14 +131,21 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, t: np.ndarray) -> None:
+    """Apply the finalizer to uint64 z in place; t is uint64 scratch of z's size."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
 
 
 _MASK64 = (1 << 64) - 1
-_MIX_CHUNK = 1 << 16  # RandomSource symbols mixed at a time
+# RandomSource mixes this many symbols at a time, so its working memory
+# is two uint64 arrays of 512 KiB: the chunk's counters, mixed in place,
+# and one scratch array reused for every chunk of a request.
+_MIX_CHUNK = 1 << 16
 
 
 def derive_seed(seed: int, *branch: int) -> int:
@@ -155,7 +162,8 @@ def derive_seed(seed: int, *branch: int) -> int:
 class RandomSource(WordSource):
     """Seeded uniform i.i.d. symbols (SplitMix64 counter stream).
 
-    The symbol at position i depends only on (seed, i), so a clone is
+    Symbol i (1-based) is the SplitMix64 finalizer of seed + i * gamma
+    mod 2^64, reduced mod b: it depends only on (seed, i), so a clone is
     just a restart of the same counter.
     """
 
@@ -165,13 +173,23 @@ class RandomSource(WordSource):
         self._count = 0
 
     def _produce(self, n):
-        out = np.empty(n, dtype=_dtype_for(self.alphabet.size))
-        seed, b = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(self.alphabet.size)
-        # mix a chunk at a time, so the uint64 temporaries stay small
+        b = self.alphabet.size
+        out = np.empty(n, dtype=_dtype_for(b))
+        seed = np.uint64(self.seed & _MASK64)
+        t = np.empty(min(n, _MIX_CHUNK), dtype=np.uint64)
         for lo in range(0, n, _MIX_CHUNK):
             hi = min(lo + _MIX_CHUNK, n)
-            idx = np.arange(self._count + lo + 1, self._count + hi + 1, dtype=np.uint64)
-            out[lo:hi] = _mix64(seed + _GAMMA * idx) % b
+            z = np.arange(self._count + lo + 1, self._count + hi + 1, dtype=np.uint64)
+            tz = t[: hi - lo]
+            z *= _GAMMA  # seed + GAMMA * i, wrapping mod 2^64
+            z += seed
+            _mix64(z, tz)
+            # z % b as z - (z // b) * b: numpy divides by a scalar through
+            # libdivide, but its remainder runs a hardware division
+            np.floor_divide(z, np.uint64(b), out=tz)
+            tz *= np.uint64(b)
+            z -= tz
+            out[lo:hi] = z
         self._count += n
         return out
 

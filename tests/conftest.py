@@ -150,6 +150,25 @@ def naive_self_similar_prefix(n: int, base: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# random-stream oracle
+
+_MASK64 = (1 << 64) - 1
+
+
+def naive_splitmix64(seed: int, n: int) -> list:
+    """The first n SplitMix64 outputs of a counter stream, one Python int
+    at a time: output i (1-based) is the finalizer of seed + i * gamma mod
+    2**64.  RandomSource's symbol i over b symbols is output i mod b."""
+    out = []
+    for i in range(1, n + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # text oracles
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -386,6 +386,50 @@ def test_symbol_code_lengths_rejects_impossible_blocks():
         model.symbol_code_lengths(np.array([0, 1]), np.array([0, 0]))
 
 
+def test_symbol_code_lengths_takes_any_integer_dtype_and_refuses_other_symbols():
+    nu = np.array([[0.5, 0.2, 0.1], [0.25, 0.6, 0.1], [0.25, 0.2, 0.8]])
+    model = ConditionalModel(A3, 2, nu)
+    x, y = np.array([0, 1, 2, 2, 1, 0]), np.array([2, 2, 1, 0, 0, 1])
+    want = model.symbol_code_lengths(x.astype(np.uint8), y.astype(np.uint8)).tolist()
+    dtypes = ((np.int64, np.int64), (np.int8, np.uint64), (np.uint8, np.intp), (np.uint16, np.int32))
+    for dx, dy in dtypes:
+        assert model.symbol_code_lengths(x.astype(dx), y.astype(dy)).tolist() == want, (dx, dy)
+    # a symbol outside 0..2 would wrap inside a narrow pair id
+    bad = (([0, 0], [3, 0]), ([0, 9], [0, 0]), ([-1, 0], [0, 0]), ([0, 0], [0, -6]), ([0.0, 1.0], [0, 0]))
+    for p, r in bad:
+        with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+            model.symbol_code_lengths(np.array(p), np.array(r))
+    model2 = ConditionalModel(A2, 1, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
+        model2.symbol_code_lengths(np.array([0], dtype=np.uint8), np.array([3], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
+def test_block_sums_match_the_two_dimensional_gather_bit_for_bit(b, k, monkeypatch):
+    from fsindep import compression
+
+    sums = []
+    code_lengths = compression._code_lengths
+    monkeypatch.setattr(compression, "_code_lengths", lambda s: sums.append(s) or code_lengths(s))
+    rng = np.random.default_rng(10 * b + k)
+    smooth = rng.random((b, b)) + 0.02
+    hard = smooth.copy()
+    hard[(np.arange(b) + 1) % b, np.arange(b)] = 0.0  # nu(c + 1 | c) = 0
+    n = 64 * k
+    x = rng.integers(0, b, n).astype(np.uint8)
+    for raw in (smooth, hard):
+        model = ConditionalModel(Alphabet(b), k, raw / raw.sum(axis=0, keepdims=True))
+        for y in (x, np.zeros_like(x), rng.integers(0, b, n).astype(np.uint8)):
+            want = model.neglog[x, y].reshape(-1, k).sum(axis=1)
+            if np.isinf(want).any():
+                with pytest.raises(ValueError, match="probability 0"):
+                    model.symbol_code_lengths(x, y)
+            else:
+                model.symbol_code_lengths(x, y)
+            assert np.array_equal(sums.pop().view(np.int64), want.view(np.int64))
+
+
 def test_codebooks_are_prefix_free_and_kraft_feasible():
     rng = np.random.default_rng(31)
     for _ in range(30):

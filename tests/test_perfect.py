@@ -320,6 +320,24 @@ def test_advance_runs_once_per_stage_per_base(monkeypatch):
     assert built == [(b, n) for b in (2, 3) for n in range(seeds[b] + 1, 12)]
 
 
+def test_tower_stages_are_built_in_the_alphabet_dtype(monkeypatch):
+    import tracemalloc
+
+    from fsindep import perfect
+
+    monkeypatch.setattr(perfect, "_TOWERS", {})  # build every stage below
+    n = 1 << 18
+    tracemalloc.start()
+    try:
+        SelfSimilarSource(6).take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # base 6 keeps block length 1 this far, so each stage is a fill
+    # extension of the last; through int64 arrays it peaked at 19 B/symbol
+    assert peak <= 8 * n, peak / n
+
+
 def test_a_second_source_builds_no_second_tower():
     import tracemalloc
 

@@ -23,6 +23,7 @@ from fsindep import (
     odd,
     word,
 )
+from conftest import naive_splitmix64
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -85,6 +86,19 @@ def test_random_source_is_deterministic_and_chunking_invariant():
     b = RandomSource(A3, seed=123)
     chunks = np.concatenate([a.take(n) for n in (1, 7, 64, 3)])
     assert np.array_equal(b.take(75), chunks)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, derive_seed(11, 3)])
+def test_random_source_matches_the_splitmix64_oracle(seed):
+    # the odd sizes make takes start and end inside 2**16-symbol mixing chunks
+    sizes = (3, (1 << 16) - 3, 7, (1 << 16) + 5)
+    mixed = naive_splitmix64(seed, sum(sizes))
+    for b in (2, 3, 4, 256):  # powers of two and not
+        s = RandomSource(Alphabet(b), seed)
+        got = [s.take(n) for n in sizes]
+        assert all(part.dtype == np.uint8 for part in got)
+        assert np.concatenate(got).tolist() == [z % b for z in mixed], b
+        assert s.clone().take(9).tolist() == [z % b for z in mixed[:9]], b
 
 
 def test_random_source_take_has_a_bounded_peak_per_symbol():
