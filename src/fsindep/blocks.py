@@ -51,8 +51,13 @@ def _count_ids(ids: np.ndarray, size: int) -> np.ndarray:
 def digits(vals, width: int, b: int) -> np.ndarray:
     """Base-b digits of vals, most significant first, on a new last axis."""
     rest = np.array(vals)
+    q = np.empty_like(rest)
     out = np.empty(rest.shape + (width,), dtype=_dtype_for(b))
     for j in range(width - 1, -1, -1):
-        out[..., j] = rest % b
-        rest //= b
+        # rest % b in place: numpy divides by a scalar faster than it takes %
+        np.floor_divide(rest, b, out=q)
+        q *= b
+        rest -= q
+        out[..., j] = rest
+        np.floor_divide(q, b, out=rest)
     return out

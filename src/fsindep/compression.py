@@ -17,15 +17,15 @@ dependence on the reference).
 
 from __future__ import annotations
 
-import bisect
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .blocks import _count_ids, _horner, aligned_ids, digits
-from .words import Alphabet, FiniteWord
+from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 from .automata import KAutomaton, RunTrace, compile, run
 from .engine import _WINDOW, _Run
@@ -457,23 +457,18 @@ def train_model(
     return ConditionalModel(x_train.alphabet, k, nu)
 
 
-class _CodeTable(NamedTuple):
-    """Canonical code of one condition block v.
+#: bytes a PrefixCode's store of code tables may hold; a build past it raises
+_STORE_CAP = 2**28
 
-    ``lengths[u]`` and ``values[u]`` are primary block u's codeword length
-    (-1 when the model rules u out) and value, the codeword read as a
-    base-b number.  ``values`` is int64 when every codeword fits, else an
-    object array of Python ints.  ``order`` lists the possible blocks by
-    (length, s, id).  ``groups`` has one (length, first value, first index
-    into order, count) entry per distinct length, shortest first: the
-    blocks ``order[start : start + count]`` hold the values
-    ``first .. first + count - 1``.
-    """
 
-    lengths: np.ndarray
-    values: np.ndarray
-    order: np.ndarray
-    groups: list
+def _firsts(count: np.ndarray, b: int) -> np.ndarray:
+    """first[:, L] = (first[:, L-1] + count[:, L-1]) * b; int64 below 2**63."""
+    top = count.shape[1] - 1
+    fits = int(count.sum(axis=1).max(initial=0)) * b**top < 2**63  # sum * b**L >= first + count
+    first = np.zeros(count.shape, dtype=np.int64 if fits else object)
+    for L in range(1, top + 1):
+        first[:, L] = (first[:, L - 1] + count[:, L - 1]) * b
+    return first
 
 
 class PrefixCode:
@@ -481,26 +476,35 @@ class PrefixCode:
 
     For each reference block v, primary blocks get codewords over the
     same alphabet with |w(u, v)| = max(ceil(-log_b nu(u | v)), 1) (or the
-    empty codeword when nu(u | v) = 1).  The code of a condition is built
-    with numpy the first time the condition occurs and cached as a table
-    of codeword lengths and values plus, per distinct length, the first
-    code value, the first canonical index and the count (Moffat & Turpin
-    1997).  Building a table checks the Kraft inequality exactly in
-    integers and raises ValueError when it fails, also under python -O.
-    ``codebook`` derives the explicit codewords from the same table, as a
-    reference view.
+    empty codeword when nu(u | v) = 1).  A condition's code is built the
+    first time it occurs, as one row of a dense store (Moffat & Turpin
+    1997).  ``_lengths``, ``_values`` and ``_order`` have a column per
+    primary block u: its codeword length (-1 when the model rules u out),
+    its value (the codeword as a base-b number; Python ints once one passes
+    int64), and the blocks in (length, s, id) order, impossible ones last.
+    ``_first`` and ``_count`` hold the first value and the number of the
+    codewords of each length 0 .. Lmax; ``_row_of`` maps a condition to its
+    row (-1 until built).  A build checks Kraft exactly in integers, also
+    under python -O, and refuses before it allocates when the store would
+    pass _STORE_CAP bytes (2 + 8 + 1..4 B per block and condition, more for
+    Python ints).  ``codebook`` derives a row's codewords, as a reference.
     """
 
-    _TABLE_CAP = 2**20
+    _TABLE_CAP = 2**20  # entries per build batch, which bounds its scratch
 
     def __init__(self, model: ConditionalModel):
         self.model = model
-        b = model.alphabet.size
-        if b**model.k > self._TABLE_CAP:
+        size = model.alphabet.size**model.k
+        if size > self._TABLE_CAP:
             raise ValueError(
-                f"codebook table {b}**{model.k} exceeds cap {self._TABLE_CAP}"
+                f"codebook table {model.alphabet.size}**{model.k} exceeds cap {self._TABLE_CAP}"
             )
-        self._cache: Dict[int, _CodeTable] = {}
+        self._size = size
+        self._row_of = np.full(size, -1, dtype=np.int32)
+        self._lengths = np.zeros((0, size), dtype=np.int16)
+        self._values = np.zeros((0, size), dtype=np.int64)
+        self._order = np.zeros((0, size), dtype=_dtype_for(size))
+        self._count = self._first = np.zeros((0, 1), dtype=np.int64)
 
     def _neglog_for_conditions(self, v_ids: np.ndarray) -> np.ndarray:
         """-log_b nu(u | v): one row per condition v, one column per block u."""
@@ -517,90 +521,76 @@ class PrefixCode:
         flip = np.arange(b**k).reshape((b,) * k).transpose(range(k - 1, -1, -1))
         return s[:, flip.reshape(-1)]
 
-    def _tables(self, v_ids) -> list:
-        """The tables of the given condition blocks, building missing ones.
+    def _rows(self, v_ids: np.ndarray) -> np.ndarray:
+        """Each condition's store row, building missing ones _TABLE_CAP entries a batch."""
+        seen = np.zeros(self._size, dtype=bool)
+        seen[v_ids] = True
+        missing = np.flatnonzero(seen & (self._row_of < 0))
+        if missing.size:
+            kept = (self._lengths, self._values, self._order)
+            old, rows = len(kept[0]), len(kept[0]) + missing.size
+            need = rows * self._size * sum(a.itemsize for a in kept)
+            if need > _STORE_CAP:
+                raise ValueError(
+                    f"code tables for {rows} conditions need {need} bytes, "
+                    f"over the cap of {_STORE_CAP}"
+                )
+            store = [np.pad(a, ((0, missing.size), (0, 0))) for a in kept]
+            counts = [self._count]
+            step = max(1, self._TABLE_CAP // self._size)
+            for i in range(0, missing.size, step):
+                counts.append(self._build(missing[i : i + step], store, old + i))
+            w = max(c.shape[1] for c in counts)
+            self._count = np.concatenate([np.pad(c, ((0, 0), (0, w - c.shape[1]))) for c in counts])
+            self._first = _firsts(self._count, self.model.alphabet.size)
+            self._lengths, self._values, self._order = store
+            self._row_of[missing] = np.arange(old, rows)
+        return self._row_of[v_ids].astype(np.intp)
 
-        Missing tables are built together, at most _TABLE_CAP entries per
-        batch, which bounds the batch's scratch arrays.
-        """
-        missing = [v for v in dict.fromkeys(v_ids) if v not in self._cache]
-        step = self._TABLE_CAP // self.model.alphabet.size**self.model.k
-        for i in range(0, len(missing), step):
-            self._build_tables(np.asarray(missing[i : i + step], dtype=np.int64))
-        return [self._cache[v] for v in v_ids]
-
-    def _conditions(self, y: WordSource, n: int):
-        """The tables of the condition blocks among y's first n symbols, and
-        for each block the index of its table."""
-        k, b = self.model.k, self.model.alphabet.size
-        conds, cond_of = np.unique(aligned_ids(y.take(n), k, b), return_inverse=True)
-        return self._tables(conds.tolist()), cond_of
-
-    def _build_tables(self, v_ids: np.ndarray) -> None:
-        """Build and cache the tables of several conditions at once."""
+    def _build(self, v_ids: np.ndarray, store: list, at: int) -> np.ndarray:
+        """Fill the conditions v_ids' rows at, at + 1, .. of store; return their counts."""
         b = self.model.alphabet.size
         s = self._neglog_for_conditions(v_ids)
-        m, width = s.shape
+        m, size = s.shape
+        rows = slice(at, at + m)
         lengths = _code_lengths(s)
         # the length is nondecreasing in s, so a stable sort by s gives the
         # (length, s, id) order, impossible blocks (s = inf) last.  The one
         # exception, a sure block (s = 0) after blocks with s < 0 (nu above
         # 1), breaks Kraft in any order and raises below.
         order = np.argsort(s, axis=1, kind="stable")
-        flat_order = (order + width * np.arange(m)[:, None]).reshape(-1)
-        sorted_len = lengths.reshape(-1)[flat_order].reshape(m, width)
-        is_possible = sorted_len >= 0
-        possible = is_possible.sum(axis=1)
-        starts = np.ones((m, width), dtype=bool)
-        starts[:, 1:] = sorted_len[:, 1:] != sorted_len[:, :-1]
-        starts &= is_possible
-        rows, group_start = np.nonzero(starts)
-        row_end = np.append(rows[1:] != rows[:-1], True)
-        group_end = np.where(row_end, possible[rows], np.append(group_start[1:], 0))
-        group_len = sorted_len[rows, group_start].tolist()
-        group_count = (group_end - group_start).tolist()
-        group_start = group_start.tolist()
-        # one step per distinct length of a row: its first value is the
-        # previous length's next free value shifted left
-        group_first, nxt, prev = [], 0, 0
-        row_start = np.append(True, row_end[:-1]).tolist()
-        for new_row, L, count in zip(row_start, group_len, group_count):
-            if new_row:
-                nxt, prev = 0, L
-            nxt *= b ** (L - prev)
-            group_first.append(nxt)
-            nxt += count
-            prev = L
-        # Kraft, exactly: at a row's last length Lmax the next free value
-        # is sum(count_L * b**(Lmax - L)), which must not pass b**Lmax
-        last = np.flatnonzero(row_end).tolist()
-        for g in last:
-            if group_first[g] + group_count[g] > b ** group_len[g]:
+        del s
+        store[0][rows], store[2][rows] = lengths, order
+        top = lengths.max(axis=1)
+        span = int(top.max()) + 2
+        r = np.arange(m)
+        # codewords per row and length, in lengths' memory; column 0: impossible
+        cells = lengths
+        cells += (1 + span * r)[:, None]
+        count = np.bincount(cells.reshape(-1), minlength=m * span).reshape(m, span)[:, 1:]
+        first = _firsts(count, b)
+        # Kraft, exactly: at a row's longest length L the next free value
+        # sum(count_l * b**(L - l)) must not pass b**L
+        used = (first[r, top] + count[r, top]).tolist()
+        for v, L, u in zip(v_ids.tolist(), top.tolist(), used):
+            if u > b**L:
                 raise ValueError(
-                    f"Kraft violation for condition block {int(v_ids[rows[g]])}: "
-                    f"lengths up to {group_len[g]} need "
-                    f"{group_first[g] + group_count[g]} of {b}**{group_len[g]} leaves"
+                    f"Kraft violation for condition block {v}: "
+                    f"lengths up to {L} need {u} of {b}**{L} leaves"
                 )
-        dtype = np.int64 if b ** max(group_len) <= 2**63 else object
-        offsets = np.array(
-            [f - i for f, i in zip(group_first, group_start)], dtype=dtype
-        )
-        sorted_values = np.zeros((m, width), dtype=dtype)
-        sorted_values[is_possible] = np.repeat(offsets, group_count)
-        sorted_values += np.arange(width)
-        values = np.zeros(m * width, dtype=dtype)
-        values[flat_order] = sorted_values.reshape(-1)
-        values = values.reshape(m, width)
-        values[lengths < 0] = 0
-        groups = list(zip(group_len, group_first, group_start, group_count))
-        lo = 0
-        for r, (v, hi, n_possible) in enumerate(
-            zip(v_ids.tolist(), last, possible.tolist())
-        ):
-            self._cache[v] = _CodeTable(
-                lengths[r], values[r], order[r, :n_possible], groups[lo : hi + 1]
-            )
-            lo = hi + 1
+        # the j-th block in order has value j + first[L] - (blocks shorter
+        # than L); the offset column of cells' impossible blocks stays 0
+        offset = np.zeros((m, span), dtype=first.dtype)
+        offset[:, 1:] = first - (np.cumsum(count, axis=1) - count)
+        order += (size * r)[:, None]  # now flat indices into the batch
+        ranked = offset.reshape(-1)[cells.reshape(-1)[order]]
+        ranked += np.arange(size)
+        if first.dtype == object:
+            store[1] = store[1].astype(object, copy=False)
+        values = store[1][rows]
+        values.reshape(-1)[order] = ranked  # rows of the store, not a copy
+        values[store[0][rows] < 0] = 0
+        return count
 
     def codebook(self, v_id: int):
         """(lengths array, list of codeword tuples), canonically assigned.
@@ -609,14 +599,16 @@ class PrefixCode:
         with hand-built models) get no codeword; their entry is None and
         their length -1.
         """
-        table = self._tables([v_id])[0]
         b = self.model.alphabet.size
-        codewords = [None] * table.lengths.size
-        for L, _, start, count in table.groups:
-            blocks = table.order[start : start + count]
-            for u, cw in zip(blocks.tolist(), digits(table.values[blocks], L, b).tolist()):
+        r = int(self._rows(np.array([v_id]))[0])
+        codewords = [None] * self._size
+        start = 0
+        for L, count in enumerate(self._count[r].tolist()):
+            blocks = self._order[r, start : start + count]
+            for u, cw in zip(blocks.tolist(), digits(self._values[r, blocks], L, b).tolist()):
                 codewords[u] = tuple(cw)
-        return table.lengths, codewords
+            start += count
+        return self._lengths[r].copy(), codewords
 
 
 def build_prefix_code(model: ConditionalModel) -> PrefixCode:
@@ -629,10 +621,10 @@ def cond_encode(
     """Encode n symbols of x against reference y with per-block codewords.
 
     n must be a multiple of the model's block length.  Both sources are
-    consumed in lockstep, k symbols per block.  Codes are built only for
-    the condition blocks that occur; a block's codeword is the last
-    ``lengths[i]`` of the ``width`` base-b digits of its value in its
-    condition's table, ``width`` being the longest codeword used.
+    consumed in lockstep, k symbols per block.  Rows of the code's store
+    are built only for the condition blocks that occur; one gather reads
+    each block's codeword length and value, and each output symbol is one
+    base-b digit of its block's value.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
@@ -640,18 +632,21 @@ def cond_encode(
     if n % k:
         raise ValueError(f"budget {n} is not a multiple of block length {k}")
     u_ids = aligned_ids(x.take(n), k, b)
-    tables, cond_of = code._conditions(y, n)
-    lengths = np.zeros(u_ids.size, dtype=np.int64)
-    values = np.zeros(u_ids.size, dtype=np.int64)
-    if tables:
-        lengths = np.stack([t.lengths for t in tables])[cond_of, u_ids]
-        values = np.stack([t.values for t in tables])[cond_of, u_ids]
+    flat = code._rows(aligned_ids(y.take(n), k, b)) * code._size + u_ids
+    lengths = code._lengths.reshape(-1)[flat].astype(np.int64)
+    values = code._values.reshape(-1)[flat]
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
     est = _block_estimate(n, k, lengths)
-    width = int(lengths.max()) if lengths.size else 0
-    kept = np.arange(width) >= width - lengths[:, None]
-    return FiniteWord(model.alphabet, digits(values, width, b)[kept]), est
+    # output symbol j of a codeword ending before e is the digit of
+    # b**(e - 1 - j) of its value; x - x // b * b is x % b, but faster
+    power = b ** np.arange(lengths.max(initial=0), dtype=values.dtype)
+    shift = np.repeat(np.cumsum(lengths) - 1, lengths)
+    shift -= np.arange(est.output_symbols)
+    out = np.repeat(values, lengths)
+    out //= power[shift]
+    out -= out // b * b
+    return FiniteWord(model.alphabet, out.astype(_dtype_for(b))), est
 
 
 def cond_decode(
@@ -659,57 +654,57 @@ def cond_decode(
 ) -> FiniteWord:
     """Decode n symbols (n/k blocks) from a cond_encode stream.
 
-    Canonical decoding from the per-condition tables, one step per block:
-    the next W compressed symbols, read as a base-b number w (W is the
-    longest codeword of the conditions that occur, zeros past the end),
-    fall below the first limit (first + count) * b**(W - L) exactly for
-    the codeword length L being read.  A window that starts no codeword
-    or a truncated final codeword raises DecodeDeadEnd, as does trailing
-    data after the last block.
+    Canonical decoding from the code's store, one step per block: the next
+    W compressed symbols, read as a base-b number w (W is the longest
+    codeword of the conditions that occur, zeros past the end), fall below
+    the limit (first + count) * b**(W - L) exactly from the codeword length
+    L being read on, so one bisect over the row's limits for L = 0 .. W
+    gives L.  The limits and offsets of the rows that occur become Python
+    lists once, and the window is read as Python ints.  A window that
+    starts no codeword or a truncated final codeword raises DecodeDeadEnd,
+    as does trailing data after the last block.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
     n = int(n)
     if n % k:
         raise ValueError(f"length {n} is not a multiple of block length {k}")
-    comp = compressed.data
-    size = comp.size
-    tables, cond_of = code._conditions(y, n)
-    width = max((t.groups[-1][0] for t in tables), default=0)
-    dtype = np.int64 if b**width <= 2**63 else object
-    padded = np.concatenate((comp.astype(dtype), np.zeros(width, dtype=dtype)))
+    size = len(compressed)
+    rows = code._rows(aligned_ids(y.take(n), k, b))
+    present = np.flatnonzero(np.bincount(rows, minlength=code._count.shape[0]))
+    count = code._count[present]
+    width = int(np.flatnonzero(count.any(axis=0))[-1]) if present.size else 0
+    count = count[:, : width + 1]
+    first = code._first[present, : width + 1]
+    dtype = np.int64 if b**width < 2**63 else object
+    padded = np.concatenate((compressed.data.astype(dtype), np.zeros(width, dtype=dtype)))
     window = np.zeros(size + 1, dtype=dtype)
     for j in range(width):
-        window = window * b + padded[j : j + size + 1]
-    # per condition: the limits, lengths and scales of its length groups,
-    # and where each group's canonical index starts in the joint order
-    forms, base = [], 0
-    for t in tables:
-        scale = [b ** (width - L) for L, _, _, _ in t.groups]
-        forms.append((
-            [(f + c) * d for (_, f, _, c), d in zip(t.groups, scale)],
-            [L for L, _, _, _ in t.groups],
-            scale,
-            [base + i - f for _, f, i, _ in t.groups],
-        ))
-        base += t.order.size
+        window *= b
+        window += padded[j : j + size + 1]
+    # a memoryview reads Python ints without converting the whole window
+    window = window.tolist() if dtype is object else memoryview(window)
+    scale = [b ** (width - L) for L in range(width + 1)]
+    # per row that occurs: the limits of lengths 0 .. width, and for each
+    # length the flat index in the store's order of the block of value 0
+    limits = (first + count) * np.array(scale, dtype=dtype)
+    offsets = (present * code._size)[:, None] + np.cumsum(count, axis=1) - count - first
+    forms = list(zip(limits.tolist(), offsets.tolist()))
     picks = []
     pos = 0
-    for c in cond_of.tolist():
-        limits, group_len, scale, offsets = forms[c]
-        w = int(window[pos])
-        g = bisect.bisect_right(limits, w)
-        if g == len(limits):
+    for c in np.searchsorted(present, rows).tolist():
+        limits, off = forms[c]
+        w = window[pos]
+        L = bisect_right(limits, w)
+        if L > width:
             raise DecodeDeadEnd(f"no codeword starts at compressed symbol {pos}")
-        L = group_len[g]
         if pos + L > size:
             raise DecodeDeadEnd("compressed stream ended inside a codeword")
-        picks.append(offsets[g] + w // scale[g])
+        picks.append(off[L] + w // scale[L])
         pos += L
     if pos != size:
         raise DecodeDeadEnd(f"{size - pos} trailing symbols after the last block")
-    order = np.concatenate([t.order for t in tables] or [np.zeros(0, np.int64)])
-    blocks = order[np.asarray(picks, dtype=np.int64)]
+    blocks = code._order.reshape(-1)[np.asarray(picks, dtype=np.int64)]
     return FiniteWord(model.alphabet, digits(blocks, k, b).reshape(-1))
 
 

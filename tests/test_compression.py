@@ -1,9 +1,11 @@
 """Transducer compression ratios, the match-run conditional compressor,
 and the block-entropy conditional coder."""
 
+import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -46,7 +48,9 @@ from fsindep import (
     train_model,
     word,
 )
-from conftest import _naive_digits, naive_cond_decode, naive_cond_encode
+from fsindep.blocks import aligned_ids
+
+from conftest import _naive_digits, naive_codebook, naive_cond_decode, naive_cond_encode
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -641,6 +645,138 @@ def test_codec_keeps_codewords_exact_past_int64(nu):
             FiniteWord(alpha, x), FiniteWord(alpha, y), code
         )
         assert b ** max(lengths) > 2**63
+
+
+# the cond_encode streams of the benchmark's three codec cases (4096 blocks;
+# other seeds) and of one k = 1 case, as made before the dense code store
+CODEC_STREAM_PINS = {
+    (2, 8, 0.0): (34968, "ec3112cc1f7231312e2a7129d93b87fcefb7e5003cdd9c9a2f0f4e3accb35263"),
+    (2, 8, 0.1): (17864, "88a6d1050fce06eab14eacbf866f359242c98b10ebb961960b4684e565e9d10f"),
+    (3, 5, 0.0): (22459, "585b3bad5a209ff8b86c5cddd4a496a588e4e379639b3f5a972a6430816bca59"),
+    (3, 1, 0.1): (4930, "b4914832b1e562968aeef7f3d41e53c84aace912eaffdd17142b883f8ef83d08"),
+}
+
+
+def _codec_pair(b: int, k: int, flip: float, blocks: int = 4096):
+    """x and a reference that is independent, or x with a share flip changed."""
+    alpha = Alphabet(b)
+    n = blocks * k
+    x = RandomSource(alpha, 11)
+    if not flip:
+        return x, RandomSource(alpha, 12), n
+    xs = x.prefix(n).data
+    flips = np.random.default_rng(12).random(n) < flip
+    return x, LiteralSource(FiniteWord(alpha, np.where(flips, (xs + 1) % b, xs))), n
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_STREAM_PINS))
+def test_codec_streams_are_pinned(case):
+    x, y, n = _codec_pair(*case)
+    code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), case[1]))
+    comp, est = cond_encode(x.clone(), y.clone(), code, n)
+    digest = hashlib.sha256(comp.data.astype(np.uint8).tobytes()).hexdigest()
+    assert (len(comp), digest) == CODEC_STREAM_PINS[case]
+    assert est.output_symbols == len(comp)
+    assert cond_decode(comp, y.clone(), code, n) == x.prefix(n)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_code_store_grows_over_calls_and_batches_like_the_naive_codebook(batch):
+    for b, k, nu in (
+        (2, 4, np.array([[0.7, 0.2], [0.3, 0.8]])),
+        (3, 3, np.array([[0.6, 0.1, 0.3], [0.3, 0.8, 0.3], [0.1, 0.1, 0.4]])),
+        # reference 1 makes a primary 0 a 1e-30 event, past int64 from k = 3
+        (2, 3, np.array([[0.5, 1e-30], [0.5, 1 - 1e-9]])),
+    ):
+        alpha = Alphabet(b)
+        model = ConditionalModel(alpha, k, nu)
+        code = build_prefix_code(model)
+        if batch:
+            code._TABLE_CAP = batch * b**k
+        rng = np.random.default_rng(b * 10 + k)
+        n = 12 * k
+        # the first reference holds no 1 (so the third code's first rows fit
+        # int64); the second shares half its conditions with it
+        first_y = rng.integers(0, b, n)
+        first_y[first_y == 1] = 0
+        second_y = np.concatenate((first_y[: n // 2], rng.integers(0, b, n // 2)))
+        dtypes = []
+        for y in (first_y, second_y):
+            xw = FiniteWord(alpha, np.where(y == 1, 1, rng.integers(0, b, n)))
+            yw = FiniteWord(alpha, y)
+            comp, _ = cond_encode(LiteralSource(xw), LiteralSource(yw), code, n)
+            assert cond_decode(comp, LiteralSource(yw), code, n) == xw
+            built = np.flatnonzero(code._row_of >= 0)
+            conds = np.unique(aligned_ids(y, k, b))
+            assert set(conds.tolist()) <= set(built.tolist())
+            # every row is built once: one row per condition seen so far
+            assert code._lengths.shape[0] == built.size
+            dtypes.append(code._values.dtype)
+        assert dtypes == [np.int64, np.int64 if nu.min() > 1e-20 else object]
+        for v in built.tolist():
+            lengths, codewords = code.codebook(v)
+            assert (lengths.tolist(), codewords) == naive_codebook(model, v), (b, k, v)
+        assert code._lengths.shape[0] == built.size  # codebook built nothing new
+
+
+@pytest.mark.parametrize("b, k", [(2, 1), (3, 1), (2, 8)])
+def test_cond_decode_refuses_every_truncation_and_a_trailing_symbol(b, k):
+    x, y, n = _codec_pair(b, k, 0.1, blocks=40)
+    code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), k))
+    comp, _ = cond_encode(x.clone(), y.clone(), code, n)
+    assert cond_decode(comp, y.clone(), code, n) == x.prefix(n)
+    for cut in range(len(comp)):
+        with pytest.raises(DecodeDeadEnd):
+            cond_decode(comp.segment(1, cut), y.clone(), code, n)
+    for a in range(b):
+        with pytest.raises(DecodeDeadEnd, match="trailing"):
+            cond_decode(comp + FiniteWord(Alphabet(b), [a]), y.clone(), code, n)
+
+
+def test_a_round_trip_builds_each_condition_row_once(monkeypatch):
+    rows = []
+    neglog = PrefixCode._neglog_for_conditions
+
+    def counted(self, v_ids):
+        rows.extend(np.asarray(v_ids).tolist())
+        return neglog(self, v_ids)
+
+    monkeypatch.setattr(PrefixCode, "_neglog_for_conditions", counted)
+    for b, k, flip in ((2, 8, 0.1), (3, 5, 0.0), (2, 1, 0.0)):
+        x, y, n = _codec_pair(b, k, flip, blocks=512)
+        code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), k))
+        comp, _ = cond_encode(x.clone(), y.clone(), code, n)
+        cond_decode(comp, y.clone(), code, n)
+        conds = np.unique(aligned_ids(y.prefix(n).data, k, b)).tolist()
+        assert sorted(rows) == conds, (b, k)
+        rows.clear()
+
+
+def test_code_store_refuses_past_its_byte_cap_before_allocating(monkeypatch):
+    import tracemalloc
+    from fsindep import compression
+
+    b, k = 2, 12
+    monkeypatch.setattr(compression, "_STORE_CAP", 4 << 20)
+    code = build_prefix_code(ConditionalModel(Alphabet(b), k, np.array([[0.7, 0.2], [0.3, 0.8]])))
+    x, y = RandomSource(Alphabet(b), 1), RandomSource(Alphabet(b), 2)
+    # 16 blocks: at most 16 rows of 4096 entries, well inside 4 MiB
+    comp, _ = cond_encode(x.clone(), y.clone(), code, 16 * k)
+    assert cond_decode(comp, y.clone(), code, 16 * k) == x.prefix(16 * k)
+    rows = code._lengths.shape[0]
+    n = 1024 * k  # about 900 new conditions, about 45 MB of rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"need (\d+) bytes, over the cap of 4194304") as err:
+            cond_encode(x.clone(), y.clone(), code, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = int(re.search(r"need (\d+) bytes", str(err.value))[1])
+    assert need > 40 << 20
+    assert peak < 1 << 20, peak  # the sources' symbols and the ids, no row
+    assert code._lengths.shape[0] == rows  # the store is as it was
+    assert cond_decode(comp, y.clone(), code, 16 * k) == x.prefix(16 * k)
 
 
 # ---------------------------------------------------------------------------
