@@ -29,7 +29,6 @@ from .sources import (
     OddSource,
     JoinSource,
     file_source,
-    constant_source,
     derive_seed,
 )
 from .automata import (
@@ -87,6 +86,7 @@ from .compression import (
     cond_encode,
     cond_decode,
     conditional_ratio_estimate,
+    unconditional_ratio_estimate,
     IndependenceReport,
     independence_report,
     LosslessnessReport,

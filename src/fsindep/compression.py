@@ -394,12 +394,7 @@ class ConditionalModel:
         self.alphabet = alphabet
         self.k = k
         self.nu = nu
-        # -log_b nu; hard zeros become +inf (never decodable, infinite length)
-        with np.errstate(divide="ignore"):
-            if b == 2:
-                self.neglog = -np.log2(nu)
-            else:
-                self.neglog = -np.log(nu) / np.log(b)
+        self.neglog = _neglog(nu)
 
     def symbol_code_lengths(self, primary: np.ndarray, reference: np.ndarray):
         """Per-block codeword lengths for paired symbol arrays (length n, k | n)."""
@@ -408,10 +403,13 @@ class ConditionalModel:
         if primary.size % self.k:
             raise ValueError(f"length {primary.size} not a multiple of k={self.k}")
         s = self.neglog.ravel()[_pair_ids(primary, reference, self.alphabet.size)]
-        lengths = _code_lengths(s.reshape(-1, self.k).sum(axis=1))
-        if np.any(lengths < 0):
-            raise ValueError("model assigns probability 0 to an observed block")
-        return lengths
+        return _block_lengths(s, self.k)
+
+
+def _neglog(nu: np.ndarray) -> np.ndarray:
+    """-log_b nu; hard zeros become +inf (never decodable, infinite length)."""
+    with np.errstate(divide="ignore"):
+        return -np.log2(nu) if len(nu) == 2 else -np.log(nu) / np.log(len(nu))
 
 
 def _pair_ids(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
@@ -423,10 +421,34 @@ def _pair_ids(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
     return _horner((primary, reference).__getitem__, 2, b)
 
 
-def _fit(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
-    """nu(a | c) of paired symbol arrays, with add-one smoothing."""
-    counts = _count_ids(_pair_ids(primary, reference, b), b * b).reshape(b, b).astype(float)
-    return (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + b)
+def _pair_counts(primary: np.ndarray, reference: np.ndarray, b: int) -> np.ndarray:
+    """counts[a, c]: how often the pair (a, c) occurs in the paired arrays."""
+    return _count_ids(_pair_ids(primary, reference, b), b * b).reshape(b, b)
+
+
+def _smooth(counts: np.ndarray) -> np.ndarray:
+    """nu(a | c) from pair counts[a, c], add-one smoothed; C order keeps logs bit-equal."""
+    counts = counts.astype(float, order="C")
+    return (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + len(counts))
+
+
+def _block_lengths(s: np.ndarray, k: int) -> np.ndarray:
+    """Codeword lengths of the k-symbol blocks whose terms -log_b nu are s; nu = 0 raises."""
+    s = s.reshape(-1, k).sum(axis=1)  # frees the symbols' terms if only s held them
+    lengths = _code_lengths(s)
+    if np.any(lengths < 0):
+        raise ValueError("model assigns probability 0 to an observed block")
+    return lengths
+
+
+def _constant_lengths(counts: np.ndarray, data: np.ndarray, k: int) -> np.ndarray:
+    """Block lengths of data against a constant reference c, fit from each symbol's
+    training count; a block's length is then a function of the block alone."""
+    b = counts.size
+    col = _neglog(_smooth(np.pad(counts[:, None], ((0, 0), (0, b - 1)))))[:, 0]
+    if b**k <= data.size // k:  # no more blocks possible than measured: sum each once
+        return _block_lengths(col[digits(np.arange(b**k), k, b)], k)[aligned_ids(data, k, b)]
+    return _block_lengths(col[data], k)
 
 
 def _code_lengths(s: np.ndarray) -> np.ndarray:
@@ -453,7 +475,7 @@ def train_model(
         raise ValueError("training words need equal lengths")
     if len(x_train) == 0:
         raise ValueError("training words must be nonempty")
-    nu = _fit(x_train.data, y_train.data, x_train.alphabet.size)
+    nu = _smooth(_pair_counts(x_train.data, y_train.data, x_train.alphabet.size))
     return ConditionalModel(x_train.alphabet, k, nu)
 
 
@@ -599,6 +621,8 @@ class PrefixCode:
         with hand-built models) get no codeword; their entry is None and
         their length -1.
         """
+        if not 0 <= v_id < self._size:  # a negative id would index from the end
+            raise ValueError(f"condition block id {v_id} is outside 0 .. {self._size - 1}")
         b = self.model.alphabet.size
         r = int(self._rows(np.array([v_id]))[0])
         codewords = [None] * self._size
@@ -712,29 +736,16 @@ def cond_decode(
 # train/measure split ratio estimation and the independence report
 
 
-def _ratio_from_arrays(
-    primary: np.ndarray, reference: np.ndarray, k: int, alphabet: Alphabet
-) -> RatioEstimate:
-    """Train on the first half, measure ideal code lengths on the second half."""
-    half = primary.size // 2
-    model = ConditionalModel(
-        alphabet, k, _fit(primary[:half], reference[:half], alphabet.size)
-    )
-    lengths = model.symbol_code_lengths(primary[half:], reference[half:])
-    return _block_estimate(primary.size - half, k, lengths)
-
-
-def _paired_prefixes(x: WordSource, y: WordSource, n: int, k: int):
-    """n and k, checked for a block-coder estimate, and x's and y's first n symbols."""
-    k = int(k)
-    n = int(n)
+def _prefixes(n: int, k: int, *sources: WordSource):
+    """n and k, checked for a block-coder estimate, and each source's first n symbols."""
+    n, k = int(n), int(k)
     if k < 1:
         raise ValueError("block length must be at least 1")
     if n < 2 * k or n % (2 * k):
         raise ValueError(f"budget {n} must be a positive multiple of 2k = {2 * k}")
-    if x.alphabet != y.alphabet:
+    if any(s.alphabet != sources[0].alphabet for s in sources):
         raise ValueError("sources need matching alphabets")
-    return n, k, x.prefix(n).data, y.prefix(n).data
+    return (n, k, *(s.prefix(n).data for s in sources))
 
 
 def conditional_ratio_estimate(
@@ -742,13 +753,25 @@ def conditional_ratio_estimate(
 ) -> RatioEstimate:
     """Block-coding ratio of x given reference y over the first n symbols.
 
-    The first n/2 paired symbols fit the model, the second n/2 are
-    measured (code lengths only; no codewords are materialized).  n must
-    be a multiple of 2k.  The sources are read through clones, so the
-    originals are not consumed.
+    The pair counts of the first n/2 paired symbols, add-one smoothed,
+    fit the model; the second n/2 are measured (code lengths only; no
+    codewords are materialized).  n must be a multiple of 2k.  The
+    sources are read through clones, so the originals are not consumed.
     """
-    n, k, xa, ya = _paired_prefixes(x, y, n, k)
-    return _ratio_from_arrays(xa, ya, k, x.alphabet)
+    n, k, xa, ya = _prefixes(n, k, x, y)
+    half = n // 2
+    nu = _smooth(_pair_counts(xa[:half], ya[:half], x.alphabet.size))
+    lengths = ConditionalModel(x.alphabet, k, nu).symbol_code_lengths(xa[half:], ya[half:])
+    return _block_estimate(n - half, k, lengths)
+
+
+def unconditional_ratio_estimate(x: WordSource, n: int, k: int) -> RatioEstimate:
+    """conditional_ratio_estimate of x against a constant reference, which
+    tells the coder nothing: the ratio the block coder reaches on x alone."""
+    n, k, xa = _prefixes(n, k, x)
+    half = n // 2
+    lengths = _constant_lengths(_count_ids(xa[:half], x.alphabet.size), xa[half:], k)
+    return _block_estimate(n - half, k, lengths)
 
 
 @dataclass
@@ -785,21 +808,24 @@ class IndependenceReport:
         )
 
 
-def independence_report(
-    x: WordSource, y: WordSource, n: int, k: int
-) -> IndependenceReport:
-    """Two-sided conditional compression comparison of paired sources."""
-    n, k, xa, ya = _paired_prefixes(x, y, n, k)
-    za = np.zeros(n, dtype=xa.dtype)
-    alph = x.alphabet
-    return IndependenceReport(
-        n=n,
-        k=k,
-        rho_x=_ratio_from_arrays(xa, za, k, alph).final_ratio,
-        rho_y=_ratio_from_arrays(ya, za, k, alph).final_ratio,
-        rho_x_given_y=_ratio_from_arrays(xa, ya, k, alph).final_ratio,
-        rho_y_given_x=_ratio_from_arrays(ya, xa, k, alph).final_ratio,
+def independence_report(x: WordSource, y: WordSource, n: int, k: int) -> IndependenceReport:
+    """Two-sided conditional compression comparison of paired sources: the
+    ratios of x given y and y given x (conditional_ratio_estimate) and of x
+    and y alone (unconditional_ratio_estimate), all fit from one count J of
+    the training pairs (J, J.T, and J's row and column sums) and the two
+    conditional ones gathered through one array of measured pair ids."""
+    n, k, xa, ya = _prefixes(n, k, x, y)
+    half = n // 2
+    joint = _pair_counts(xa[:half], ya[:half], x.alphabet.size)
+    pairs = _pair_ids(xa[half:], ya[half:], x.alphabet.size)
+    symbols = (
+        _constant_lengths(joint.sum(axis=1), xa[half:], k).sum(),
+        _constant_lengths(joint.sum(axis=0), ya[half:], k).sum(),
+        _block_lengths(_neglog(_smooth(joint)).ravel()[pairs], k).sum(),
+        # y given x at (y, x) = (a, c) is read at the pair id c*b + a
+        _block_lengths(_neglog(_smooth(joint.T)).T.ravel()[pairs], k).sum(),
     )
+    return IndependenceReport(n, k, *(int(m) / (n - half) for m in symbols))
 
 
 # ---------------------------------------------------------------------------

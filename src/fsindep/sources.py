@@ -120,10 +120,6 @@ class PeriodicSource(WordSource):
         return PeriodicSource(self.pattern)
 
 
-def constant_source(symbol: int, alphabet: Alphabet) -> PeriodicSource:
-    return PeriodicSource(FiniteWord(alphabet, [alphabet.check_symbol(symbol)]))
-
-
 # SplitMix64 finalizer: a counter-based generator gives exact random
 # access, so clones replay the identical stream with no state to copy.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

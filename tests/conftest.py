@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from fsindep import (
+    ConditionalModel,
     DecodeDeadEnd,
     FiniteWord,
+    IndependenceReport,
     KAutomaton,
     LiteralSource,
     LosslessnessReport,
@@ -536,3 +538,22 @@ def naive_cond_decode(compressed, y, code, n: int):
     if pos != len(comp):
         raise DecodeDeadEnd("trailing symbols after the last block")
     return FiniteWord(model.alphabet, np.asarray(out, dtype=np.int64))
+
+
+def naive_independence_report(x, y, n: int, k: int) -> IndependenceReport:
+    """The four ratios of a report, each from its own train/measure split:
+    a model fit on the first n/2 pairs of (primary, reference), with an
+    all-zero reference for the unconditional ones, then the code lengths
+    of the second n/2 under it."""
+    xa, ya = x.prefix(n).data, y.prefix(n).data
+    za = np.zeros(n, dtype=xa.dtype)
+    b, half = x.alphabet.size, n // 2
+
+    def ratio(primary, reference):
+        ids = primary[:half].astype(np.int64) * b + reference[:half]
+        counts = np.bincount(ids, minlength=b * b).reshape(b, b).astype(float)
+        nu = (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + b)
+        model = ConditionalModel(x.alphabet, k, nu)
+        return int(model.symbol_code_lengths(primary[half:], reference[half:]).sum()) / (n - half)
+
+    return IndependenceReport(n, k, ratio(xa, za), ratio(ya, za), ratio(xa, ya), ratio(ya, xa))

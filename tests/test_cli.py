@@ -457,10 +457,12 @@ def test_independence_parallel_equals_serial(tmp_path):
 
 
 def test_independence_memory_check_counts_every_worker(monkeypatch):
+    from concurrent import futures
+
     from fsindep import cli
 
     pools = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
     monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "2")
     # one trial fits in 2 MiB, two do not
     n = 65536
@@ -475,12 +477,14 @@ def test_independence_memory_check_counts_every_worker(monkeypatch):
 
 
 def test_measure_one_memory_check_counts_every_worker(monkeypatch):
+    from concurrent import futures
+
     from fsindep import cli
 
     pools = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
     monkeypatch.setenv("FSINDEP_MAX_MEM_MB", "2")
-    n = 65536  # one trial fits in 2 MiB, two do not
+    n = 1 << 17  # one trial fits in 2 MiB, two do not
     args = ["experiment", "measure-one", "--gen", "rand", "-n", str(n), "--trials", "2"]
     with pytest.raises(cli.MemoryCapExceeded):
         cli._cmd_experiment(cli._parser().parse_args([*args, "--jobs", "2"]))
@@ -490,10 +494,12 @@ def test_measure_one_memory_check_counts_every_worker(monkeypatch):
 
 
 def test_measure_one_rejects_a_bad_spec_before_any_worker(monkeypatch, capsys):
+    from concurrent import futures
+
     from fsindep import cli
 
     pools = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
     args = ("experiment", "measure-one", "--gen", "wat", "--trials", "2", "--jobs", "2")
     assert run_cli(*args)[0] == 2
     assert pools == []
@@ -639,6 +645,14 @@ def test_perfect_sequence_rerun_identical(tmp_path):
     run_cli("perfect-sequence", "--stages", "10", "--csv", str(a))
     run_cli("perfect-sequence", "--stages", "10", "--csv", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_importing_the_cli_skips_the_process_pool_and_statistics():
+    # about 20 ms of every command's start-up; only --jobs > 1 and trial summaries use them
+    code = "import sys, fsindep.cli; print({'concurrent.futures', 'statistics'} & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
 
 
 def test_module_entry_point_runs():

@@ -18,6 +18,7 @@ from fsindep import (
     Alphabet,
     ConditionalModel,
     DecodeDeadEnd,
+    EvenSource,
     FiniteWord,
     KAutomaton,
     LiteralSource,
@@ -26,6 +27,7 @@ from fsindep import (
     PrefixCode,
     RandomSource,
     RatioEstimate,
+    SelfSimilarSource,
     SourceExhausted,
     TransducerHalted,
     TransducerOutputSource,
@@ -36,7 +38,6 @@ from fsindep import (
     cond_encode,
     conditional_ratio,
     conditional_ratio_estimate,
-    constant_source,
     independence_report,
     match_run_automaton,
     match_run_compress,
@@ -46,11 +47,18 @@ from fsindep import (
     parse_automaton,
     plain_ratio,
     train_model,
+    unconditional_ratio_estimate,
     word,
 )
 from fsindep.blocks import aligned_ids
 
-from conftest import _naive_digits, naive_codebook, naive_cond_decode, naive_cond_encode
+from conftest import (
+    _naive_digits,
+    naive_codebook,
+    naive_cond_decode,
+    naive_cond_encode,
+    naive_independence_report,
+)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -432,6 +440,28 @@ def test_block_sums_match_the_two_dimensional_gather_bit_for_bit(b, k, monkeypat
             else:
                 model.symbol_code_lengths(x, y)
             assert np.array_equal(sums.pop().view(np.int64), want.view(np.int64))
+    if b**k <= 2**16:
+        # against a constant reference, x repeated to as many blocks as
+        # are possible has each possible block summed once, as a table
+        counts = np.bincount(x, minlength=b)
+        fit = np.zeros((b, b))
+        fit[:, 0] = counts
+        model = ConditionalModel(Alphabet(b), k, (fit + 1) / (fit.sum(axis=0) + b))
+        want = model.neglog[x, 0].reshape(-1, k).sum(axis=1)
+        compression._constant_lengths(counts, np.resize(x, max(x.size, b**k * k)), k)
+        table = sums.pop()
+        assert table.size == b**k
+        assert np.array_equal(table[aligned_ids(x, k, b)].view(np.int64), want.view(np.int64))
+
+
+def test_codebook_refuses_condition_ids_outside_the_blocks():
+    model = ConditionalModel(A2, 2, np.array([[0.9, 0.3], [0.1, 0.7]]))
+    code = build_prefix_code(model)
+    for v_id in (-1, 4):  # -1 read condition 3's code, 4 raised IndexError
+        with pytest.raises(ValueError, match=rf"block id {v_id} is outside 0 \.\. 3$"):
+            code.codebook(v_id)
+    lengths, codewords = code.codebook(3)
+    assert (lengths.tolist(), codewords) == naive_codebook(model, 3)
 
 
 def test_codebooks_are_prefix_free_and_kraft_feasible():
@@ -826,6 +856,24 @@ def test_independence_report_identical_pair_is_dependent():
     assert not rep.independent(0.2)
 
 
+@pytest.mark.parametrize("b, k", [(2, 1), (2, 4), (2, 16), (3, 3), (3, 7)])
+def test_independence_report_matches_four_separate_estimates(b, k):
+    # at n near 2**12, the 2**1, 2**4 and 3**3 possible blocks are coded as a
+    # table, while 2**16 and 3**7 are more than the measured blocks
+    n, A = (1 << 12) // (2 * k) * (2 * k), Alphabet(b)
+    rand = RandomSource(A, seed=10 * b + k)
+    pairs = [
+        (rand, RandomSource(A, seed=10 * b + k + 1)),
+        (rand, rand),
+        (rand, LiteralSource(FiniteWord(A, np.zeros(n, dtype=np.uint8)))),
+        (OddSource(SelfSimilarSource(b)), EvenSource(SelfSimilarSource(b))),
+    ]
+    for x, y in pairs:
+        assert independence_report(x, y, n, k) == naive_independence_report(x, y, n, k)
+        want = naive_independence_report(x, x, n, k).rho_x
+        assert unconditional_ratio_estimate(x, n, k).final_ratio == want
+
+
 def test_independence_report_random_pair_is_independent():
     rep = independence_report(
         RandomSource(A2, seed=51), RandomSource(A2, seed=52), 1 << 14, 8
@@ -873,10 +921,3 @@ def test_match_run_automaton_is_lossless_per_oracle():
         assert key not in seen, (bits, seen[key])
         seen[key] = bits
     assert len(seen) == 64
-
-
-def test_unconditional_source_is_all_zero():
-    # the unconditional reference of `experiment measure-one`
-    s = constant_source(0, A3)
-    assert s.take(16).tolist() == [0] * 16
-    assert s.clone().take(4).tolist() == [0, 0, 0, 0]

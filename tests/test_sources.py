@@ -15,7 +15,6 @@ from fsindep import (
     PeriodicSource,
     RandomSource,
     SourceExhausted,
-    constant_source,
     derive_seed,
     even,
     file_source,
@@ -37,10 +36,6 @@ def test_periodic_source_repeats_pattern():
     s = PeriodicSource(word("011", base=2))
     assert text_of(s, 8) == "01101101"
     assert text_of(s, 1) == "1"  # picks up mid-pattern
-
-
-def test_constant_source():
-    assert text_of(constant_source(2, A3), 5) == "22222"
 
 
 def test_literal_source_exhausts():
