@@ -98,7 +98,7 @@ class WordSource:
 
     def prefix(self, n: int) -> FiniteWord:
         """The length-n prefix as a finite word; does not advance this source."""
-        return FiniteWord(self.alphabet, self.clone().take(n))
+        return FiniteWord._adopt(self.alphabet, self.clone().take(n))
 
 
 class PeriodicSource(WordSource):

@@ -8,6 +8,7 @@ and regrouping vectorized.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Union
 
 import numpy as np
@@ -15,12 +16,12 @@ import numpy as np
 #: digits first, then lowercase letters; caps text rendering at 36 symbols
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_TO_SYM = {c: i for i, c in enumerate(_CHARS)}
-#: symbol -> ASCII code of its character
-_CHAR_CODES = np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)
-#: byte -> symbol; a byte that is no symbol character maps to 255
-_SYM_OF_BYTE = np.frombuffer(
-    bytes(_CHAR_TO_SYM.get(chr(i), 255) for i in range(256)), dtype=np.uint8
-)
+#: ``bytes.translate`` table, byte -> symbol; 255 for a byte that is no
+#: symbol character
+_SYM_OF_BYTE = bytes(_CHAR_TO_SYM.get(chr(i), 255) for i in range(256))
+#: ``bytes.translate`` table, symbol -> ASCII code of its character; the
+#: non-ASCII 255 past symbol 35 would fail to decode, but render checks first
+_CHAR_OF_SYM = _CHARS.encode("ascii").ljust(256, b"\xff")
 
 MAX_TEXT_ALPHABET = len(_CHARS)
 
@@ -89,6 +90,7 @@ class Alphabet:
         """Symbols of ``text``: a str, or bytes-like ASCII text.
 
         A bad character raises the :meth:`symbol` error of the first one.
+        The uint8 result may be read-only; no caller writes into it.
         """
         if self.size > MAX_TEXT_ALPHABET:
             raise ValueError("alphabet too large for text parsing")
@@ -99,7 +101,9 @@ class Alphabet:
             except UnicodeEncodeError as e:
                 self.parse(text[: e.start])  # a bad ASCII character before it
                 self.symbol(text[e.start])  # no symbol character is non-ASCII
-        out = _SYM_OF_BYTE[np.frombuffer(raw, dtype=np.uint8)]
+        elif not isinstance(text, (bytes, bytearray)):
+            raw = memoryview(text).tobytes()  # only bytes types translate
+        out = np.frombuffer(raw.translate(_SYM_OF_BYTE), dtype=np.uint8)
         if out.size and out.max() >= self.size:
             i = int(np.argmax(out >= self.size))
             # bytes before i are symbol characters, so decoding up to i fails
@@ -120,7 +124,8 @@ class Alphabet:
         lo, hi = arr.min(), arr.max()
         if lo < 0 or hi >= self.size:
             self.check_symbol(lo if lo < 0 else hi)
-        return _CHAR_CODES[arr].tobytes().decode("ascii")
+        codes = arr.astype(np.uint8, copy=False).tobytes().translate(_CHAR_OF_SYM)
+        return codes.decode("ascii")
 
 
 class FiniteWord:
@@ -134,7 +139,20 @@ class FiniteWord:
     __slots__ = ("alphabet", "_data")
 
     def __init__(self, alphabet: Alphabet, data):
-        arr = np.asarray(data)
+        self._keep(alphabet, np.asarray(data), copy=True)
+
+    @classmethod
+    def _adopt(cls, alphabet: Alphabet, arr: np.ndarray) -> "FiniteWord":
+        """A word kept in ``arr`` itself, checked like any other.
+
+        ``arr`` must be new memory that nothing else refers to (a ``take``
+        result, say): the word makes it read-only instead of copying it.
+        """
+        w = cls.__new__(cls)
+        w._keep(alphabet, arr, copy=False)
+        return w
+
+    def _keep(self, alphabet: Alphabet, arr: np.ndarray, copy: bool) -> None:
         if arr.ndim != 1:
             raise ValueError("word data must be one-dimensional")
         if arr.size:
@@ -145,7 +163,7 @@ class FiniteWord:
                 raise ValueError(
                     f"symbol {lo if lo < 0 else hi} outside alphabet of size {alphabet.size}"
                 )
-        arr = arr.astype(_dtype_for(alphabet.size), copy=True)
+        arr = arr.astype(_dtype_for(alphabet.size), copy=copy)
         arr.setflags(write=False)
         self.alphabet = alphabet
         self._data = arr
@@ -319,7 +337,10 @@ def read_word_file(path, base: int) -> FiniteWord:
     The line may end in ``"\\n"``, ``"\\r\\n"``, ``"\\r"`` or nothing.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # read into a buffer that parse can translate without a copy
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw) :]
+        raw += fh.read()  # whatever the size missed: a pipe reports 0
     end = len(raw)
     if raw.endswith(b"\r\n"):
         end -= 2
@@ -327,8 +348,9 @@ def read_word_file(path, base: int) -> FiniteWord:
         end -= 1
     if raw.find(b"\n", 0, end) >= 0 or raw.find(b"\r", 0, end) >= 0:
         raise ValueError(f"word file {path} must hold a single line")
+    del raw[end:]
     alph = Alphabet(base)
-    symbols = alph.parse(memoryview(raw)[:end])
+    symbols = alph.parse(raw)
     # free the file bytes before FiniteWord copies the symbols: held over
     # the copy, they left the heap fragmented, and a later condcompress
     # kept 5 MB more resident at 2^21 symbols

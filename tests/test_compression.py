@@ -31,6 +31,7 @@ from fsindep import (
     SourceExhausted,
     TransducerHalted,
     TransducerOutputSource,
+    WordSource,
     bounded_losslessness_check,
     build_prefix_code,
     check_l_deterministic,
@@ -845,6 +846,40 @@ def test_conditional_ratio_estimate_validation():
 def test_block_coder_estimates_refuse_block_length_zero(estimate):
     with pytest.raises(ValueError, match="^block length must be at least 1$"):
         estimate(RandomSource(A2, 1), RandomSource(A2, 2), 64, 0)
+
+
+class _TernaryOnBinary(WordSource):
+    """Breaks the source contract: counts 0, 1, 2, 0, 1, 2, ... over the
+    binary alphabet, so symbol 2 is out of range."""
+
+    def __init__(self):
+        super().__init__(A2)
+        self._count = 0
+
+    def _produce(self, n):
+        out = (np.arange(self._count, self._count + n) % 3).astype(np.uint8)
+        self._count += n
+        return out
+
+    def clone(self):
+        return _TernaryOnBinary()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda bad: bad.prefix(64),
+        lambda bad: conditional_ratio_estimate(bad, RandomSource(A2, 1), 64, 2),
+        lambda bad: conditional_ratio_estimate(RandomSource(A2, 1), bad, 64, 2),
+        lambda bad: unconditional_ratio_estimate(bad, 64, 2),
+        lambda bad: independence_report(bad, RandomSource(A2, 1), 64, 2),
+        lambda bad: independence_report(RandomSource(A2, 1), bad, 64, 2),
+    ],
+)
+def test_block_coder_estimates_reject_a_source_outside_its_alphabet(read):
+    # prefix keeps take's array without a copy, but still checks its range
+    with pytest.raises(ValueError, match="^symbol 2 outside alphabet of size 2$"):
+        read(_TernaryOnBinary())
 
 
 def test_independence_report_identical_pair_is_dependent():

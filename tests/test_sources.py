@@ -129,6 +129,26 @@ def test_random_source_take_hands_out_its_fresh_array():
     assert peak < 1.9 * n, peak / n
 
 
+def test_prefix_keeps_the_fresh_take_without_a_copy():
+    import tracemalloc
+
+    n = 1 << 21
+    tracemalloc.start()
+    try:
+        w = RandomSource(A2, seed=5).prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # as take alone: a second copy of the symbols would make it 2 B/symbol
+    assert peak < 1.9 * n, peak / n
+    assert np.array_equal(w.data, RandomSource(A2, seed=5).take(n))
+    with pytest.raises(ValueError):
+        w.data[0] = 1
+    # a view of the source's own data is copied before the word keeps it
+    lit = LiteralSource(word("0110", base=2))
+    assert not np.shares_memory(lit.prefix(4).data, lit.word.data)
+
+
 def test_periodic_source_take_stays_in_the_pattern_dtype():
     import tracemalloc
 

@@ -20,6 +20,7 @@ from fsindep import (
     word,
     write_word_file,
 )
+from fsindep.words import _CHAR_OF_SYM, _CHAR_TO_SYM, _CHARS, _SYM_OF_BYTE
 from conftest import naive_alocc, naive_occ, naive_parse, naive_render, rand_text
 
 
@@ -43,14 +44,34 @@ def test_alphabet_rejects_degenerate_sizes():
 def test_parse_and_render_match_per_character_oracles(b):
     rng = random.Random(b)
     alph = Alphabet(b)
-    for n in (0, 1, 2, 7, 64, 1000, 4099):
+    for n in (0, 1, 2, 7, 64, 1000, 4099, 2**16 + 2**10 + 1):
         text = rand_text(rng, n, b)
+        want = naive_parse(text, b)
         parsed = alph.parse(text)
         assert parsed.dtype == np.uint8
-        assert parsed.tolist() == naive_parse(text, b)
+        assert parsed.tolist() == want
+        # every text form parses alike: bytes, a buffer that changes after
+        # the parse, and a slice at an offset into a larger buffer
+        raw = text.encode("ascii")
+        buf = bytearray(raw)
+        from_buf = alph.parse(buf)
+        buf[:] = b"0" * n
+        framed = memoryview(b"zz" + raw + b"zzz")[2 : 2 + n]
+        for got in (alph.parse(raw), from_buf, alph.parse(framed)):
+            assert got.dtype == np.uint8 and np.array_equal(got, parsed)
         assert alph.render(parsed) == naive_render(parsed) == text
+        for symbols in (parsed.astype(np.uint16), parsed.astype(np.int64), want):
+            assert alph.render(symbols) == text
     assert alph.parse("").size == 0 and alph.render([]) == ""
     assert alph.render(range(b)) == naive_render(range(b))
+
+
+def test_translate_tables_agree_with_the_character_map():
+    assert len(_SYM_OF_BYTE) == len(_CHAR_OF_SYM) == 256
+    for byte in range(256):
+        assert _SYM_OF_BYTE[byte] == _CHAR_TO_SYM.get(chr(byte), 255), byte
+    for a, c in enumerate(_CHARS):
+        assert _CHAR_OF_SYM[a] == ord(c), a
 
 
 @pytest.mark.parametrize(
@@ -283,6 +304,35 @@ def test_word_file_rejects_non_ascii_bytes(tmp_path, raw):
     p.write_bytes(raw)
     with pytest.raises(UnicodeDecodeError):  # a ValueError, as with text-mode reads
         read_word_file(p, 2)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn() allocates above what was live before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_text_io_has_a_bounded_peak_per_symbol(tmp_path):
+    n = 2**20 + 3
+    slack = 128 << 10
+    w = FiniteWord(Alphabet(3), np.random.default_rng(9).integers(0, 3, n, dtype=np.uint8))
+    p = tmp_path / "w.txt"
+    # the text and its bytes
+    assert _traced_peak(lambda: write_word_file(p, w)) <= 2 * n + slack
+    # the file bytes and their symbols; then the symbols and the word's copy
+    assert _traced_peak(lambda: read_word_file(p, 3)) <= 2 * (n + 1) + slack
+    # the symbols alone: no copy of the input
+    raw = w.to_text().encode("ascii")
+    assert _traced_peak(lambda: Alphabet(3).parse(raw)) <= n + slack
+    # the symbol bytes and their characters, then those and the text
+    assert _traced_peak(lambda: w.alphabet.render(w.data)) <= 2 * n + slack
 
 
 def test_dtype_scales_with_alphabet():
