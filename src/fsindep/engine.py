@@ -16,12 +16,18 @@ Sakarovitch 1993), so that its states paired with the symbols of the
 tape that runs ahead number at most ``_LOCKSTEP_MAX_STATES``.  Either way
 the table, macro states times b or b**2 keys, must stay within
 ``_LOCKSTEP_MAX_ENTRIES``; that rules out two-tape lock-step for
-alphabets past 181 symbols.  Silent states and path recording do not
-matter.  The first run of at least ``_GRAM_MIN`` symbols builds, from
-that table, its gram view (:class:`_Grams`): the same macro states, with
-every entry G consecutive keys, so that one gather moves the run G
-symbols on (multi-stride automata; Brodie, Taylor & Cytron 2006), with G
-as large as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  Both
+alphabets past 181 symbols.  A window gathers output rows padded to the
+longest, so ``_WINDOW`` rows must stay within ``_WINDOW_TAG_BYTES``: 64
+one-byte tags a macro step.  Silent states and path recording
+do not matter.  The first run of at least ``_GRAM_MIN``
+symbols builds, from that table, its gram view (:class:`_Grams`): the
+same macro states, with every entry G consecutive keys, so that one
+gather moves the run G symbols on (multi-stride automata; Brodie, Taylor
+& Cytron 2006), with G as large as ``_GRAM_MAX_ENTRIES`` and
+``_GRAM_MAX_BYTES`` allow.  A window's work past the gathers that move
+it is one gather of padded output rows and, for each power-of-two
+checkpoint, one search and a walk of at most G keys, so it grows no
+faster than the gathers; hence windows of ``_WINDOW`` symbols.  Both
 engines give the same trace.
 """
 
@@ -36,21 +42,39 @@ import numpy as np
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
-_WINDOW = 8192  # input symbols the engine takes from a source at a time
-_CHUNK = 16  # lock-step chunk length (gathers per window and pass), and the longest gram
+# Input symbols the engine takes from a source at a time.  Larger windows
+# spread numpy's per-call cost over more symbols.  In the benchmark (seed
+# 5, 3 runs each), transduce ran 17.4-18.1 Msym/s at 8192, 20.6-21.0 at
+# 16384 and 22.6-22.8 at 32768, but scalar-runs, whose runs are 2**15
+# symbols, 18.3-19.6, 20.4-20.7 and 17.2-17.4.
+_WINDOW = 16384
+# lock-step chunk length (gathers per window and pass), and the longest
+# gram; at _WINDOW, 12 and 24 won on neither engine workload
+_CHUNK = 16
 # Smaller budgets run the scalar loop.  On copy.aut, the odd projection and
 # join.aut, lock-step (key table, as below _GRAM_MIN) won from 180-380
 # symbols on with the table built, and from 300-500 with its build included.
 _LOCKSTEP_MIN = 256
 # Smaller budgets feed the key table one key a gather.  On the same machines
 # the gram view won from 2-4k symbols on once built, and from 7-16k with its
-# build (about 0.25 ms) included; at _WINDOW it lost up to 18 % on a fresh
+# build (about 0.25 ms) included; at 8192 it lost up to 18 % on a fresh
 # machine and won 20-22 % on one that had built it.
-_GRAM_MIN = _WINDOW
+_GRAM_MIN = 8192
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
 # (macro state, key) pairs in one macro-step table; each costs about 7 us
 # and 260 B to build, so a table costs at most about 0.25 s and 9 MiB
 _LOCKSTEP_MAX_ENTRIES = 1 << 15
+# bytes of one window's output rows, each padded to the longest: _WINDOW
+# key-table rows, or _WINDOW / G gram rows each at most G times as long, so
+# a key-table row holds at most 64 B, and a table at the entry cap 2 MiB.
+# 1 MiB is what the CLI's memory estimate grants engine windows
+# (cli._BASE_BYTES); the mask of a window that needs one has as many
+# elements.  A longer output, even on one rare transition, would pad every
+# row of every window, so such a machine runs the scalar loop: on 2**16
+# binary symbols, a machine writing 65 tags a symbol took 125-217 ms there
+# against 23-25 ms on lock-step that gathered only the tags written, and
+# one writing 65 tags on its first symbol and 1 after 23-39 against 2.3-2.6.
+_WINDOW_TAG_BYTES = 1 << 20
 # (macro state, gram) pairs and bytes in one gram view.  Longer grams save
 # less per window than they cost to build: the benchmark's transduce cycle,
 # which builds four views, ran alike from 2**8 to 2**10 entries and about
@@ -118,24 +142,24 @@ class _MacroTable:
     meets a missing transition or a silent cycle, or stops at a state
     without transitions with symbols still pending.  At flat index
     ``m * keys + key``, ``nb`` holds the next macro state times ``keys``,
-    ``out_len``/``out_off`` locate the step's output tags in ``pool``,
-    ``cost`` is its machine steps and ``path_off`` locates the states they
-    reach in ``path_pool``, ``reads1`` counts its tape-1 reads and
-    ``cp_off`` lists the output count right after each of them.  Per
-    macro state, ``state`` is the machine state and ``lag0``/``lag1`` the
-    pending symbols of tape 1/2; ``entry[q]`` is the macro state a run may
-    enter at machine state q (-1: none; on two tapes only the initial
-    state, with nothing pending).  ``unit``: every step is one machine
-    step that reads one tape-1 symbol.  ``span``: an entry feeds one key
-    here and G in the gram view (:attr:`grams`).
+    ``out_len`` counts the step's output tags and row ``tags`` holds them,
+    padded with zeros to the longest, ``cost`` is its machine steps and
+    ``path_off`` locates the states they reach in ``path_pool``,
+    ``reads1`` counts its tape-1 reads and ``cp_off`` lists the output
+    count right after each of them.  Per macro state, ``state`` is the
+    machine state and ``lag0``/``lag1`` the pending symbols of tape 1/2;
+    ``entry[q]`` is the macro state a run may enter at machine state q
+    (-1: none; on two tapes only the initial state, with nothing pending).
+    ``unit``: every step is one machine step that reads one tape-1 symbol.
+    ``span``: an entry feeds one key here and G in the gram view
+    (:attr:`grams`).
     """
 
     keys: int
     rows: int
     nb: np.ndarray
     out_len: np.ndarray
-    out_off: np.ndarray
-    pool: np.ndarray
+    tags: np.ndarray
     cost: np.ndarray
     path_off: np.ndarray
     path_pool: np.ndarray
@@ -162,12 +186,14 @@ class _Grams:
     A gram's id is its keys, base-``X.keys`` digits with the first key first,
     times ``place`` (``X.keys ** (G - 1)`` .. 1), so a row has ``keys`` =
     ``X.keys ** G`` entries.  At flat index ``m * keys + gram``, ``nb`` holds
-    the macro state after the G macro steps times ``keys``,
-    ``out_len``/``out_off`` locate their output tags in ``pool`` and ``cost``
-    is their machine steps.  A gram that meets the sink part-way leads to the
-    sink, which absorbs.  The states visited and the checkpoint offsets stay
-    in X: a window that needs them expands its grams into X's entries.  When
-    no gram of two keys fits the bounds, the gram view is X itself.
+    the macro state after the G macro steps times ``keys``, ``out_len``
+    counts their output tags and row ``tags`` holds them, padded with zeros
+    to the longest, ``cost`` is their machine steps and ``reads1`` their
+    tape-1 reads.  A gram that meets the sink part-way leads to the sink,
+    which absorbs.  The states visited and the checkpoint offsets stay in X:
+    a checkpoint walks its one gram through X's entries, and a window that
+    records the path expands all its grams into them.  When no gram of two
+    keys fits the bounds, the gram view is X itself.
     """
 
     span: int
@@ -175,15 +201,16 @@ class _Grams:
     place: np.ndarray
     nb: np.ndarray
     out_len: np.ndarray
-    out_off: np.ndarray
-    pool: np.ndarray
+    tags: np.ndarray
     cost: np.ndarray
+    reads1: np.ndarray
 
 
 def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
     """The macro-step table of C, or None when it has more than
-    ``_LOCKSTEP_MAX_STATES`` macro states or more than
-    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs.
+    ``_LOCKSTEP_MAX_STATES`` macro states, more than
+    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs or a macro step whose
+    output, in ``_WINDOW`` rows, would pass ``_WINDOW_TAG_BYTES``.
 
     For ell=1 the macro states are the machine states.  For ell=2 they
     are found by a breadth-first search from the initial state; they are
@@ -242,15 +269,18 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
             steps.append(res)
     rows = len(order) + 1
     size = rows * width
+    longest = max((len(res[2]) for res in steps if res is not None), default=0)
+    if _WINDOW * longest * C.tag_dtype.itemsize > _WINDOW_TAG_BYTES:
+        return None
     nb = np.full(size, (rows - 1) * width, dtype=np.intp)
-    cost, out_len, out_off, path_off, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(5))
+    cost, out_len, path_off, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(4))
     pool, path_pool, cp_off = [], [], [()] * size
     for j, res in enumerate(steps):
         if res is None:
             continue
         target, path, out, cps = res
         nb[j] = target * width
-        cost[j], out_len[j], out_off[j], path_off[j] = len(path), len(out), len(pool), len(path_pool)
+        cost[j], out_len[j], path_off[j] = len(path), len(out), len(path_pool)
         reads1[j], cp_off[j] = len(cps), tuple(cps)
         pool += out
         path_pool += path
@@ -259,8 +289,7 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
         rows=rows,
         nb=nb,
         out_len=out_len,
-        out_off=out_off,
-        pool=np.array(pool, dtype=C.tag_dtype),
+        tags=_padded(np.array(pool, dtype=C.tag_dtype), out_len),
         cost=cost,
         path_off=path_off,
         path_pool=np.array(path_pool, dtype=np.intp),
@@ -278,13 +307,13 @@ def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
     """The gram view of X, with G as large as the bounds allow.
 
     G is the largest gram length, at most ``_CHUNK``, whose view has at
-    most ``_GRAM_MAX_ENTRIES`` entries and, at the longest output of one
-    key-table entry, at most ``_GRAM_MAX_BYTES`` bytes.  Below G = 2 the
-    view is X.  Every array comes from G gathers through X's tables, not
+    most ``_GRAM_MAX_ENTRIES`` entries and at most ``_GRAM_MAX_BYTES``
+    bytes: four intp arrays and a row as long as G of X's.  Below G = 2
+    the view is X.  Every array comes from G gathers through X's tables, not
     from one macro step at a time.
     """
     K, rows = X.keys, X.rows
-    longest = X.pool.itemsize * int(X.out_len.max())
+    longest = X.tags.itemsize * X.tags.shape[1]  # bytes of one padded row
 
     def fits(G):
         size = rows * K**G
@@ -305,11 +334,19 @@ def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
     E = E.reshape(-1, G)
     lens = X.out_len[E]
     out_len = lens.sum(axis=1)
-    pool = _gather(X.pool, X.out_off[E].ravel(), lens.ravel(), np.cumsum(lens))
+    tags = X.tags[E][np.arange(X.tags.shape[1]) < lens[:, :, None]]
     return _Grams(
         G, KG, K ** np.arange(G - 1, -1, -1), cur.ravel() // K * KG, out_len,
-        np.cumsum(out_len) - out_len, pool, X.cost[E].sum(axis=1),
+        _padded(tags, out_len), X.cost[E].sum(axis=1), X.reads1[E].sum(axis=1),
     )
+
+
+def _padded(pool, lens):
+    """Rows of ``pool``'s first ``lens[0]`` tags, its next ``lens[1]`` and so
+    on, padded with zeros to the longest."""
+    rows = np.zeros((lens.size, int(lens.max(initial=0))), dtype=pool.dtype)
+    rows[np.arange(rows.shape[1]) < lens[:, None]] = pool
+    return rows
 
 
 def _gather(pool, off, lens, cum):
@@ -395,7 +432,8 @@ class CompiledAutomaton:
     def macro(self) -> Optional[_MacroTable]:
         """The macro-step table of the lock-step engine, built on first use;
         None when the machine has too many states or, on two tapes, an
-        unbounded lag or too many (x, y) keys."""
+        unbounded lag or too many (x, y) keys, or when a window of its
+        padded output rows would be too large."""
         return _macro_table(self)
 
     def advance(self, r: _Run, inputs: Sequence[WordSource], n: int, max_steps: int) -> None:
@@ -416,9 +454,9 @@ class CompiledAutomaton:
         """The run's output words, one per output tape."""
         tagged = np.concatenate(r.chunks) if r.chunks else np.zeros(0, self.tag_dtype)
         if self.n_out == 1:
-            return (FiniteWord(alphabet, tagged),)
+            return (FiniteWord._adopt(alphabet, tagged),)
         tape, sym = np.divmod(tagged, self.b)
-        return tuple(FiniteWord(alphabet, sym[tape == j]) for j in range(self.n_out))
+        return tuple(FiniteWord._adopt(alphabet, sym[tape == j]) for j in range(self.n_out))
 
     def _scalar(self, r, inputs, n, max_steps):
         read, delta, emit = self.read, self.delta_list, self.emit_list
@@ -450,6 +488,9 @@ class CompiledAutomaton:
                 key = 0
                 if pat & 1:
                     if i0 == len(buf0):
+                        if out:  # a window's output at a time, not the run's as a list
+                            r.chunks.append(np.array(out, dtype=self.tag_dtype))
+                            out = []
                         buf0, i0 = src0.take_available(min(_WINDOW, n - c0)).tolist(), 0
                         if not buf0:
                             reason = "input-exhausted"
@@ -521,17 +562,21 @@ class CompiledAutomaton:
         window stops at the start of the gram that steps into the sink and of
         the gram that would pass the step budget; the symbols from there on,
         and those fed but not read yet, go back to their sources, and the
-        scalar loop halts inside that gram.  Outputs and step costs come from
-        the gram view.  A window that records the path or holds a checkpoint
-        expands its grams into key-table entries, which give the states
-        visited and the output count at each tape-1 read.  When every macro
-        step is one machine step (``X.unit``), the step budget cuts the count
-        up front, so windows need no running sum of step costs.
+        scalar loop halts inside that gram.  Outputs, step costs and tape-1
+        reads come from the gram view; the output is one gather of padded
+        rows, masked only when some gram of the window writes fewer tags than
+        the longest.  A checkpoint finds its gram by the running sum of tape-1
+        reads and walks that one gram through the key table for the output
+        count at its read.  Only a window that records the path expands its
+        grams into key-table entries, which give the states visited.  When
+        every macro step is one machine step (``X.unit``), the step budget
+        cuts the count up front, so windows need no running sum of step costs.
         """
         X = self.macro
         V = X.grams if count >= _GRAM_MIN else X
         G, K, sink = V.span, V.keys, X.rows - 1
-        nb = V.nb
+        nb, tags = V.nb, V.tags
+        col = np.arange(tags.shape[1])
         every = np.arange(X.rows) * K
         src0 = inputs[0]
         src1 = inputs[1] if self.ell == 2 else None
@@ -584,11 +629,31 @@ class CompiledAutomaton:
             if k:
                 m1 = int(nb[idx[-1]]) // K
                 lens = V.out_len[idx]
-                cum = np.cumsum(lens)
-                r.chunks.append(_gather(V.pool, V.out_off[idx], lens, cum))
+                out = tags[idx]
+                written = int(lens.sum())
+                r.chunks.append(out.ravel() if written == out.size else out[col < lens[:, None]])
                 c0 = r.consumed[0]
                 read0 = k + X.lag0[m0] - X.lag0[m1]  # tape-1 symbols read
-                if r.next_cp <= c0 + read0 or r.path is not None:
+                if r.next_cp <= c0 + read0:
+                    reads = V.reads1[idx]
+                    cr = np.cumsum(reads)
+                    cum = np.cumsum(lens)
+                    while r.next_cp <= c0 + read0:
+                        t = r.next_cp - c0  # the t-th tape-1 read of this window
+                        g = int(cr.searchsorted(t))  # is in gram g
+                        t -= int(cr[g] - reads[g])
+                        off = r.out_total + int(cum[g] - lens[g])
+                        e = int(idx[g]) // K * X.keys
+                        for key in keys[g].tolist():  # at most G key-table entries
+                            e += key
+                            if t <= X.reads1[e]:
+                                break
+                            t -= int(X.reads1[e])
+                            off += int(X.out_len[e])
+                            e = int(X.nb[e])
+                        r.checkpoints.append((r.next_cp, off + X.cp_off[e][t - 1]))
+                        r.next_cp *= 2
+                if r.path is not None:
                     # the key-table entry of every key fed
                     e = np.empty((idx.size, G), dtype=np.intp)
                     at = idx // K * X.keys
@@ -596,18 +661,6 @@ class CompiledAutomaton:
                         e[:, i] = at + keys[: idx.size, i]
                         at = X.nb[e[:, i]]
                     e = e.ravel()
-                if r.next_cp <= c0 + read0:
-                    r1 = X.reads1[e]
-                    cr = np.cumsum(r1)
-                    while r.next_cp <= c0 + read0:
-                        t = r.next_cp - c0  # the t-th tape-1 read of this window
-                        j = int(np.searchsorted(cr, t))  # in key j, of gram g
-                        g = j // G
-                        off = X.cp_off[int(e[j])][t - int(cr[j] - r1[j]) - 1]
-                        off += int(cum[g] - lens[g] + X.out_len[e[g * G : j]].sum())
-                        r.checkpoints.append((r.next_cp, r.out_total + off))
-                        r.next_cp *= 2
-                if r.path is not None:
                     if X.unit:
                         r.path.append(X.path_pool[X.path_off[e]])
                     else:
@@ -616,7 +669,7 @@ class CompiledAutomaton:
                 r.q = int(X.state[m1])
                 r.consumed[0] += read0
                 r.steps += k if X.unit else int(spent[-1])
-                r.out_total += int(cum[-1])
+                r.out_total += written
                 if src1 is not None:
                     r.consumed[1] += k + X.lag1[m0] - X.lag1[m1]
                     tail0 = _last(tail0, raw0[:k], X.lag0[m1])

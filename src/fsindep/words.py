@@ -283,7 +283,7 @@ def regroup(w: FiniteWord, r: int) -> FiniteWord:
         return w
     from .blocks import aligned_ids
 
-    return FiniteWord(Alphabet(b**r), aligned_ids(w.data, r, b))
+    return FiniteWord._adopt(Alphabet(b**r), aligned_ids(w.data, r, b))
 
 
 def even(w):
@@ -323,7 +323,7 @@ def join(x, y):
         out = np.empty(2 * len(x), dtype=x.data.dtype)
         out[0::2] = x.data
         out[1::2] = y.data
-        return FiniteWord(x.alphabet, out)
+        return FiniteWord._adopt(x.alphabet, out)
     from . import sources
 
     if isinstance(x, sources.WordSource) and isinstance(y, sources.WordSource):

@@ -84,6 +84,19 @@ def rand_text(rng: random.Random, n: int, b: int) -> str:
     return "".join(rng.choice(digits) for _ in range(n))
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that fn() allocates above what was live before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # self-similar stream oracle
 

@@ -33,6 +33,7 @@ from fsindep.engine import (
     _LOCKSTEP_MAX_STATES,
     _LOCKSTEP_MIN,
     _WINDOW,
+    _WINDOW_TAG_BYTES,
     CompiledAutomaton,
 )
 from fsindep.compression import TransducerOutputSource, bounded_losslessness_check
@@ -43,6 +44,7 @@ from conftest import (
     naive_forward_pairs,
     naive_run,
     rand_text,
+    traced_peak,
 )
 
 A2 = Alphabet(2)
@@ -488,11 +490,14 @@ def test_compile_tables_are_pinned():
     assert (V.span, V.keys) == (8, 256)
     assert V.nb.tolist() == [0] * 256 + [256] * 256 + [512] * 256
     assert V.out_len.tolist() == [4] * 512 + [0] * 256
-    assert V.out_off.tolist() == list(range(0, 2048, 4)) + [2048] * 256
     assert V.cost.tolist() == [8] * 512 + [0] * 256
+    assert V.reads1.tolist() == [8] * 512 + [0] * 256
     keys = np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1  # first key first
-    # from keep the gram's 1st, 3rd, 5th and 7th keys are written, from drop the others
-    assert V.pool.tolist() == np.concatenate([keys[:, 0::2], keys[:, 1::2]]).ravel().tolist()
+    # from keep the gram's 1st, 3rd, 5th and 7th keys are written, from drop
+    # the others; the sink writes nothing, a row of padding
+    written = np.concatenate([keys[:, 0::2], keys[:, 1::2], np.zeros((256, 4), dtype=int)])
+    assert V.tags.tolist() == written.tolist()
+    assert C.macro.tags.tolist() == [[0], [1], [0], [0], [0], [0]]
     M = parse_automaton(CHAIN)
     assert 0 in compile(M, 1).read and not compile(M, 1).macro.unit
     assert compile(M, 1) is compile(M, 1)  # cached on the machine
@@ -565,10 +570,14 @@ def test_engines_agree_on_silent_chains_and_cycles(lockstep_calls):
         # silent cycles would send the naive stepper round forever
         reasons.add(check_engines(M, text, len(text), naive=False).halt_reason)
     assert reasons == {None, "no-transition", "silent-cycle"}
-    # every 1 costs six steps, so most of these budgets run out inside a silent chain
+    # every 1 costs six steps, so most of these budgets run out inside the
+    # silent chain of the first 1 of the second gram window
     M, text = budget_chain_machine(5), rand_text(random.Random(7), 3 * _WINDOW, 2)
+    G = gram_length(M)
+    p = text.index("1", _WINDOW - _WINDOW % G)
+    before = p + 5 * text[:p].count("1")  # steps ahead of reading that 1
     inside = 0
-    for max_steps in range(_WINDOW, _WINDOW + 6):
+    for max_steps in range(before + 1, before + 7):
         tr = check_engines(M, text, len(text), max_steps=max_steps, naive=False)
         assert tr.halt_reason == "step-budget" and tr.steps == max_steps
         inside += tr.final_state != "s"
@@ -1035,6 +1044,82 @@ def test_checkpoints_inside_a_gram(copy_aut, lockstep_calls):
     assert len(lockstep_calls) == 2 * len(machines)
 
 
+def y_first_copier(p: int) -> KAutomaton:
+    """Copies p y symbols, then p x symbols, in turn: its tape-1 reads come
+    p at a time, all in the macro step of every p-th key."""
+    rows = ["automaton k=3 alphabet=2 initial=y0"]
+    for i in range(p):
+        nxt = f"y{i + 1}" if i + 1 < p else "x0"
+        rows += [f"y{i} -,{a},{a} {nxt}" for a in "01"]
+        nxt = f"x{i + 1}" if i + 1 < p else "y0"
+        rows += [f"x{i} {a},-,{a} {nxt}" for a in "01"]
+    return parse_automaton("\n".join(rows))
+
+
+def checkpoint_offsets(M, texts, n):
+    """Where the power-of-two tape-1 reads, up to n, of M's run on texts
+    fall in their grams: the index, mod G, of the key whose macro step makes
+    each of them.  A walk through the key table, one key at a time."""
+    C = compile(M, len(texts))
+    X, G = C.macro, gram_length(M, len(texts))
+    e, read, t, offsets = X.entry[C.initial] * X.keys, 0, 1, set()
+    for i, syms in enumerate(zip(*texts)):
+        e += int("".join(syms), M.alphabet.size)
+        read += int(X.reads1[e])
+        while t <= min(read, n):
+            offsets.add(i % G)
+            t *= 2
+        if t > n:
+            return offsets
+        e = int(X.nb[e])
+    return offsets
+
+
+def test_checkpoints_fall_at_every_key_offset_of_a_gram(copy_aut, lockstep_calls):
+    rng = random.Random(88)
+    # one tape, over three gram windows, the first of which holds 14 checkpoints;
+    # read t is key t - 1, so the offsets are (2**i - 1) mod G
+    G = gram_length(copy_aut)
+    assert G >= 3
+    window = _WINDOW - _WINDOW % G
+    text = rand_text(rng, 3 * window + G, 2)
+    for n in (3 * window, 3 * window + 1, 3 * window + G - 1):
+        tr = check_engines(copy_aut, text, n, naive=False)
+        assert len([c for c, _ in tr.checkpoints if c <= window]) >= 13
+    assert len(checkpoint_offsets(copy_aut, [text], len(text))) >= 3
+    # two tapes with lag, G = 3: grams of the y-first copier read 0 or 4 x
+    # symbols, those of y_ahead_machine fewer than 3 on entry and 3 after;
+    # the lag shifts the checkpoints to every key of a gram
+    offsets = set()
+    for M in (y_first_copier(4), y_ahead_machine(2), y_ahead_machine(3)):
+        assert gram_length(M, 2) == 3
+        x, y = rand_text(rng, 2 * _WINDOW + 16, 2), rand_text(rng, 2 * _WINDOW + 16, 2)
+        for n in (2 * _WINDOW, 2 * _WINDOW + 1):
+            tr = check_engines(M, (x, y), n, naive=False)
+            assert not tr.halted and tr.consumed[0] == n
+            offsets |= checkpoint_offsets(M, (x, y), n)
+    assert offsets == {0, 1, 2}
+    assert set(compile(y_first_copier(4), 2).macro.grams.reads1.tolist()) == {0, 4}
+    assert len(lockstep_calls) == 2 * (3 + 3 * 2)
+
+
+def test_step_budget_runs_out_in_the_gram_of_a_checkpoint(copy_aut, join_aut, lockstep_calls):
+    rng = random.Random(89)
+    x, y = rand_text(rng, 3 * _WINDOW, 2), rand_text(rng, 3 * _WINDOW, 2)
+    runs = 0
+    # one machine step a key, and two (join.aut): tape-1 read t is key t - 1
+    for M, text, per_key in ((copy_aut, x, 1), (join_aut, (x, y), 2)):
+        G = gram_length(M, 1 if isinstance(text, str) else 2)
+        for t in (1 << 13, 1 << 15):
+            g = (t - 1) // G  # the gram that holds checkpoint t
+            for max_steps in range(per_key * g * G + 1, per_key * (g + 1) * G):
+                tr = check_engines(M, text, 3 * _WINDOW, max_steps=max_steps, naive=False)
+                assert tr.halt_reason == "step-budget" and tr.steps == max_steps
+                assert (t in [c for c, _ in tr.checkpoints]) == (tr.consumed[0] >= t)
+                runs += 1
+    assert len(lockstep_calls) == 2 * runs
+
+
 def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
     """The last window feeds fewer keys than the final macro state holds
     pending, so the pending symbols come partly from the window before."""
@@ -1052,9 +1137,14 @@ def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
     monkeypatch.setattr(
         engine, "_last", lambda tail, fed, n: longer.append(n > fed.size) or last(tail, fed, n)
     )
+    # after k keys, k mod 5 y symbols are pending; the last window feeds one
+    # gram, so it must end where more than G are pending
+    G = X.grams.span
+    window = _WINDOW - _WINDOW % G
+    w = next(w for w in range(1, 6) if (w * window + G) % 5 > G)
     rng = random.Random(93)
-    x, y = rand_text(rng, _WINDOW + 16, 2), rand_text(rng, _WINDOW + 16, 2)
-    for n in (_WINDOW + 2, _WINDOW + 3):
+    x, y = rand_text(rng, w * window + 16, 2), rand_text(rng, w * window + 16, 2)
+    for n in (w * window + G, w * window + G + 1):
         tr = check_engines(M, (x, y), n)
         assert not tr.halted and tr.consumed[0] == n
     assert any(longer)
@@ -1099,12 +1189,58 @@ def test_gram_views_stay_within_their_bounds(copy_aut, join_aut):
         V = X.grams
         assert 1 < V.span <= engine._CHUNK
         assert X.rows * V.keys <= _GRAM_MAX_ENTRIES
-        arrays = (V.nb, V.out_len, V.out_off, V.pool, V.cost)
+        arrays = (V.nb, V.out_len, V.tags, V.cost, V.reads1)
         assert sum(a.nbytes for a in arrays) <= _GRAM_MAX_BYTES
     assert X.rows * V.keys * X.keys <= _GRAM_MAX_ENTRIES  # loud: a longer gram had fit
     text = rand_text(random.Random(86), _WINDOW + 3, 2)
     tr = check_engines(loud, text, len(text), naive=False)
     assert tr.output.to_text() == "".join(a * 40 for a in text)
+
+
+def rare_long_output_machine(L: int, b: int) -> KAutomaton:
+    """Writes its first symbol L times, then copies: one long output, on a
+    transition taken only from the initial state."""
+    trans = [("s", ((a,), (a,) * L), "t") for a in range(b)]
+    trans += [("t", ((a,), (a,)), "t") for a in range(b)]
+    return KAutomaton(2, Alphabet(b), ["s", "t"], "s", trans)
+
+
+def test_a_window_of_padded_output_rows_stays_within_its_bound(lockstep_calls, monkeypatch):
+    from fsindep.cli import _BASE_BYTES
+
+    assert _WINDOW_TAG_BYTES <= _BASE_BYTES  # the memory estimate's engine windows
+    widest = _WINDOW_TAG_BYTES // _WINDOW  # one-byte tags
+    # no gram view, as when no gram of 2 keys fits: windows of _WINDOW keys
+    monkeypatch.setattr(engine, "_GRAM_MAX_ENTRIES", 0)
+    n = 4 * _WINDOW + 5
+    text = rand_text(random.Random(90), n, 2)
+    peaks = {}
+    for L in (1, widest, widest + 1):
+        M = rare_long_output_machine(L, 2)
+        X = compile(M, 1).macro
+        assert (X is not None) == (L <= widest)
+        assert X is None or X.grams is X
+        tr = check_engines(M, text, n, naive=False)
+        assert tr.output.to_text() == text[0] * L + text[1:]
+        src = lit(text)
+        peaks[L] = traced_peak(lambda: run(M, 1, [src], n))
+    # a window's rows, padded to widest tags, and their mask take at most
+    # _WINDOW_TAG_BYTES each; the masked gather indexes the tags it keeps
+    assert peaks[widest] - peaks[1] <= 2 * _WINDOW_TAG_BYTES + 2 * 8 * _WINDOW
+    assert peaks[widest] - peaks[1] >= _WINDOW_TAG_BYTES  # loud: the rows were padded
+    assert len(lockstep_calls) == 2 * 3  # check_engines' two and the traced run
+
+
+def test_the_scalar_loop_lists_one_window_of_output_at_a_time():
+    # two tags a symbol over 16 windows: the output's chunks and its word
+    # take 1 B a tag each, and only one window's tags wait in a list, 8 B each
+    M = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), (a, a)), "s") for a in range(2)])
+    n = 16 * _WINDOW
+    text = rand_text(random.Random(91), n, 2)
+    src, got = lit(text), []
+    peak = traced_peak(lambda: got.append(run_scalar(M, 1, [src], n, record_path=False)))
+    assert peak <= 2 * (2 * n) + 8 * (2 * _WINDOW) + (64 << 10)
+    assert got[0].output.to_text() == "".join(a + a for a in text)
 
 
 def read_in_requests(src, size):

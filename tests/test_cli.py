@@ -244,6 +244,9 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         # odd() reads 2n self-similar symbols, so n just past 2**19 makes
         # the prefix grow by a whole stage
         sizes += ((1 << 19) + 16,)
+    if argv[0] == "compress" or argv[1:2] == ["join-dependence"]:
+        # runs the lock-step engine over several windows
+        sizes += ((1 << 16) + 32,)
     if argv[0] == "stats":
         # long enough for the per-symbol part to outweigh the fixed one
         sizes += (1 << 19,)

@@ -21,7 +21,7 @@ from fsindep import (
     write_word_file,
 )
 from fsindep.words import _CHAR_OF_SYM, _CHAR_TO_SYM, _CHARS, _SYM_OF_BYTE
-from conftest import naive_alocc, naive_occ, naive_parse, naive_render, rand_text
+from conftest import naive_alocc, naive_occ, naive_parse, naive_render, rand_text, traced_peak
 
 
 def test_alphabet_basics():
@@ -306,33 +306,33 @@ def test_word_file_rejects_non_ascii_bytes(tmp_path, raw):
         read_word_file(p, 2)
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes that fn() allocates above what was live before it."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_word_text_io_has_a_bounded_peak_per_symbol(tmp_path):
     n = 2**20 + 3
     slack = 128 << 10
     w = FiniteWord(Alphabet(3), np.random.default_rng(9).integers(0, 3, n, dtype=np.uint8))
     p = tmp_path / "w.txt"
     # the text and its bytes
-    assert _traced_peak(lambda: write_word_file(p, w)) <= 2 * n + slack
+    assert traced_peak(lambda: write_word_file(p, w)) <= 2 * n + slack
     # the file bytes and their symbols; then the symbols and the word's copy
-    assert _traced_peak(lambda: read_word_file(p, 3)) <= 2 * (n + 1) + slack
+    assert traced_peak(lambda: read_word_file(p, 3)) <= 2 * (n + 1) + slack
     # the symbols alone: no copy of the input
     raw = w.to_text().encode("ascii")
-    assert _traced_peak(lambda: Alphabet(3).parse(raw)) <= n + slack
+    assert traced_peak(lambda: Alphabet(3).parse(raw)) <= n + slack
     # the symbol bytes and their characters, then those and the text
-    assert _traced_peak(lambda: w.alphabet.render(w.data)) <= 2 * n + slack
+    assert traced_peak(lambda: w.alphabet.render(w.data)) <= 2 * n + slack
+
+
+def test_join_and_regroup_keep_their_result_without_a_copy():
+    n = 2**20
+    slack = 128 << 10
+    rng = np.random.default_rng(10)
+    x, y = (FiniteWord(Alphabet(2), rng.integers(0, 2, n, dtype=np.uint8)) for _ in "xy")
+    # the interleaved symbols are the word: one byte per output symbol
+    assert traced_peak(lambda: join(x, y)) <= 2 * n + slack
+    # one byte per id, one id per 4 input symbols
+    assert traced_peak(lambda: regroup(x, 4)) <= n // 4 + slack
+    assert odd(join(x, y)) == x and even(join(x, y)) == y
+    assert regroup(x, 4).data.tolist() == (x.data.reshape(-1, 4) @ [8, 4, 2, 1]).tolist()
 
 
 def test_dtype_scales_with_alphabet():
