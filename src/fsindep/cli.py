@@ -49,7 +49,7 @@ from .automata import (
     odd_projection_transducer,
 )
 from .perfect import SelfSimilarSource, build_sequence, is_perfect
-from .normality import _TABLE_CAP, normality_report
+from .normality import _TABLE_CAP, _table_guard, normality_report
 from .compression import (
     DecodeDeadEnd,
     TransducerHalted,
@@ -73,13 +73,20 @@ class DomainFailure(RuntimeError):
 _BASE_BYTES = 1 << 20  # argument parsing, compiled tables, engine windows
 _PREFIX_BYTES = 3  # per symbol a command takes from a source
 _ATOM_BYTES = 3  # per symbol a rand or periodic atom produces
-_TOWER_BYTES = 6  # per tower symbol and unit of b - 1 (to 5): a stage's temporaries
+_TOWER_BYTES = 3  # per tower symbol: the stages, and the build of the last
 _FILE_BYTES = 3  # per byte of a word file, read whole
 
 
 def _estimate(n: int, specs, workers: int = 1, extra: int = 0) -> int:
-    """Bytes for n symbols of each of specs on each of workers, plus extra."""
-    per_worker = sum(_PREFIX_BYTES * n + spec.atom_bytes(n) for spec in specs)
+    """Bytes for n symbols of each of specs on each of workers, plus extra;
+    a worker holds one tower per base, as long as the most specs read of it."""
+    reads = {}
+    per_worker = sum(_PREFIX_BYTES * n + spec.atom_bytes(n, reads) for spec in specs)
+    for b, m in reads.items():
+        tower = b  # whole stages: the first b**j >= m symbols
+        while tower < m:
+            tower *= b
+        per_worker += _TOWER_BYTES * tower
     return _BASE_BYTES + workers * per_worker + extra
 
 
@@ -126,20 +133,18 @@ class GeneratorSpec:
                 return v
         return default
 
-    def atom_bytes(self, n: int) -> int:
-        """Bytes the atoms under this spec hold while it produces n symbols."""
+    def atom_bytes(self, n: int, reads: dict) -> int:
+        """Bytes the atoms under this spec hold while it produces n symbols;
+        a selfsim atom holds none, but raises reads[b] to what it reads."""
         if self.kind in ("odd", "even"):
-            return self.children[0].atom_bytes(2 * n)
+            return self.children[0].atom_bytes(2 * n, reads)
         if self.kind == "join":
             x, y = self.children
-            return x.atom_bytes((n + 1) // 2) + y.atom_bytes(n // 2)
+            return x.atom_bytes((n + 1) // 2, reads) + y.atom_bytes(n // 2, reads)
         if self.kind == "selfsim":
-            # whole stages to the first b**j >= n, each adding b - 1 symbols per kept one
             b = max(2, int(self.get("b", "2")))
-            tower = b
-            while tower < n:
-                tower *= b
-            return _TOWER_BYTES * min(b - 1, 5) * tower
+            reads[b] = max(reads.get(b, 0), n)
+            return 0
         if self.kind == "file":
             return _FILE_BYTES * os.path.getsize(self.get("path"))
         return _ATOM_BYTES * n
@@ -454,6 +459,7 @@ def _cmd_experiment(args) -> int:
             print(f"trials={args.trials} median_rho={_fmt(statistics.median(ratios))}")
         return 0
     # join-normal
+    _table_guard(args.base, min(args.max_block, args.n))  # before any source is built
     specs = [parse_generator(s) for s in (x, f"join(odd({x}),even({x}))")]
     tables = _table_bytes(args.base, args.max_block, args.n)
     _check_memory(_estimate(args.n, specs, extra=tables))

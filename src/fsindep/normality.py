@@ -17,7 +17,9 @@ _TABLE_CAP = 2**24
 
 
 def _table_guard(b: int, ell: int):
+    """Refuse lengths up to ell when one's table tops the cap; names the shortest."""
     if b**ell > _TABLE_CAP:
+        ell = next(j for j in range(1, ell + 1) if b**j > _TABLE_CAP)
         raise ValueError(f"block table {b}**{ell} exceeds cap {_TABLE_CAP}")
 
 
@@ -129,8 +131,7 @@ def normality_report(
         raise ValueError("max_block must be at least 1")
     n, b = len(w), w.alphabet.size
     top = min(max_block, n)
-    for ell in range(1, top + 1):
-        _table_guard(b, ell)  # raises for the shortest length over the cap
+    _table_guard(b, top)
     disc, limits, doubles = {}, {}, {}
     for ell in range(top, 0, -1):
         table = None  # free length ell + 1's table first (doubles keeps even ones)

@@ -15,7 +15,9 @@ so each stage is built (and checked perfect) once per process, and
 growing the tower copies nothing.  It holds what the sources used to
 hold while they were alive: about 1 byte per symbol (the alphabet dtype)
 of the longest prefix any of them has requested, rounded up to a whole
-stage, for the life of the process.
+stage, for the life of the process.  Building a stage adds its fresh
+digits, the last word's block ids and ranks, and their sort order (8 B a
+block): past 2^16 symbols a cold tower peaks under 3 B a tower symbol.
 """
 
 from __future__ import annotations
@@ -45,21 +47,6 @@ def is_perfect(w: FiniteWord, ell: int) -> bool:
     return bool(np.all(counts == n // (ell * b**ell)))
 
 
-def _occurrence_ranks(ids: np.ndarray) -> np.ndarray:
-    """0-based rank of each entry among equal values, in order of appearance."""
-    r = ids.size
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    group_start = np.zeros(r, dtype=np.int64)
-    new_group = np.flatnonzero(np.diff(sorted_ids)) + 1
-    group_start[new_group] = new_group
-    np.maximum.accumulate(group_start, out=group_start)
-    rank_sorted = np.arange(r, dtype=np.int64) - group_start
-    ranks = np.empty(r, dtype=np.int64)
-    ranks[order] = rank_sorted
-    return ranks
-
-
 def _track_extend(w: FiniteWord, ell: int, step: int) -> FiniteWord:
     """Interleave fresh blocks around w so the step-th track equals w.
 
@@ -78,14 +65,19 @@ def _track_extend(w: FiniteWord, ell: int, step: int) -> FiniteWord:
             f"length {len(w)} not divisible by {ell} * {b}**{step * ell}"
         )
     ids = aligned_ids(w.data, ell, b)
-    fresh_width = (step - 1) * ell
-    prefix_vals = _occurrence_ranks(ids) % (b**fresh_width)
-    prefix_digits = digits(prefix_vals, fresh_width, b)
     r = ids.size
-    out = np.empty((r, ell, step), dtype=np.int64)
+    fresh_width = (step - 1) * ell
+    period = b**fresh_width
+    # w is perfect, so the stable sort lists each value's c = r / b**ell
+    # occurrences in order: ranks 0 .. c-1, and c is a multiple of period
+    ranks = np.empty(r, dtype=_dtype_for(period))
+    ranks[np.argsort(ids, kind="stable")] = np.tile(
+        np.arange(period, dtype=ranks.dtype), r // period
+    )
+    out = np.empty((r, ell, step), dtype=w.data.dtype)
     out[:, :, step - 1] = w.data.reshape(r, ell)
-    out[:, :, : step - 1] = prefix_digits.reshape(r, ell, step - 1)
-    return FiniteWord(w.alphabet, out.reshape(-1))
+    out[:, :, : step - 1] = digits(ranks, fresh_width, b).reshape(r, ell, step - 1)
+    return FiniteWord._adopt(w.alphabet, out.reshape(-1))
 
 
 def double_length_extend(w: FiniteWord, ell: int) -> FiniteWord:
@@ -121,8 +113,9 @@ def _fill_extend(w: FiniteWord, step: int) -> FiniteWord:
     n = len(w)
     out = np.empty((n, step), dtype=w.data.dtype)
     out[:, step - 1] = w.data
-    out[:, : step - 1] = np.resize(np.arange(b, dtype=w.data.dtype), (n, step - 1))
-    return FiniteWord(w.alphabet, out.reshape(-1))
+    fill = np.tile(np.arange(b, dtype=w.data.dtype), -(-n * (step - 1) // b))
+    out[:, : step - 1] = fill[: n * (step - 1)].reshape(n, step - 1)
+    return FiniteWord._adopt(w.alphabet, out.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -143,11 +136,9 @@ def _seed_stages(base: int):
     # base >= 3: blocks of the track layout, cycling the non-track symbols
     b = base
     out = np.empty((b - 1, b), dtype=_dtype_for(b))
+    out[:, : b - 1] = [a for a in range(b) if a != 1]
     out[:, b - 1] = 1
-    others = np.array([a for a in range(b) if a != 1], dtype=out.dtype)
-    out[:, : b - 1] = np.resize(others, (b - 1, b - 1))
-    w1 = FiniteWord(Alphabet(b), out.reshape(-1))
-    return [PerfectStage(1, w1, 1, "seed")]
+    return [PerfectStage(1, FiniteWord._adopt(Alphabet(b), out.reshape(-1)), 1, "seed")]
 
 
 def _advance(stage: PerfectStage, base: int) -> PerfectStage:

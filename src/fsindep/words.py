@@ -114,18 +114,21 @@ class Alphabet:
 
     def render(self, data) -> str:
         """Text of the integer symbols ``data``, one character each."""
+        return self._text_bytes(data).decode("ascii")
+
+    def _text_bytes(self, data) -> bytes:
+        """:meth:`render`'s text as ASCII bytes, checked the same way."""
         if self.size > MAX_TEXT_ALPHABET:
             raise ValueError("alphabet too large for text rendering")
         arr = np.asarray(data)
         if arr.size == 0:
-            return ""
+            return b""
         if arr.dtype.kind not in "iu":
             raise ValueError("symbols must be integers")
         lo, hi = arr.min(), arr.max()
         if lo < 0 or hi >= self.size:
             self.check_symbol(lo if lo < 0 else hi)
-        codes = arr.astype(np.uint8, copy=False).tobytes().translate(_CHAR_OF_SYM)
-        return codes.decode("ascii")
+        return arr.astype(np.uint8, copy=False).tobytes().translate(_CHAR_OF_SYM)
 
 
 class FiniteWord:
@@ -360,7 +363,6 @@ def read_word_file(path, base: int) -> FiniteWord:
 
 def write_word_file(path, w: FiniteWord) -> None:
     """Write ``w`` as one line of symbol characters and ``"\\n"``."""
-    text = w.to_text()
     with open(path, "wb") as fh:
-        fh.write(text.encode("ascii"))
+        fh.write(w.alphabet._text_bytes(w.data))
         fh.write(b"\n")

@@ -88,6 +88,11 @@ def test_parse_errors():
         parse_automaton("automaton k=2 alphabet=2 initial=s\ns 0,2 s\n")  # symbol
     with pytest.raises(ValueError):
         parse_automaton("automaton k=2 alphabet=2\ns 0,0 s\n")  # missing initial
+    for row in ("s 0,0", "s 0,0 s s"):
+        with pytest.raises(ValueError, match="line 2: expected 'from label to'"):
+            parse_automaton(f"automaton k=2 alphabet=2 initial=s\n{row}\n")
+    with pytest.raises(ValueError, match="missing automaton header line"):
+        parse_automaton("# comments and blank lines only\n\n")
 
 
 def test_duplicate_transitions_are_dropped():

@@ -71,6 +71,16 @@ def test_parse_generator_rejects_garbage():
             parse_generator(bad)
 
 
+def test_parse_generator_names_what_is_wrong():
+    # one closing parenthesis too many, then one too few
+    for bad in ("join(rand,rand))", "join((rand,rand)"):
+        with pytest.raises(ValueError, match="unbalanced parentheses"):
+            parse_generator(bad)
+    for bad in ("periodic", "periodic:b=3"):
+        with pytest.raises(ValueError, match="periodic needs word="):
+            parse_generator(bad)
+
+
 def test_generator_build_requires_seed_or_default():
     g = parse_generator("rand")
     with pytest.raises(ValueError):
@@ -121,6 +131,24 @@ def test_generate_memory_cap_exits_4(tmp_path):
     )
     assert rc == 4
     assert not (tmp_path / "big.txt").exists()  # nothing partial on error
+
+
+def test_a_memory_cap_that_is_no_integer_exits_4(capsys):
+    rc, out = run_cli(
+        "generate", "--gen", "rand:seed=1", "-n", "8", env_extra={"FSINDEP_MAX_MEM_MB": "abc"}
+    )
+    assert (rc, out) == (4, "")
+    assert "FSINDEP_MAX_MEM_MB is not an integer: 'abc'" in capsys.readouterr().err
+
+
+def test_join_normal_refuses_an_over_cap_table_before_building(monkeypatch, capsys):
+    from fsindep import perfect
+
+    monkeypatch.setattr(perfect, "_TOWERS", {})
+    rc, out = run_cli("experiment", "join-normal", "--base", "16")
+    assert (rc, out) == (2, "")
+    assert "error: block table 16**7 exceeds cap 16777216" in capsys.readouterr().err
+    assert perfect._TOWERS == {}  # no stage built
 
 
 def test_stats_checks_the_memory_cap_before_reading(tmp_path, monkeypatch):
@@ -212,6 +240,13 @@ def test_check_automaton_reports_shuffle_violation():
         ("condcompress", "--gen", "selfsim", "--ref-gen", "odd(selfsim)"),
         ("independence", "--x-gen", "rand", "--y-gen", "rand", "--trials", "2"),
         ("experiment", "measure-one", "--trials", "2"),
+        # self-similar towers of bases past 2
+        ("generate", "--gen", "selfsim:b=3", "--out", "WORD"),
+        ("generate", "--gen", "selfsim:b=5", "--out", "WORD"),
+        ("generate", "--gen", "selfsim:b=16", "--out", "WORD"),
+        ("experiment", "join-dependence", "--base", "3"),
+        ("experiment", "join-dependence", "--base", "5", "-k", "4"),
+        ("experiment", "join-normal", "--base", "3"),
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
@@ -267,7 +302,7 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         assert rc == 0
         assert estimates[-1] >= peak, (argv, n, estimates[-1], peak)
         if n == upper_n:
-            # 4x leaves room for a tower two specs share, counted per spec
+            # and not far above it: a tower the specs share is charged once
             assert estimates[-1] <= 4 * peak, (argv, n, estimates[-1], peak)
 
 

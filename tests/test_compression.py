@@ -190,6 +190,14 @@ def test_match_run_mismatch_structure():
     assert back == word(bad)
 
 
+def test_match_run_decompress_refuses_a_flag_other_than_1():
+    A3 = Alphabet(3)
+    T = odd_projection_transducer(A3)
+    comp = word("0020", base=3)
+    with pytest.raises(DecodeDeadEnd, match="expected a 1 flag at position 3, found 2"):
+        match_run_decompress(T, 4, comp, RandomSource(A3, seed=1))
+
+
 def test_match_run_round_trip_exhaustive_small():
     """All 256 possible targets of length 8 survive the round trip."""
     k = 4

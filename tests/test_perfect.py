@@ -338,6 +338,26 @@ def test_tower_stages_are_built_in_the_alphabet_dtype(monkeypatch):
     assert peak <= 8 * n, peak / n
 
 
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6, 7, 16])
+def test_a_cold_tower_peaks_at_a_few_bytes_per_symbol(base, monkeypatch):
+    import tracemalloc
+
+    from fsindep import perfect
+
+    monkeypatch.setattr(perfect, "_TOWERS", {})  # build every stage below
+    tracemalloc.start()
+    try:
+        SelfSimilarSource(base).take(1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tower = perfect._TOWERS[base].starts[-1]
+    assert tower >= 1 << 20
+    # the stages, one byte a symbol, the build of the last one and the
+    # window read; through int64 stage builds this took 6 to 10 B/symbol
+    assert peak <= 5 * tower, (base, peak / tower)
+
+
 def test_a_second_source_builds_no_second_tower():
     import tracemalloc
 

@@ -268,6 +268,15 @@ def test_join_source_matches_word_level_join():
     assert j.prefix(20) == join(x, y)
 
 
+def test_join_interleaves_two_sources_and_refuses_a_word_and_a_source():
+    x, y = word("0011010111"), word("1100101000")
+    j = join(LiteralSource(x), LiteralSource(y))
+    assert isinstance(j, JoinSource)
+    assert j.prefix(20) == join(x, y)
+    with pytest.raises(TypeError):
+        join(x, LiteralSource(y))
+
+
 def test_join_source_parity_across_chunked_reads():
     jx = RandomSource(A2, seed=5)
     jy = RandomSource(A2, seed=6)
