@@ -344,8 +344,8 @@ def _cmd_check_automaton(args) -> int:
                 f"{t.source} {t.label_text(M.alphabet)} {t.target}" for t in v.pair
             )
             print(f"violation {v.kind}{where}: {labels}")
-        else:
-            print(f"violation {v.kind}{where}: {v.pair}")
+        else:  # initial-not-singleton, the states as the text format writes them
+            print(f"violation {v.kind}{where}: {','.join(v.pair)}")
     return 0
 
 
@@ -424,7 +424,10 @@ def _cmd_experiment(args) -> int:
     x = f"selfsim:b={args.base}"
     if args.name == "join-dependence":
         odd, even = (parse_generator(f"{half}({x})") for half in ("odd", "even"))
-        _check_memory(_estimate(args.n, [odd, even]))
+        # the match run predicts odd(x) as odd(even(x)), which reads 4n symbols
+        # of x; off base 2, where x[2n] = x[n] fails, its first window mismatches
+        matched = f"odd(even({x}))" if args.base == 2 else f"even({x})"
+        _check_memory(_estimate(args.n, [odd, parse_generator(matched)]))
         # odd(x) alone looks incompressible, but even(x) predicts it exactly
         # (the stream satisfies x[2n] = x[n]), so the match-run compressor
         # conditioned on even(x) drives the ratio down to 1/k.

@@ -451,13 +451,14 @@ def _constant_lengths(counts: np.ndarray, data: np.ndarray, k: int) -> np.ndarra
     return _block_lengths(col[data], k)
 
 
-def _code_lengths(s: np.ndarray) -> np.ndarray:
+def _code_lengths(s: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Codeword lengths for -log_b probabilities s: ceil(s) clamped to >= 1,
     0 for a sure block (s = 0) and -1 for an impossible one (s = inf)."""
-    lengths = np.maximum(np.ceil(s), 1.0)
+    lengths = np.ceil(s)
+    np.maximum(lengths, 1.0, out=lengths)
     lengths[s == 0.0] = 0.0
     lengths[np.isinf(s)] = -1.0
-    return lengths.astype(np.int64)
+    return lengths.astype(dtype)
 
 
 def train_model(
@@ -479,8 +480,9 @@ def train_model(
     return ConditionalModel(x_train.alphabet, k, nu)
 
 
-#: bytes a PrefixCode's store of code tables may hold; a build past it raises
+#: bytes a PrefixCode's store and one build batch's scratch may hold; a growth past it raises
 _STORE_CAP = 2**28
+_BUILD_BYTES = 24  # scratch per entry of a build batch: -log_b nu, sort order, lengths
 
 
 def _firsts(count: np.ndarray, b: int) -> np.ndarray:
@@ -493,23 +495,30 @@ def _firsts(count: np.ndarray, b: int) -> np.ndarray:
     return first
 
 
+def _starts(count: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The canonical rule: place p with a length-L codeword has the value p - starts[..., L]."""
+    return np.cumsum(count, axis=-1) - count - first
+
+
 class PrefixCode:
     """Canonical per-condition prefix-free codes for a ConditionalModel.
 
     For each reference block v, primary blocks get codewords over the
     same alphabet with |w(u, v)| = max(ceil(-log_b nu(u | v)), 1) (or the
     empty codeword when nu(u | v) = 1).  A condition's code is built the
-    first time it occurs, as one row of a dense store (Moffat & Turpin
-    1997).  ``_lengths``, ``_values`` and ``_order`` have a column per
-    primary block u: its codeword length (-1 when the model rules u out),
-    its value (the codeword as a base-b number; Python ints once one passes
-    int64), and the blocks in (length, s, id) order, impossible ones last.
-    ``_first`` and ``_count`` hold the first value and the number of the
-    codewords of each length 0 .. Lmax; ``_row_of`` maps a condition to its
-    row (-1 until built).  A build checks Kraft exactly in integers, also
-    under python -O, and refuses before it allocates when the store would
-    pass _STORE_CAP bytes (2 + 8 + 1..4 B per block and condition, more for
-    Python ints).  ``codebook`` derives a row's codewords, as a reference.
+    first time it occurs, as one row of a dense store of canonical forms
+    (Moffat & Turpin 1997).  ``_lengths`` (int16), ``_order`` and ``_rank``
+    (the block dtype) have a column per primary block u: its codeword
+    length (-1 when the model rules u out), the blocks in (length, s, id)
+    order, impossible ones last, and u's place p in that order, whose
+    codeword of length L has the value p - ``_starts``[row, L].  ``_first``
+    and ``_count`` hold the first value (Python ints past int64) and the
+    number of the codewords of each length 0 .. Lmax; ``_row_of`` maps a
+    condition to its row (-1 until built), and rows past ``len(_count)`` are
+    scratch.  A build checks Kraft exactly in integers, also under python
+    -O, and refuses before it allocates when the store (2 + 2 x 1..4 B per
+    block and condition) and a batch's scratch would pass _STORE_CAP bytes.
+    ``codebook`` derives a row's codewords, as a reference.
     """
 
     _TABLE_CAP = 2**20  # entries per build batch, which bounds its scratch
@@ -524,8 +533,7 @@ class PrefixCode:
         self._size = size
         self._row_of = np.full(size, -1, dtype=np.int32)
         self._lengths = np.zeros((0, size), dtype=np.int16)
-        self._values = np.zeros((0, size), dtype=np.int64)
-        self._order = np.zeros((0, size), dtype=_dtype_for(size))
+        self._order = self._rank = np.zeros((0, size), dtype=_dtype_for(size))
         self._count = self._first = np.zeros((0, 1), dtype=np.int64)
 
     def _neglog_for_conditions(self, v_ids: np.ndarray) -> np.ndarray:
@@ -549,40 +557,42 @@ class PrefixCode:
         seen[v_ids] = True
         missing = np.flatnonzero(seen & (self._row_of < 0))
         if missing.size:
-            kept = (self._lengths, self._values, self._order)
-            old, rows = len(kept[0]), len(kept[0]) + missing.size
-            need = rows * self._size * sum(a.itemsize for a in kept)
+            old, rows = len(self._count), len(self._count) + missing.size
+            step = max(1, self._TABLE_CAP // self._size)
+            entry = self._lengths.itemsize + 2 * self._order.itemsize
+            need = (rows * entry + min(step, missing.size) * _BUILD_BYTES) * self._size
             if need > _STORE_CAP:
                 raise ValueError(
                     f"code tables for {rows} conditions need {need} bytes, "
                     f"over the cap of {_STORE_CAP}"
                 )
-            store = [np.pad(a, ((0, missing.size), (0, 0))) for a in kept]
+            for name in ("_lengths", "_order", "_rank"):  # old and new of one array alive at once
+                setattr(self, name, np.pad(getattr(self, name)[:old], ((0, missing.size), (0, 0))))
             counts = [self._count]
-            step = max(1, self._TABLE_CAP // self._size)
             for i in range(0, missing.size, step):
-                counts.append(self._build(missing[i : i + step], store, old + i))
+                counts.append(self._build(missing[i : i + step], old + i))
             w = max(c.shape[1] for c in counts)
             self._count = np.concatenate([np.pad(c, ((0, 0), (0, w - c.shape[1]))) for c in counts])
             self._first = _firsts(self._count, self.model.alphabet.size)
-            self._lengths, self._values, self._order = store
             self._row_of[missing] = np.arange(old, rows)
         return self._row_of[v_ids].astype(np.intp)
 
-    def _build(self, v_ids: np.ndarray, store: list, at: int) -> np.ndarray:
-        """Fill the conditions v_ids' rows at, at + 1, .. of store; return their counts."""
+    def _build(self, v_ids: np.ndarray, at: int) -> np.ndarray:
+        """Fill the conditions v_ids' store rows at, at + 1, ..; return their counts."""
         b = self.model.alphabet.size
         s = self._neglog_for_conditions(v_ids)
         m, size = s.shape
         rows = slice(at, at + m)
-        lengths = _code_lengths(s)
         # the length is nondecreasing in s, so a stable sort by s gives the
         # (length, s, id) order, impossible blocks (s = inf) last.  The one
         # exception, a sure block (s = 0) after blocks with s < 0 (nu above
         # 1), breaks Kraft in any order and raises below.
-        order = np.argsort(s, axis=1, kind="stable")
+        self._order[rows] = order = np.argsort(s, axis=1, kind="stable")
+        order += (size * np.arange(m))[:, None]  # now flat indices into the rows
+        self._rank[rows].reshape(-1)[order] = np.arange(size)
+        del order
+        self._lengths[rows] = lengths = _code_lengths(s, np.int32)
         del s
-        store[0][rows], store[2][rows] = lengths, order
         top = lengths.max(axis=1)
         span = int(top.max()) + 2
         r = np.arange(m)
@@ -600,18 +610,6 @@ class PrefixCode:
                     f"Kraft violation for condition block {v}: "
                     f"lengths up to {L} need {u} of {b}**{L} leaves"
                 )
-        # the j-th block in order has value j + first[L] - (blocks shorter
-        # than L); the offset column of cells' impossible blocks stays 0
-        offset = np.zeros((m, span), dtype=first.dtype)
-        offset[:, 1:] = first - (np.cumsum(count, axis=1) - count)
-        order += (size * r)[:, None]  # now flat indices into the batch
-        ranked = offset.reshape(-1)[cells.reshape(-1)[order]]
-        ranked += np.arange(size)
-        if first.dtype == object:
-            store[1] = store[1].astype(object, copy=False)
-        values = store[1][rows]
-        values.reshape(-1)[order] = ranked  # rows of the store, not a copy
-        values[store[0][rows] < 0] = 0
         return count
 
     def codebook(self, v_id: int):
@@ -625,13 +623,14 @@ class PrefixCode:
             raise ValueError(f"condition block id {v_id} is outside 0 .. {self._size - 1}")
         b = self.model.alphabet.size
         r = int(self._rows(np.array([v_id]))[0])
+        starts = _starts(self._count[r], self._first[r]).tolist()
         codewords = [None] * self._size
-        start = 0
+        p = 0
         for L, count in enumerate(self._count[r].tolist()):
-            blocks = self._order[r, start : start + count]
-            for u, cw in zip(blocks.tolist(), digits(self._values[r, blocks], L, b).tolist()):
+            values = [q - starts[L] for q in range(p, p + count)]
+            for u, cw in zip(self._order[r, p : p + count], digits(values, L, b).tolist()):
                 codewords[u] = tuple(cw)
-            start += count
+            p += count
         return self._lengths[r].copy(), codewords
 
 
@@ -647,30 +646,28 @@ def cond_encode(
     n must be a multiple of the model's block length.  Both sources are
     consumed in lockstep, k symbols per block.  Rows of the code's store
     are built only for the condition blocks that occur; one gather reads
-    each block's codeword length and value, and each output symbol is one
-    base-b digit of its block's value.
+    each block's codeword length and place, ``_starts`` turns the place
+    into the codeword's value, and one mask keeps the last length digits
+    of the values' ``blocks.digits`` at the longest length.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
+    if x.alphabet != model.alphabet or y.alphabet != model.alphabet:
+        raise ValueError("x and y must be over the code's alphabet")
     n = int(n)
     if n % k:
         raise ValueError(f"budget {n} is not a multiple of block length {k}")
     u_ids = aligned_ids(x.take(n), k, b)
-    flat = code._rows(aligned_ids(y.take(n), k, b)) * code._size + u_ids
-    lengths = code._lengths.reshape(-1)[flat].astype(np.int64)
-    values = code._values.reshape(-1)[flat]
+    rows = code._rows(aligned_ids(y.take(n), k, b))
+    flat = rows * code._size + u_ids
+    lengths = code._lengths.reshape(-1)[flat]
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
-    est = _block_estimate(n, k, lengths)
-    # output symbol j of a codeword ending before e is the digit of
-    # b**(e - 1 - j) of its value; x - x // b * b is x % b, but faster
-    power = b ** np.arange(lengths.max(initial=0), dtype=values.dtype)
-    shift = np.repeat(np.cumsum(lengths) - 1, lengths)
-    shift -= np.arange(est.output_symbols)
-    out = np.repeat(values, lengths)
-    out //= power[shift]
-    out -= out // b * b
-    return FiniteWord(model.alphabet, out.astype(_dtype_for(b))), est
+    values = code._rank.reshape(-1)[flat] - _starts(code._count, code._first)[rows, lengths]
+    width = int(lengths.max(initial=0))
+    keep = np.arange(width) >= (width - lengths)[:, None]
+    out = digits(values, width, b)[keep]
+    return FiniteWord(model.alphabet, out), _block_estimate(n, k, lengths)
 
 
 def cond_decode(
@@ -683,13 +680,15 @@ def cond_decode(
     codeword of the conditions that occur, zeros past the end), fall below
     the limit (first + count) * b**(W - L) exactly from the codeword length
     L being read on, so one bisect over the row's limits for L = 0 .. W
-    gives L.  The limits and offsets of the rows that occur become Python
-    lists once, and the window is read as Python ints.  A window that
-    starts no codeword or a truncated final codeword raises DecodeDeadEnd,
-    as does trailing data after the last block.
+    gives L and w // b**(W - L) + ``_starts`` the block's place.  The limits
+    and offsets of the rows that occur become Python lists once, and the
+    window is read as Python ints.  A window that starts no codeword or a
+    truncated final codeword raises DecodeDeadEnd, as does trailing data.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
+    if compressed.alphabet != model.alphabet or y.alphabet != model.alphabet:
+        raise ValueError("compressed and y must be over the code's alphabet")
     n = int(n)
     if n % k:
         raise ValueError(f"length {n} is not a multiple of block length {k}")
@@ -712,7 +711,7 @@ def cond_decode(
     # per row that occurs: the limits of lengths 0 .. width, and for each
     # length the flat index in the store's order of the block of value 0
     limits = (first + count) * np.array(scale, dtype=dtype)
-    offsets = (present * code._size)[:, None] + np.cumsum(count, axis=1) - count - first
+    offsets = (present * code._size)[:, None] + _starts(count, first)
     forms = list(zip(limits.tolist(), offsets.tolist()))
     picks = []
     pos = 0

@@ -213,6 +213,14 @@ def test_check_automaton_reports_shuffle_violation():
     assert "read-pattern" in text and "q0" in text
 
 
+def test_check_automaton_prints_initial_states_as_the_text_format_writes_them(tmp_path):
+    path = tmp_path / "two.aut"
+    path.write_text("automaton k=2 alphabet=2 initial=a,b\na 0,0 a\nb 1,1 b\n")
+    rc, text = run_cli("check-automaton", "--automaton", str(path), "--ell", "1")
+    assert rc == 0
+    assert text.splitlines() == ["deterministic: no", "violation initial-not-singleton: a,b"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -304,6 +312,31 @@ def test_memory_estimate_bounds_the_traced_peak(argv, monkeypatch, tmp_path):
         if n == upper_n:
             # and not far above it: a tower the specs share is charged once
             assert estimates[-1] <= 4 * peak, (argv, n, estimates[-1], peak)
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_join_dependence_builds_no_larger_a_tower_than_it_is_charged_for(base, monkeypatch):
+    from fsindep import cli, perfect
+
+    charged = []
+    estimate = cli._estimate
+
+    def charging(n, specs, *rest):
+        charged.append(specs)
+        return estimate(n, specs, *rest)
+
+    monkeypatch.setattr(cli, "_estimate", charging)
+    monkeypatch.setattr(perfect, "_TOWERS", {})
+    n = (1 << 16) + 32  # at base 2 the match run reads 4n symbols of x, just past 2**18
+    argv = ("experiment", "join-dependence", "--base", str(base), "-n", str(n), "-k", "8")
+    assert run_cli(*argv)[0] == 0
+    reads = {}
+    for spec in charged[-1]:
+        spec.atom_bytes(n, reads)
+    tower = base  # _estimate's tower: whole stages, the first b**j >= what the specs read
+    while tower < reads[base]:
+        tower *= base
+    assert perfect._TOWERS[base].starts[-1] <= tower
 
 
 def test_main_calls_in_one_process_print_what_each_prints_alone():

@@ -750,7 +750,7 @@ def test_code_store_grows_over_calls_and_batches_like_the_naive_codebook(batch):
             assert set(conds.tolist()) <= set(built.tolist())
             # every row is built once: one row per condition seen so far
             assert code._lengths.shape[0] == built.size
-            dtypes.append(code._values.dtype)
+            dtypes.append(code._first.dtype)
         assert dtypes == [np.int64, np.int64 if nu.min() > 1e-20 else object]
         for v in built.tolist():
             lengths, codewords = code.codebook(v)
@@ -812,10 +812,101 @@ def test_code_store_refuses_past_its_byte_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     need = int(re.search(r"need (\d+) bytes", str(err.value))[1])
-    assert need > 40 << 20
+    # 911 rows of 2 + 2 x 2 B an entry, and one 256-row batch's scratch at 24 B an entry
+    assert need == (911 * 6 + 256 * 24) * 4096
     assert peak < 1 << 20, peak  # the sources' symbols and the ids, no row
     assert code._lengths.shape[0] == rows  # the store is as it was
     assert cond_decode(comp, y.clone(), code, 16 * k) == x.prefix(16 * k)
+
+
+def _traced_peak(f):
+    """f's result and the tracemalloc peak of its call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _k16_code_and_conditions():
+    code = build_prefix_code(ConditionalModel(A2, 16, np.array([[0.7, 0.2], [0.3, 0.8]])))
+    return code, np.random.default_rng(16).choice(2**16, 32, replace=False)
+
+
+def test_a_store_growth_peaks_within_the_need_it_was_checked_against(monkeypatch):
+    from fsindep import compression
+
+    code, conds = _k16_code_and_conditions()
+    for batch in (conds[:16], conds[16:]):  # one build batch of 2**20 entries each
+        monkeypatch.setattr(compression, "_STORE_CAP", 0)
+        with pytest.raises(ValueError, match=r"need (\d+) bytes") as err:
+            code._rows(batch)
+        need = int(re.search(r"need (\d+) bytes", str(err.value))[1])
+        monkeypatch.undo()
+        _, peak = _traced_peak(lambda: code._rows(batch))
+        assert peak <= need, (peak, need)
+
+
+def test_a_second_store_growth_peaks_a_few_bytes_per_batch_entry_above_the_store():
+    import tracemalloc
+
+    code, conds = _k16_code_and_conditions()
+    tracemalloc.start()  # so the old store's arrays count while they live
+    try:
+        code._rows(conds[:16])
+        tracemalloc.reset_peak()
+        code._rows(conds[16:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = sum(a.nbytes for a in (code._lengths, code._order, code._rank))
+    assert store == 32 * 2**16 * 6
+    assert peak - store <= 32 * 16 * 2**16, (peak - store) / (16 * 2**16)
+
+
+def test_cond_encode_with_its_rows_built_peaks_at_a_few_bytes_per_output_symbol():
+    x, y, n = _codec_pair(2, 8, 0.0, blocks=1 << 15)
+    code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), 8))
+    cond_encode(x.clone(), y.clone(), code, n)  # builds every row it needs
+    xs, ys = x.clone(), y.clone()
+    (comp, _), peak = _traced_peak(lambda: cond_encode(xs, ys, code, n))
+    assert peak <= 12 * len(comp), peak / len(comp)
+
+
+def test_a_refused_kraft_build_leaves_the_code_usable():
+    # the model of KRAFT_VIOLATION: condition 0 breaks Kraft, condition 1 does not
+    model = ConditionalModel(A2, 1, np.array([[1.0, 0.5], [1e-10, 0.5]]))
+    code = build_prefix_code(model)
+    with pytest.raises(ValueError, match="Kraft violation for condition block 0"):
+        code.codebook(0)
+    lengths, codewords = code.codebook(1)
+    assert (lengths.tolist(), codewords) == naive_codebook(model, 1)
+    assert code._lengths.shape[0] == len(code._count) == 1
+    assert code._row_of.tolist() == [-1, 0]
+
+
+class _Unread(WordSource):
+    """A source that fails the test when a symbol is taken from it."""
+
+    def _produce(self, n):
+        raise AssertionError("a symbol was taken")
+
+    def clone(self):
+        return _Unread(self.alphabet)
+
+
+def test_codec_refuses_words_over_another_alphabet_before_reading():
+    A3 = Alphabet(3)
+    code = build_prefix_code(ConditionalModel(A2, 4, np.array([[0.7, 0.2], [0.3, 0.8]])))
+    for x, y in ((_Unread(A3), _Unread(A2)), (_Unread(A2), _Unread(A3))):
+        with pytest.raises(ValueError, match="must be over the code's alphabet"):
+            cond_encode(x, y, code, 64)
+    for comp, y in ((FiniteWord(A3, [2] * 8), _Unread(A2)), (FiniteWord(A2, [0]), _Unread(A3))):
+        with pytest.raises(ValueError, match="must be over the code's alphabet"):
+            cond_decode(comp, y, code, 64)
+    assert len(code._count) == 0  # no row was built
 
 
 # ---------------------------------------------------------------------------

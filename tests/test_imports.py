@@ -36,7 +36,8 @@ def _private(name: str) -> bool:
 def test_every_private_name_is_referenced():
     """Each private module-level function, class and constant, and each
     private method, defined in a module is used somewhere in the library
-    beyond its definition, as a name read or an attribute."""
+    beyond its definition, as a name read or an attribute; and each private
+    attribute stored on self is read somewhere in the library."""
     paths = sorted(SRC.glob("*.py"))
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
     used = set()
@@ -59,3 +60,15 @@ def test_every_private_name_is_referenced():
                 defined.append((module, node.target.id))
     dead = [f"{module}: {name}" for module, name in defined if _private(name) and name not in used]
     assert dead == []
+    # and each private attribute a method stores on self is read somewhere
+    stored, read = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)  # x.a += 1 reads x.a
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "self":
+                    stored.add(node.attr)
+    assert sorted(a for a in stored - read if _private(a)) == []
