@@ -61,3 +61,30 @@ def digits(vals, width: int, b: int) -> np.ndarray:
         out[..., j] = rest
         np.floor_divide(q, b, out=rest)
     return out
+
+
+def digit_runs(vals, widths, b: int) -> np.ndarray:
+    """Each value's base-b digits at its own width, most significant first,
+    one value after another; a width of 0 writes nothing.
+
+    Values are taken longest first, so the ones with a j-th last digit are
+    a prefix, and only the digits written are computed.
+    """
+    widths = np.asarray(widths)
+    order = np.argsort(widths, kind="stable")[::-1]  # narrow ints sort stably by radix
+    ends = np.cumsum(widths, dtype=np.intp)
+    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=_dtype_for(b))
+    ends = ends[order]
+    rest = np.array(vals)[order]
+    q = np.empty_like(rest)
+    # have[L]: how many values are L digits wide or wider
+    have = np.cumsum(np.bincount(widths, minlength=1)[::-1])[::-1].tolist()
+    for j in range(1, len(have)):
+        r, t, at = rest[: have[j]], q[: have[j]], ends[: have[j]]
+        np.floor_divide(r, b, out=t)
+        t *= b
+        r -= t
+        at -= 1
+        out[at] = r
+        np.floor_divide(t, b, out=r)
+    return out

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .blocks import _count_ids, _horner, aligned_ids, digits
+from .blocks import _count_ids, _horner, aligned_ids, digit_runs, digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 from .automata import KAutomaton, RunTrace, compile, run
@@ -432,9 +432,30 @@ def _smooth(counts: np.ndarray) -> np.ndarray:
     return (counts + 1.0) / (counts.sum(axis=0, keepdims=True) + len(counts))
 
 
+def _row_sums(s: np.ndarray, k: int) -> np.ndarray:
+    """``s.reshape(-1, k).sum(axis=1)`` bit for bit; overwrites s.
+
+    numpy reduces rows of up to 8 terms slowly, so these are summed by
+    column adds in numpy's own order: left to right below 8 terms, 8 as
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), and the row's sum
+    added to 0.0, which turns an all -0.0 row into 0.0.
+    """
+    rows = s.reshape(-1, k)
+    if k > 8:
+        return rows.sum(axis=1)
+    if k < 8:
+        for j in range(1, k):
+            rows[:, 0] += rows[:, j]
+    else:
+        for w in (1, 2, 4):
+            rows[:, 0::2 * w] += rows[:, w::2 * w]
+    return rows[:, 0] + 0.0
+
+
 def _block_lengths(s: np.ndarray, k: int) -> np.ndarray:
-    """Codeword lengths of the k-symbol blocks whose terms -log_b nu are s; nu = 0 raises."""
-    s = s.reshape(-1, k).sum(axis=1)  # frees the symbols' terms if only s held them
+    """Codeword lengths of the k-symbol blocks whose terms -log_b nu are s (which
+    this overwrites); nu = 0 raises."""
+    s = _row_sums(s, k)  # frees the symbols' terms if only s held them
     lengths = _code_lengths(s)
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
@@ -461,6 +482,35 @@ def _code_lengths(s: np.ndarray, dtype=np.int64) -> np.ndarray:
     return lengths.astype(dtype)
 
 
+def _rank_tables(neglog: np.ndarray, k: int, m: int):
+    """Tables that carry dense ranks of k-term block sums from level to level.
+
+    Level i's sums are V[j] + neglog[a, c] over the sorted distinct sums V
+    of level i - 1 (V = [0.0] before level 0), the very float additions of
+    the block sums, and float addition is monotone: equal sums get one rank
+    and smaller sums smaller ranks.  ``tables[i][c * |V| + j, a]`` is that
+    sum's rank among level i's distinct sums, in the narrowest dtype.
+    Returns (tables, the last level's distinct sums), or None where ranking
+    m conditions' blocks would not pay: a level with as many candidate sums
+    (b * b * |V|) as the entries it ranks (m * b**(i + 1)), candidates of
+    all levels together past a quarter of the m * b**k entries (a candidate
+    costs a few entries' float sort), or ranks past 16 bits (numpy sorts
+    only 8- and 16-bit keys by radix).
+    """
+    b = len(neglog)
+    values, tables, spent = np.zeros(1), [], 0
+    for i in range(k):
+        candidates = b * b * values.size
+        spent += candidates
+        if candidates >= m * b ** (i + 1) or spent > m * b**k // 4:
+            return None
+        values, inv = np.unique(values[:, None] + neglog.T[:, None, :], return_inverse=True)
+        if values.size > 2**16:
+            return None
+        tables.append(inv.astype(_dtype_for(values.size)).reshape(-1, b))
+    return tables, values
+
+
 def train_model(
     x_train: FiniteWord, y_train: FiniteWord, k: int
 ) -> ConditionalModel:
@@ -482,7 +532,9 @@ def train_model(
 
 #: bytes a PrefixCode's store and one build batch's scratch may hold; a growth past it raises
 _STORE_CAP = 2**28
-_BUILD_BYTES = 24  # scratch per entry of a build batch: -log_b nu, sort order, lengths
+# scratch per entry of a build batch: a float key, its sort order and the lengths
+# peak at 20-21 B (tracemalloc), a rank key at 13-15
+_BUILD_BYTES = 24
 
 
 def _firsts(count: np.ndarray, b: int) -> np.ndarray:
@@ -507,7 +559,10 @@ class PrefixCode:
     same alphabet with |w(u, v)| = max(ceil(-log_b nu(u | v)), 1) (or the
     empty codeword when nu(u | v) = 1).  A condition's code is built the
     first time it occurs, as one row of a dense store of canonical forms
-    (Moffat & Turpin 1997).  ``_lengths`` (int16), ``_order`` and ``_rank``
+    (Moffat & Turpin 1997), from keys that sort each row's blocks as
+    s = -log_b nu(u | v) does: dense ranks of s in 8 or 16 bits, which numpy
+    sorts by radix, where ``_rank_tables`` says ranking pays, and s itself
+    elsewhere.  ``_lengths`` (int16), ``_order`` and ``_rank``
     (the block dtype) have a column per primary block u: its codeword
     length (-1 when the model rules u out), the blocks in (length, s, id)
     order, impossible ones last, and u's place p in that order, whose
@@ -536,20 +591,37 @@ class PrefixCode:
         self._order = self._rank = np.zeros((0, size), dtype=_dtype_for(size))
         self._count = self._first = np.zeros((0, 1), dtype=np.int64)
 
-    def _neglog_for_conditions(self, v_ids: np.ndarray) -> np.ndarray:
-        """-log_b nu(u | v): one row per condition v, one column per block u."""
-        b, k = self.model.alphabet.size, self.model.k
-        m = v_ids.size
-        dv = digits(v_ids, k, b)
-        s = np.zeros((m, 1))
+    def _sort_keys(self, v_ids: np.ndarray):
+        """Keys that sort each condition v's blocks u as s = -log_b nu(u | v) does.
+
+        One row per condition, one column per block: (ranks, values) with
+        s = values[ranks] where ``_rank_tables`` pays, else (s, None), s
+        summed left to right.
+        """
+        neglog, k = self.model.neglog, self.model.k
+        b, m = len(neglog), v_ids.size
+        dv = digits(v_ids, k, b).astype(np.intp)
+        ranked = _rank_tables(neglog, k, m)
+        key = np.zeros((m, 1), dtype=np.uint8 if ranked else float)
         for i in range(k):
-            # the newest digit goes on the slow axis, which keeps numpy's
-            # inner loops long; the sums still run left to right
-            col = self.model.neglog[:, dv[:, i]].T
-            s = (col[:, :, None] + s[:, None, :]).reshape(m, -1)
-        # the digits of a column index now stand last-first
-        flip = np.arange(b**k).reshape((b,) * k).transpose(range(k - 1, -1, -1))
-        return s[:, flip.reshape(-1)]
+            # the newest digit goes on the fast axis, so a column is a block id
+            if ranked:
+                table = ranked[0][i]
+                at = key.astype(np.intp)
+                at += dv[:, i, None] * (len(table) // b)
+                key = table.take(at, axis=0)
+                del at
+            else:
+                terms = neglog[:, dv[:, i]].T
+                if b < 8:  # b strided adds beat a broadcast whose inner loop is b terms
+                    s = np.empty(key.shape + (b,))
+                    for a in range(b):
+                        np.add(key, terms[:, a, None], out=s[..., a])
+                    key = s
+                else:
+                    key = key[:, :, None] + terms[:, None, :]
+            key = key.reshape(m, -1)
+        return key, ranked[1] if ranked else None
 
     def _rows(self, v_ids: np.ndarray) -> np.ndarray:
         """Each condition's store row, building missing ones _TABLE_CAP entries a batch."""
@@ -580,19 +652,24 @@ class PrefixCode:
     def _build(self, v_ids: np.ndarray, at: int) -> np.ndarray:
         """Fill the conditions v_ids' store rows at, at + 1, ..; return their counts."""
         b = self.model.alphabet.size
-        s = self._neglog_for_conditions(v_ids)
-        m, size = s.shape
+        key, values = self._sort_keys(v_ids)
+        m, size = key.shape
         rows = slice(at, at + m)
         # the length is nondecreasing in s, so a stable sort by s gives the
         # (length, s, id) order, impossible blocks (s = inf) last.  The one
         # exception, a sure block (s = 0) after blocks with s < 0 (nu above
-        # 1), breaks Kraft in any order and raises below.
-        self._order[rows] = order = np.argsort(s, axis=1, kind="stable")
+        # 1), breaks Kraft in any order and raises below.  Ranks of s sort
+        # as s does, and numpy sorts 8- and 16-bit keys stably by radix.
+        self._order[rows] = order = np.argsort(key, axis=1, kind="stable")
         order += (size * np.arange(m))[:, None]  # now flat indices into the rows
-        self._rank[rows].reshape(-1)[order] = np.arange(size)
+        self._rank[rows].reshape(-1)[order] = np.arange(size, dtype=self._rank.dtype)
         del order
-        self._lengths[rows] = lengths = _code_lengths(s, np.int32)
-        del s
+        if values is None:
+            lengths = _code_lengths(key, np.int32)
+        else:
+            lengths = _code_lengths(values, np.int32).take(key)
+        del key
+        self._lengths[rows] = lengths
         top = lengths.max(axis=1)
         span = int(top.max()) + 2
         r = np.arange(m)
@@ -647,8 +724,8 @@ def cond_encode(
     consumed in lockstep, k symbols per block.  Rows of the code's store
     are built only for the condition blocks that occur; one gather reads
     each block's codeword length and place, ``_starts`` turns the place
-    into the codeword's value, and one mask keeps the last length digits
-    of the values' ``blocks.digits`` at the longest length.
+    into the codeword's value, and ``blocks.digit_runs`` writes each value
+    at its length, computing only the digits it writes.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
@@ -664,9 +741,7 @@ def cond_encode(
     if np.any(lengths < 0):
         raise ValueError("model assigns probability 0 to an observed block")
     values = code._rank.reshape(-1)[flat] - _starts(code._count, code._first)[rows, lengths]
-    width = int(lengths.max(initial=0))
-    keep = np.arange(width) >= (width - lengths)[:, None]
-    out = digits(values, width, b)[keep]
+    out = digit_runs(values, lengths, b)
     return FiniteWord(model.alphabet, out), _block_estimate(n, k, lengths)
 
 

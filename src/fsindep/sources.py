@@ -122,7 +122,7 @@ class PeriodicSource(WordSource):
 
 # SplitMix64 finalizer: a counter-based generator gives exact random
 # access, so clones replay the identical stream with no state to copy.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15  # the counter step
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
@@ -171,15 +171,20 @@ class RandomSource(WordSource):
     def _produce(self, n):
         b = self.alphabet.size
         out = np.empty(n, dtype=_dtype_for(b))
-        seed = np.uint64(self.seed & _MASK64)
         t = np.empty(min(n, _MIX_CHUNK), dtype=np.uint64)
         for lo in range(0, n, _MIX_CHUNK):
             hi = min(lo + _MIX_CHUNK, n)
-            z = np.arange(self._count + lo + 1, self._count + hi + 1, dtype=np.uint64)
+            # seed + GAMMA * i for i = count + lo + 1 .., wrapping mod 2^64, in
+            # one pass: numpy fills an integer arange as start + j * step in
+            # uint64 arithmetic, so only its first two terms must be in range
+            start = (self.seed + _GAMMA * (self._count + lo + 1)) & _MASK64
+            step = _GAMMA if start + _GAMMA <= _MASK64 else _GAMMA - (1 << 64)
+            z = np.arange(start, start + step * (hi - lo), step, dtype=np.uint64)
             tz = t[: hi - lo]
-            z *= _GAMMA  # seed + GAMMA * i, wrapping mod 2^64
-            z += seed
             _mix64(z, tz)
+            if b & (b - 1) == 0:  # z % b keeps z's low bits
+                np.bitwise_and(z, b - 1, out=out[lo:hi], casting="unsafe")
+                continue
             # z % b as z - (z // b) * b: numpy divides by a scalar through
             # libdivide, but its remainder runs a hardware division
             np.floor_divide(z, np.uint64(b), out=tz)

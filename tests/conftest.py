@@ -495,6 +495,34 @@ def naive_codebook(model, v_id: int):
     return lengths, codewords
 
 
+def float_code_rows(model, v_ids):
+    """(order, rank, lengths, count) of the code rows of the conditions v_ids,
+    built as PrefixCode built them before it ranked the block sums.
+
+    s = -log_b nu(u | v) is summed in float64 left to right; order is the
+    stable argsort of s, which is the (length, s, id) order, and rank the
+    place of each block in it; lengths follow naive_codebook's rule, and
+    count[row, L] is the number of codewords of length L = 0 .. the longest
+    of all the rows (impossible blocks, length -1, are not counted).
+    """
+    b, k = model.alphabet.size, model.k
+    size = b**k
+    u, v = np.arange(size), np.asarray(v_ids)
+    s = np.zeros((v.size, size))
+    for i in range(k):
+        p = b ** (k - 1 - i)  # the place of digit i, first digit most significant
+        s += model.neglog[(u // p % b)[None, :], (v // p % b)[:, None]]
+    order = np.argsort(s, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(size), axis=1)
+    lengths = np.maximum(np.ceil(s), 1.0)
+    lengths[s == 0.0] = 0.0
+    lengths[np.isinf(s)] = -1.0
+    lengths = lengths.astype(np.int64)
+    count = np.stack([(lengths == L).sum(axis=1) for L in range(max(int(lengths.max()), 0) + 1)], 1)
+    return order, rank, lengths, count
+
+
 def naive_cond_encode(x, y, code, n: int):
     """Per-block conditional encoder: (encoded word, codeword length per block)."""
     model = code.model

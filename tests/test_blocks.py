@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fsindep import block_counts, word
-from fsindep.blocks import aligned_ids, digits, sliding_ids
+from fsindep.blocks import aligned_ids, digit_runs, digits, sliding_ids
 from fsindep.words import _dtype_for
 
 from conftest import _naive_block_id, _naive_digits, naive_block_counts, rand_text
@@ -61,6 +61,21 @@ def test_digits_of_python_ints_past_64_bits():
     vals = np.array([2**70 + 5, 3, 0], dtype=object)
     got = digits(vals, 72, 2)
     assert [tuple(r) for r in got.tolist()] == [_naive_digits(int(v), 2, 72) for v in vals]
+
+
+@pytest.mark.parametrize("b", [2, 3, 10])
+def test_digit_runs_write_each_value_at_its_own_width(b):
+    rng = random.Random(b)
+    for n in (0, 1, 7, 300):
+        widths = [rng.choice((0, 1, 2, 5, 9, 13)) for _ in range(n)]
+        vals = [rng.randrange(b**w) for w in widths]
+        want = [d for v, w in zip(vals, widths) for d in _naive_digits(v, b, w)]
+        got = digit_runs(np.array(vals, dtype=np.int64), np.array(widths, dtype=np.int16), b)
+        assert got.dtype == _dtype_for(b) and got.tolist() == want
+    # values past 64 bits come as Python ints in an object array
+    vals, widths = [2**70 + 5, 3, 0, b**80 - 1], [72 if b == 2 else 70, 2, 0, 80]
+    want = [d for v, w in zip(vals, widths) for d in _naive_digits(v, b, w)]
+    assert digit_runs(np.array(vals, dtype=object), widths, b).tolist() == want
 
 
 def test_ids_past_32_bits_are_refused():

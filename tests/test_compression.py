@@ -55,6 +55,7 @@ from fsindep.blocks import aligned_ids
 
 from conftest import (
     _naive_digits,
+    float_code_rows,
     naive_codebook,
     naive_cond_decode,
     naive_cond_encode,
@@ -426,7 +427,7 @@ def test_symbol_code_lengths_takes_any_integer_dtype_and_refuses_other_symbols()
 
 
 @pytest.mark.parametrize("b", [2, 3, 5])
-@pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
+@pytest.mark.parametrize("k", [*range(1, 18), 24, 128, 129])
 def test_block_sums_match_the_two_dimensional_gather_bit_for_bit(b, k, monkeypatch):
     from fsindep import compression
 
@@ -772,15 +773,111 @@ def test_cond_decode_refuses_every_truncation_and_a_trailing_symbol(b, k):
             cond_decode(comp + FiniteWord(Alphabet(b), [a]), y.clone(), code, n)
 
 
+def _store_models(b: int) -> dict:
+    """nu over b symbols: trained, with hard zeros, sure blocks, and one that
+    breaks Kraft under a reference symbol 0."""
+    rng = np.random.default_rng(b)
+    x = rng.integers(0, b, 4096)
+    y = np.where(rng.random(4096) < 0.2, rng.integers(0, b, 4096), x)
+    trained = train_model(FiniteWord(Alphabet(b), x), FiniteWord(Alphabet(b), y), 1).nu
+    hard = rng.random((b, b)) + 0.02
+    hard[(np.arange(b) + 1) % b, np.arange(b)] = 0.0  # nu(c + 1 | c) = 0
+    # under reference 0, primary 0 is sure and 1 possible: more than all the leaves
+    kraft = np.full((b, b), 1.0 / b)
+    kraft[:, 0] = 0.0
+    kraft[:2, 0] = (1.0, 1e-10)
+    return {"trained": trained, "hard": hard / hard.sum(axis=0), "sure": np.eye(b), "kraft": kraft}
+
+
+@pytest.mark.parametrize(
+    "b, k", [(b, k) for b in (2, 3, 5, 16) for k in (1, 4, 8, 12) if b**k <= 2**20]
+)
+def test_code_rows_match_the_float_build_and_the_naive_codebook(b, k):
+    size = b**k
+    rng = np.random.default_rng(size)
+    v_ids = np.sort(rng.choice(size, min(size, max(1, 2**18 // size)), replace=False))
+    for name, nu in _store_models(b).items():
+        model = ConditionalModel(Alphabet(b), k, nu)
+        order, rank, lengths, count = float_code_rows(model, v_ids)
+        # Kraft, exactly: the codewords of lengths up to a row's longest L
+        # need sum(count_l * b**(L - l)) of its b**L leaves
+        refused = [
+            v
+            for v, L, c in zip(v_ids.tolist(), lengths.max(axis=1).tolist(), count.tolist())
+            if sum(n * b ** (L - l) for l, n in enumerate(c[: L + 1])) > b ** max(L, 0)
+        ]
+        code = build_prefix_code(model)
+        if refused:
+            with pytest.raises(ValueError, match=rf"violation for condition block {refused[0]}:"):
+                code._rows(v_ids)
+        ok = ~np.isin(v_ids, refused)
+        rows = code._rows(v_ids[ok])
+        for got, want in ((code._order, order), (code._rank, rank), (code._lengths, lengths)):
+            assert np.array_equal(got[rows], want[ok]), (name, b, k)
+        # the store pads every row's counts to its longest codeword
+        got, want = code._count[rows], count[ok]
+        width = max(got.shape[1], want.shape[1])
+        assert np.array_equal(*(np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in (got, want)))
+        for v in v_ids[ok][:2].tolist() if size <= 1024 else ():
+            got_lengths, codewords = code.codebook(v)
+            assert (got_lengths.tolist(), codewords) == naive_codebook(model, v), (name, b, k, v)
+
+
+@pytest.mark.parametrize("b, k, m", [(2, 8, 256), (3, 5, 243), (2, 12, 64), (4, 4, 256)])
+def test_rank_keys_and_float_keys_build_the_same_rows(b, k, m, monkeypatch):
+    from fsindep import compression
+
+    v_ids = np.sort(np.random.default_rng(m).choice(b**k, m, replace=False))
+    for name, nu in _store_models(b).items():
+        if name == "kraft":
+            continue
+        model = ConditionalModel(Alphabet(b), k, nu)
+        stores = []
+        for ranked in (True, False):
+            if not ranked:
+                monkeypatch.setattr(compression, "_rank_tables", lambda neglog, k, m: None)
+            code = build_prefix_code(model)
+            key, values = code._sort_keys(v_ids)
+            assert (values is not None) == ranked, (name, key.dtype)
+            code._rows(v_ids)
+            stores.append([code._order, code._rank, code._lengths, code._count, code._first])
+            monkeypatch.undo()
+        for got, want in zip(*stores):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, b, k)
+
+
+def test_blocks_of_four_over_sixteen_symbols_sort_their_float_sums():
+    # level 0 already has 16 * 16 candidate sums for the 4 * 16 entries it ranks
+    model = ConditionalModel(Alphabet(16), 4, _store_models(16)["trained"])
+    v_ids = np.array([0, 4097, 30000, 65535])
+    code = build_prefix_code(model)
+    key, values = code._sort_keys(v_ids)
+    assert values is None and key.dtype == np.float64
+    order, rank, lengths, _ = float_code_rows(model, v_ids)
+    rows = code._rows(v_ids)
+    assert np.array_equal(code._order[rows], order) and np.array_equal(code._rank[rows], rank)
+    assert np.array_equal(code._lengths[rows], lengths)
+
+
+@pytest.mark.parametrize("case", [(2, 8, 0.0), (2, 8, 0.1), (3, 5, 0.0)])
+def test_the_codec_benchmark_cases_sort_rank_keys_of_at_most_16_bits(case):
+    # numpy sorts 8- and 16-bit keys stably by radix, wider ones by merging
+    b, k, flip = case
+    x, y, n = _codec_pair(b, k, flip)
+    code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), k))
+    key, values = code._sort_keys(np.unique(aligned_ids(y.prefix(n).data, k, b)))
+    assert values is not None and key.dtype in (np.uint8, np.uint16), key.dtype
+
+
 def test_a_round_trip_builds_each_condition_row_once(monkeypatch):
     rows = []
-    neglog = PrefixCode._neglog_for_conditions
+    sort_keys = PrefixCode._sort_keys
 
     def counted(self, v_ids):
         rows.extend(np.asarray(v_ids).tolist())
-        return neglog(self, v_ids)
+        return sort_keys(self, v_ids)
 
-    monkeypatch.setattr(PrefixCode, "_neglog_for_conditions", counted)
+    monkeypatch.setattr(PrefixCode, "_sort_keys", counted)
     for b, k, flip in ((2, 8, 0.1), (3, 5, 0.0), (2, 1, 0.0)):
         x, y, n = _codec_pair(b, k, flip, blocks=512)
         code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), k))
