@@ -254,9 +254,12 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     """The compiled form of the ell-deterministic machine M
     (:func:`fsindep.engine.build`), built once and cached on M.
 
-    Raises NotDeterministicError when M is not ell-deterministic.
+    Raises NotDeterministicError when M is not ell-deterministic, and
+    ValueError for an ell outside {1, 2}, which the engine does not run.
     """
     ell = int(ell)
+    if ell not in (1, 2):
+        raise ValueError(f"the run engine takes 1 or 2 input tapes, not {ell}")
     C = M._compiled.get(ell)
     if C is None:
         # the report is kept on M, so a machine that fails is checked once

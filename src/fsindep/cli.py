@@ -109,8 +109,15 @@ def _check_memory(n_bytes: int):
 # generator specs
 
 
-_ATOM_KINDS = ("selfsim", "rand", "periodic", "file")
-_WRAP_KINDS = ("odd", "even", "join")
+# atom kind -> (its parameters in canonical order, the one it cannot omit)
+_ATOMS = {
+    "selfsim": (("b",), None),
+    "rand": (("seed", "b"), None),
+    "periodic": (("word", "b"), "word"),
+    "file": (("path", "b"), "path"),
+}
+# wrapper kind -> the number of specs it takes
+_WRAPPERS = {"odd": 1, "even": 1, "join": 2}
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class GeneratorSpec:
     children: tuple = ()
 
     def canonical(self) -> str:
-        if self.kind in _WRAP_KINDS:
+        if self.kind in _WRAPPERS:
             inner = ",".join(c.canonical() for c in self.children)
             return f"{self.kind}({inner})"
         if not self.params:
@@ -128,10 +135,7 @@ class GeneratorSpec:
         return self.kind + ":" + ",".join(f"{k}={v}" for k, v in self.params)
 
     def get(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
     def atom_bytes(self, n: int, reads: dict) -> int:
         """Bytes the atoms under this spec hold while it produces n symbols;
@@ -164,24 +168,15 @@ class GeneratorSpec:
             return PeriodicSource(word(self.get("word"), base=b))
         if self.kind == "file":
             return file_source(self.get("path"), b)
-        if self.kind == "odd":
-            return OddSource(self.children[0].build(default_seed))
-        if self.kind == "even":
-            return EvenSource(self.children[0].build(default_seed))
+        if self.kind in ("odd", "even"):
+            half = OddSource if self.kind == "odd" else EvenSource
+            return half(self.children[0].build(default_seed))
         if self.kind == "join":
             seeds = (default_seed, None if default_seed is None else derive_seed(default_seed, 1))
             return JoinSource(
                 self.children[0].build(seeds[0]), self.children[1].build(seeds[1])
             )
         raise ValueError(f"unknown generator kind {self.kind!r}")
-
-
-_PARAM_ORDER = {
-    "selfsim": ("b",),
-    "rand": ("seed", "b"),
-    "periodic": ("word", "b"),
-    "file": ("path", "b"),
-}
 
 
 def _split_top(s: str):
@@ -224,18 +219,18 @@ def parse_generator(s: str) -> GeneratorSpec:
     s = s.strip()
     if not s:
         raise ValueError("empty generator spec")
-    for kind in _WRAP_KINDS:
+    for kind, want in _WRAPPERS.items():
         if s.startswith(kind + "(") and s.endswith(")"):
             inner = s[len(kind) + 1 : -1]
             args = [parse_generator(a) for a in _split_top(inner)]
-            want = 2 if kind == "join" else 1
             if len(args) != want:
                 raise ValueError(f"{kind} takes {want} argument(s), got {len(args)}")
             return GeneratorSpec(kind, (), tuple(args))
     head, _, tail = s.partition(":")
     head = head.strip()
-    if head not in _ATOM_KINDS:
+    if head not in _ATOMS:
         raise ValueError(f"unknown generator kind {head!r}")
+    order, need = _ATOMS[head]
     params = {}
     if tail:
         for item in tail.split(","):
@@ -243,11 +238,9 @@ def parse_generator(s: str) -> GeneratorSpec:
             if not eq or not key.strip():
                 raise ValueError(f"bad parameter {item!r} in generator spec")
             params[key.strip()] = value.strip()
-    order = _PARAM_ORDER[head]
     for k in params:
         if k not in order:
             raise ValueError(f"unknown parameter {k!r} for {head}")
-    need = {"periodic": "word", "file": "path"}.get(head)
     if need and not params.get(need):
         raise ValueError(f"{head} needs {need}=...")
     canon = tuple((k, params[k]) for k in order if k in params)
@@ -268,8 +261,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_csv(rows, header, path):
-    """Rows of values -> RFC-4180 style text (LF endings), atomically written."""
+def _emit_csv(rows, header, path, summary=()):
+    """Rows of values -> RFC-4180 style text (LF endings), atomically written;
+    if to a file, prints summary's (key, value) pairs, read only then, as a line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -279,15 +273,16 @@ def _emit_csv(rows, header, path):
     if path:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
+        if summary:
+            print(" ".join(f"{k}={_fmt(v)}" for k, v in summary))
     else:
         sys.stdout.write(text)
 
 
 def _emit_ratios(est, path):
     rows = [(c, m, m / c if c else 0.0) for c, m in est.checkpoints]
-    _emit_csv(rows, ("n_in", "n_out", "ratio"), path)
-    if path:
-        print(f"ratio={_fmt(est.final_ratio)} min_ratio={_fmt(est.min_ratio)}")
+    summary = (("ratio", est.final_ratio), ("min_ratio", est.min_ratio))
+    _emit_csv(rows, ("n_in", "n_out", "ratio"), path, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +321,9 @@ def _cmd_stats(args) -> int:
         rows.append(
             (ell, len(w) // ell, disc, report.limits[ell], int(ell in report.flagged))
         )
-    _emit_csv(rows, ("ell", "blocks", "discrepancy", "limit", "flagged"), args.csv)
-    if args.csv:
-        verdict = "plausibly-normal" if report.plausibly_normal else "deviant"
-        print(f"n={len(w)} max_block={report.max_block} verdict={verdict}")
+    verdict = "plausibly-normal" if report.plausibly_normal else "deviant"
+    summary = (("n", len(w)), ("max_block", report.max_block), ("verdict", verdict))
+    _emit_csv(rows, ("ell", "blocks", "discrepancy", "limit", "flagged"), args.csv, summary)
     return 0
 
 
@@ -405,12 +399,40 @@ _IND_HEADER = ("trial", "n", "k", "rho_x", "rho_y", "rho_x_given_y", "rho_y_give
 def _cmd_independence(args) -> int:
     specs = (parse_generator(args.x_gen), parse_generator(args.y_gen))
     rows = _run_trials(args, _independence_trial, specs, args.n, args.k)
-    _emit_csv(rows, _IND_HEADER, args.csv)
-    if args.csv:
-        import statistics  # slow to import; summaries only
-        gx = statistics.median(abs(r[5] - r[3]) for r in rows)
-        gy = statistics.median(abs(r[6] - r[4]) for r in rows)
-        print(f"trials={args.trials} median_gap_x={_fmt(gx)} median_gap_y={_fmt(gy)}")
+    _emit_csv(rows, _IND_HEADER, args.csv, _gap_summary(rows))
+    return 0
+
+
+def _gap_summary(rows):
+    import statistics  # slow to import; summaries only
+    yield "trials", len(rows)
+    yield "median_gap_x", statistics.median(abs(r[5] - r[3]) for r in rows)
+    yield "median_gap_y", statistics.median(abs(r[6] - r[4]) for r in rows)
+
+
+def _cmd_join_dependence(args) -> int:
+    x = f"selfsim:b={args.base}"
+    odd, even = (parse_generator(f"{half}({x})") for half in ("odd", "even"))
+    # the match run predicts odd(x) as odd(even(x)), which reads 4n symbols
+    # of x; off base 2, where x[2n] = x[n] fails, its first window mismatches
+    matched = f"odd(even({x}))" if args.base == 2 else f"even({x})"
+    _check_memory(_estimate(args.n, [odd, parse_generator(matched)]))
+    # odd(x) alone looks incompressible, but even(x) predicts it exactly
+    # (the stream satisfies x[2n] = x[n]), so the match-run compressor
+    # conditioned on even(x) drives the ratio down to 1/k.
+    rep = independence_report(odd.build(), even.build(), args.n, args.k)
+    T = odd_projection_transducer(Alphabet(args.base))
+    _, mr = match_run_compress(T, args.k, odd.build(), even.build(), args.n)
+    rows = [
+        ("n", args.n),
+        ("k", args.k),
+        ("rho_odd", rep.rho_x),
+        ("rho_even", rep.rho_y),
+        ("rho_odd_given_even_blocks", rep.rho_x_given_y),
+        ("rho_even_given_odd_blocks", rep.rho_y_given_x),
+        ("rho_odd_given_even_matchrun", mr.final_ratio),
+    ]
+    _emit_csv(rows, ("metric", "value"), args.csv, (rows[2], rows[6]))
     return 0
 
 
@@ -420,48 +442,20 @@ def _measure_one_trial(packed):
     return (trial, n, k, unconditional_ratio_estimate(src, n, k).final_ratio)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_measure_one(args) -> int:
+    import statistics  # slow to import; summaries only
+    specs = (parse_generator(args.gen),)
+    rows = _run_trials(args, _measure_one_trial, specs, args.n, args.k)
+    ratios = [r[3] for r in rows]
+    median = statistics.median(ratios)
+    rows += [("min", args.n, args.k, min(ratios)), ("median", args.n, args.k, median)]
+    summary = (("trials", args.trials), ("median_rho", median))
+    _emit_csv(rows, ("trial", "n", "k", "rho"), args.csv, summary)
+    return 0
+
+
+def _cmd_join_normal(args) -> int:
     x = f"selfsim:b={args.base}"
-    if args.name == "join-dependence":
-        odd, even = (parse_generator(f"{half}({x})") for half in ("odd", "even"))
-        # the match run predicts odd(x) as odd(even(x)), which reads 4n symbols
-        # of x; off base 2, where x[2n] = x[n] fails, its first window mismatches
-        matched = f"odd(even({x}))" if args.base == 2 else f"even({x})"
-        _check_memory(_estimate(args.n, [odd, parse_generator(matched)]))
-        # odd(x) alone looks incompressible, but even(x) predicts it exactly
-        # (the stream satisfies x[2n] = x[n]), so the match-run compressor
-        # conditioned on even(x) drives the ratio down to 1/k.
-        rep = independence_report(odd.build(), even.build(), args.n, args.k)
-        T = odd_projection_transducer(Alphabet(args.base))
-        _, mr = match_run_compress(T, args.k, odd.build(), even.build(), args.n)
-        rows = [
-            ("n", args.n),
-            ("k", args.k),
-            ("rho_odd", rep.rho_x),
-            ("rho_even", rep.rho_y),
-            ("rho_odd_given_even_blocks", rep.rho_x_given_y),
-            ("rho_even_given_odd_blocks", rep.rho_y_given_x),
-            ("rho_odd_given_even_matchrun", mr.final_ratio),
-        ]
-        _emit_csv(rows, ("metric", "value"), args.csv)
-        if args.csv:
-            print(
-                f"rho_odd={_fmt(rep.rho_x)} "
-                f"rho_odd_given_even_matchrun={_fmt(mr.final_ratio)}"
-            )
-        return 0
-    if args.name == "measure-one":
-        import statistics  # slow to import; summaries only
-        specs = (parse_generator(args.gen),)
-        rows = _run_trials(args, _measure_one_trial, specs, args.n, args.k)
-        ratios = [r[3] for r in rows]
-        rows.append(("min", args.n, args.k, min(ratios)))
-        rows.append(("median", args.n, args.k, statistics.median(ratios)))
-        _emit_csv(rows, ("trial", "n", "k", "rho"), args.csv)
-        if args.csv:
-            print(f"trials={args.trials} median_rho={_fmt(statistics.median(ratios))}")
-        return 0
-    # join-normal
     _table_guard(args.base, min(args.max_block, args.n))  # before any source is built
     specs = [parse_generator(s) for s in (x, f"join(odd({x}),even({x}))")]
     tables = _table_bytes(args.base, args.max_block, args.n)
@@ -472,9 +466,7 @@ def _cmd_experiment(args) -> int:
     for ell, disc in report.discrepancies.items():
         rows.append((f"discrepancy_{ell}", disc))
     rows.append(("flagged", len(report.flagged)))
-    _emit_csv(rows, ("metric", "value"), args.csv)
-    if args.csv:
-        print(f"join_roundtrip={int(rejoined == xw)} flagged={len(report.flagged)}")
+    _emit_csv(rows, ("metric", "value"), args.csv, (rows[0], rows[-1]))
     return 0
 
 
@@ -498,6 +490,15 @@ def _cmd_perfect_sequence(args) -> int:
 
 def _add_csv(p):
     p.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
+
+
+def _add_trials(p):
+    """The options of block-coder trials: what _run_trials reads, and -k."""
+    p.add_argument("-n", type=int, default=1 << 18)
+    p.add_argument("-k", type=int, default=8)
+    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--seed", type=int, default=20240823)
+    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,26 +552,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("independence", help="two-sided conditional ratio trials")
     p.add_argument("--x-gen", required=True)
     p.add_argument("--y-gen", required=True)
-    p.add_argument("-n", type=int, default=1 << 18)
-    p.add_argument("-k", type=int, default=8)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=20240823)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_trials(p)
     _add_csv(p)
     p.set_defaults(fn=_cmd_independence)
 
     p = sub.add_parser("experiment", help="canned experiments")
-    p.add_argument("name", choices=["join-dependence", "measure-one", "join-normal"])
+    experiments = p.add_subparsers(dest="name", required=True)
+
+    p = experiments.add_parser("join-dependence", help="odd(x) given even(x), x self-similar")
     p.add_argument("-n", type=int, default=1 << 18)
     p.add_argument("-k", type=int, default=8)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--gen", default="rand", help="measure-one: source under test")
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=20240823)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_csv(p)
+    p.set_defaults(fn=_cmd_join_dependence)
+
+    p = experiments.add_parser("measure-one", help="block-coder ratio trials of one source")
+    p.add_argument("--gen", default="rand", help="source under test")
+    _add_trials(p)
+    _add_csv(p)
+    p.set_defaults(fn=_cmd_measure_one)
+
+    p = experiments.add_parser("join-normal", help="x self-similar: join(odd(x), even(x)) = x")
+    p.add_argument("-n", type=int, default=1 << 18)
+    p.add_argument("--base", type=int, default=2)
     p.add_argument("--max-block", type=int, default=8)
     _add_csv(p)
-    p.set_defaults(fn=_cmd_experiment)
+    p.set_defaults(fn=_cmd_join_normal)
 
     p = sub.add_parser("perfect-sequence", help="stages of the perfect-word tower")
     p.add_argument("--stages", type=int, default=12)

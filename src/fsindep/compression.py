@@ -27,7 +27,7 @@ import numpy as np
 from .blocks import _count_ids, _horner, aligned_ids, digit_runs, digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
-from .automata import KAutomaton, RunTrace, compile, run
+from .automata import KAutomaton, compile, run
 from .engine import _WINDOW, _Run
 
 
@@ -102,19 +102,6 @@ def _block_estimate(n: int, k: int, lengths: np.ndarray) -> RatioEstimate:
     )
 
 
-def _estimate_from_trace(trace: RunTrace) -> RatioEstimate:
-    n_in = trace.consumed[0]
-    n_out = trace.checkpoints[-1][1]
-    return RatioEstimate(
-        n=n_in,
-        output_symbols=n_out,
-        checkpoints=list(trace.checkpoints),
-        halted=trace.halted,
-        halt_reason=trace.halt_reason,
-        oracle_symbols=trace.consumed[1] if len(trace.consumed) > 1 else None,
-    )
-
-
 def plain_ratio(
     T: KAutomaton, x: WordSource, n: int, max_steps: Optional[int] = None
 ) -> RatioEstimate:
@@ -123,10 +110,7 @@ def plain_ratio(
     The source is consumed.  A halted run is reported, not raised; check
     the flag before trusting the ratio.
     """
-    if T.k != 2:
-        raise ValueError("plain ratio needs a 2-tape transducer")
-    trace = run(T, 1, [x], n, max_steps=max_steps, record_path=False)
-    return _estimate_from_trace(trace)
+    return _run_ratio(T, [x], n, max_steps)
 
 
 def conditional_ratio(
@@ -142,10 +126,23 @@ def conditional_ratio(
     never charged), tape 3 collects the output.  Both sources are
     consumed.
     """
-    if C.k != 3:
-        raise ValueError("conditional ratio needs a 3-tape machine")
-    trace = run(C, 2, [x, y], n, max_steps=max_steps, record_path=False)
-    return _estimate_from_trace(trace)
+    return _run_ratio(C, [x, y], n, max_steps)
+
+
+def _run_ratio(M: KAutomaton, inputs, n: int, max_steps) -> RatioEstimate:
+    """The ratio of M's run on inputs, charged for tape 1 only."""
+    if M.k != len(inputs) + 1:
+        tapes = len(inputs) + 1
+        raise ValueError(f"a run on {tapes - 1} input tape(s) needs {tapes} tapes, not {M.k}")
+    trace = run(M, len(inputs), inputs, n, max_steps=max_steps, record_path=False)
+    return RatioEstimate(
+        n=trace.consumed[0],
+        output_symbols=trace.checkpoints[-1][1],
+        checkpoints=list(trace.checkpoints),
+        halted=trace.halted,
+        halt_reason=trace.halt_reason,
+        oracle_symbols=trace.consumed[1] if len(inputs) > 1 else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +243,14 @@ def match_run_compress(
                 y_arr[k * p :],
             ]
         )
-
-        def out_at(c):
-            if c <= m0:  # mismatch is at input position m0 + 1
-                return c // k
-            return p + 1 + (c - k * p)
-
     else:
+        m0, p = n, None  # no mismatch: every checkpoint lies before one
         out = np.zeros(n // k, dtype=y_arr.dtype)
 
-        def out_at(c):
+    def out_at(c):
+        if c <= m0:  # a mismatch is at input position m0 + 1
             return c // k
+        return p + 1 + (c - k * p)
 
     estimate = RatioEstimate(
         n=n, output_symbols=int(out.size), checkpoints=_power_checkpoints(n, out_at)

@@ -224,36 +224,33 @@ def file_source(path, base: int) -> LiteralSource:
     return LiteralSource(read_word_file(path, base))
 
 
-class EvenSource(WordSource):
+class _ParitySource(WordSource):
+    """Every other symbol of the inner source, from 0-based offset _start."""
+
+    def __init__(self, inner: WordSource):
+        super().__init__(inner.alphabet)
+        self.inner = inner
+
+    def _produce(self, n):
+        # pulling 2n inner symbols yields exactly n of either parity; the
+        # rest of the pull is dropped, never re-used
+        pulled = self.inner.take_available(2 * n)
+        return pulled[self._start :: 2].copy()
+
+    def clone(self):
+        return type(self)(self.inner.clone())
+
+
+class EvenSource(_ParitySource):
     """Symbols at even positions of the inner source."""
 
-    def __init__(self, inner: WordSource):
-        super().__init__(inner.alphabet)
-        self.inner = inner
-
-    def _produce(self, n):
-        pulled = self.inner.take_available(2 * n)
-        return pulled[1::2].copy()
-
-    def clone(self):
-        return EvenSource(self.inner.clone())
+    _start = 1
 
 
-class OddSource(WordSource):
+class OddSource(_ParitySource):
     """Symbols at odd positions of the inner source."""
 
-    def __init__(self, inner: WordSource):
-        super().__init__(inner.alphabet)
-        self.inner = inner
-
-    def _produce(self, n):
-        # pulling 2n inner symbols yields exactly n odd positions; the
-        # trailing even-position symbol is dropped, never re-used
-        pulled = self.inner.take_available(2 * n)
-        return pulled[0::2].copy()
-
-    def clone(self):
-        return OddSource(self.inner.clone())
+    _start = 0
 
 
 class JoinSource(WordSource):

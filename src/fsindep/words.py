@@ -291,23 +291,21 @@ def regroup(w: FiniteWord, r: int) -> FiniteWord:
 
 def even(w):
     """Symbols at even positions; words and sources both accepted."""
-    if isinstance(w, FiniteWord):
-        return FiniteWord(w.alphabet, w.data[1::2])
-    from . import sources
-
-    if isinstance(w, sources.WordSource):
-        return sources.EvenSource(w)
-    raise TypeError(f"expected FiniteWord or WordSource, got {type(w).__name__}")
+    return _every_other(w, 1)
 
 
 def odd(w):
     """Symbols at odd positions; words and sources both accepted."""
+    return _every_other(w, 0)
+
+
+def _every_other(w, start: int):
     if isinstance(w, FiniteWord):
-        return FiniteWord(w.alphabet, w.data[0::2])
+        return FiniteWord(w.alphabet, w.data[start::2])
     from . import sources
 
     if isinstance(w, sources.WordSource):
-        return sources.OddSource(w)
+        return (sources.OddSource, sources.EvenSource)[start](w)
     raise TypeError(f"expected FiniteWord or WordSource, got {type(w).__name__}")
 
 

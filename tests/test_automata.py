@@ -543,6 +543,15 @@ def test_not_deterministic_error_is_a_value_error(shuffle_aut):
         run(shuffle_aut, 2, [lit("0"), lit("0")], 1)
 
 
+def test_the_run_engine_refuses_input_tape_counts_it_does_not_run(join_aut):
+    # the engine reads tapes 1 and 2 only, so three input tapes never reach it
+    assert check_l_deterministic(join_aut, 3).deterministic
+    with pytest.raises(ValueError, match="takes 1 or 2 input tapes, not 3"):
+        run(join_aut, 3, [lit("0"), lit("0"), lit("0")], 1)
+    with pytest.raises(ValueError, match="takes 1 or 2 input tapes, not 0"):
+        compile(join_aut, 0)
+
+
 def test_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):
     rng = random.Random(2718)
     for trial in range(60):

@@ -204,6 +204,12 @@ def test_check_automaton_accepts_join():
     assert "deterministic: yes" in text
 
 
+def test_check_automaton_reports_on_three_input_tapes():
+    # the run engine takes one or two input tapes, but the report needs no run
+    argv = ("check-automaton", "--automaton", str(FIXTURES / "join.aut"), "--ell", "3")
+    assert run_cli(*argv) == (0, "deterministic: yes\n")
+
+
 def test_check_automaton_reports_shuffle_violation():
     rc, text = run_cli(
         "check-automaton", "--automaton", str(FIXTURES / "shuffle.aut"), "--ell", "2"
@@ -364,6 +370,92 @@ def test_main_calls_in_one_process_print_what_each_prints_alone():
             run_cli(*bad)
         assert exc.value.code == 2
         assert run_cli(*argv) == (0, want), argv
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("experiment", "join-normal", "--seed", "3"), "--seed"),
+        (("experiment", "join-dependence", "--trials", "2"), "--trials"),
+        (("experiment", "measure-one", "--base", "3"), "--base"),
+        (("experiment", "no-such-experiment"), "no-such-experiment"),
+    ],
+)
+def test_an_experiment_refuses_an_option_it_does_not_read(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+# Invocations of every command that, taken together, take each path that
+# reads an option: compress reads --base only for an --input word file.
+# WORD is a word file and OUT a path to write.
+_OPTION_SCRIPTS = {
+    "generate": [("--gen", "selfsim", "-n", "8"), ("--gen", "selfsim", "-n", "8", "--out", "OUT")],
+    "stats": [("--word", "WORD", "--max-block", "3", "--csv", "OUT")],
+    "check-automaton": [("--automaton", str(FIXTURES / "join.aut"), "--ell", "2")],
+    "compress": [
+        ("--automaton", str(FIXTURES / "copy.aut"), "--gen", "rand:seed=3", "-n", "64"),
+        ("--automaton", str(FIXTURES / "copy.aut"), "--input", "WORD", "-n", "64", "--csv", "OUT"),
+    ],
+    "condcompress": [("--input", "WORD", "--ref", "WORD", "-n", "64", "-k", "4", "--csv", "OUT")],
+    "independence": [
+        ("--x-gen", "rand", "--y-gen", "rand", "-n", "64", "-k", "4", "--trials", "2",
+         "--csv", "OUT"),
+    ],
+    "experiment join-dependence": [("-n", "64", "-k", "4", "--csv", "OUT")],
+    "experiment measure-one": [("-n", "64", "-k", "4", "--trials", "2", "--csv", "OUT")],
+    "experiment join-normal": [("-n", "64", "--max-block", "3", "--csv", "OUT")],
+    "perfect-sequence": [("--stages", "3", "--csv", "OUT")],
+}
+
+
+def _command_names(parser, prefix=""):
+    """The name of every command of parser, with the group it is in."""
+    import argparse
+
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [prefix.strip()]
+    return [
+        name
+        for sub, p in groups[0].choices.items()
+        for name in _command_names(p, f"{prefix} {sub}")
+    ]
+
+
+def test_the_option_guard_scripts_every_command():
+    from fsindep import cli
+
+    assert sorted(_command_names(cli._parser())) == sorted(_OPTION_SCRIPTS)
+
+
+@pytest.mark.parametrize("command", sorted(_OPTION_SCRIPTS))
+def test_each_command_reads_every_option_it_declares(command, tmp_path):
+    import argparse
+
+    from fsindep import cli
+
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    word_file = tmp_path / "w.txt"
+    word_file.write_text("0110" * 64 + "\n")
+    paths = {"WORD": str(word_file), "OUT": str(tmp_path / "out.txt")}
+    declared, read = set(), set()
+    for script in _OPTION_SCRIPTS[command]:
+        argv = [*command.split(), *(paths.get(a, a) for a in script)]
+        args = cli._parser().parse_args(argv, namespace=Recorder())
+        declared |= set(vars(args))
+        reads.clear()  # parsing reads the namespace too
+        assert args.fn(args) == 0
+        read |= reads
+    assert declared - read - {"fn", "command", "name"} == set(), command
 
 
 def test_compress_copy_ratio_is_one():
@@ -558,7 +650,7 @@ def test_measure_one_memory_check_counts_every_worker(monkeypatch):
     n = 1 << 17  # one trial fits in 2 MiB, two do not
     args = ["experiment", "measure-one", "--gen", "rand", "-n", str(n), "--trials", "2"]
     with pytest.raises(cli.MemoryCapExceeded):
-        cli._cmd_experiment(cli._parser().parse_args([*args, "--jobs", "2"]))
+        cli._cmd_measure_one(cli._parser().parse_args([*args, "--jobs", "2"]))
     assert pools == []  # refused before any worker started
     rc, text = run_cli(*args, "--jobs", "1")
     assert rc == 0 and len(text.splitlines()) == 5  # header, two trials, min, median
@@ -656,7 +748,7 @@ def test_experiment_join_normal(tmp_path):
     out = tmp_path / "jn.csv"
     rc, _ = run_cli(
         "experiment", "join-normal", "-n", "4096", "--max-block", "4",
-        "--seed", "3", "--csv", str(out),
+        "--csv", str(out),
     )
     assert rc == 0
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
