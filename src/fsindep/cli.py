@@ -146,7 +146,7 @@ class GeneratorSpec:
             x, y = self.children
             return x.atom_bytes((n + 1) // 2, reads) + y.atom_bytes(n // 2, reads)
         if self.kind == "selfsim":
-            b = max(2, int(self.get("b", "2")))
+            b = int(self.get("b", "2"))
             reads[b] = max(reads.get(b, 0), n)
             return 0
         if self.kind == "file":
@@ -243,6 +243,21 @@ def parse_generator(s: str) -> GeneratorSpec:
             raise ValueError(f"unknown parameter {k!r} for {head}")
     if need and not params.get(need):
         raise ValueError(f"{head} needs {need}=...")
+    for key in ("seed", "b"):
+        try:
+            int(params.get(key, "0"))
+        except ValueError:
+            bad = f"{key}={params[key]} is not an integer"
+            raise ValueError(f"generator spec {s!r}: {bad}") from None
+    try:
+        b = Alphabet(int(params.get("b", "2"))).size
+    except ValueError as e:
+        raise ValueError(f"generator spec {s!r}: b={params['b']}: {e}") from None
+    if head == "periodic":
+        try:
+            word(params["word"], base=b)
+        except ValueError as e:
+            raise ValueError(f"generator spec {s!r}: word={params['word']}: {e}") from None
     canon = tuple((k, params[k]) for k in order if k in params)
     return GeneratorSpec(head, canon)
 
@@ -376,7 +391,9 @@ def _run_trials(args, fn, specs, *fixed):
     """fn((specs, *fixed, seed, t)) for t = 1 .. --trials, on --jobs workers."""
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    workers = max(1, min(args.jobs, args.trials))
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    workers = min(args.jobs, args.trials)
     _check_memory(_estimate(args.n, specs, workers))
     work = [(specs, *fixed, args.seed, t) for t in range(1, args.trials + 1)]
     if workers == 1:

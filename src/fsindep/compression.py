@@ -294,11 +294,16 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     alph = T.alphabet
     b = alph.size
 
-    def xname(q, buf):
-        return f"x_{C.states[q]}_" + "".join(str(a) for a in buf)
+    def name(node):
+        """x_<state>_<buffer>, or y_<state>_<buffer>_<predicted symbol>."""
+        kind, q, buf, *fx = node
+        return "_".join([kind, str(C.states[q]), "".join(map(str, buf))] + [str(f) for f in fx])
 
-    def yname(q, buf, fx):
-        return f"y_{C.states[q]}_" + "".join(str(a) for a in buf) + f"_{fx}"
+    def edge(node, label, target):
+        trans.append((name(node), label, name(target)))
+        if target not in seen:
+            seen.add(target)
+            todo.append(target)
 
     sink = len(C.states)
     start = ("x", C.initial, ())
@@ -309,10 +314,9 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     have_copy = False
     while todo:
         node = todo.pop(0)
+        states.append(name(node))
         if node[0] == "x":
             _, q, buf = node
-            name = xname(q, buf)
-            states.append(name)
             pat = C.read[q]
             if pat < 0:
                 continue  # prediction dies here; no outgoing transitions
@@ -321,44 +325,25 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
                 if p == sink:
                     continue
                 emitted = C.emit_list[q * b + a]
-                if emitted:
-                    target = ("y", p, buf, emitted[0])
-                else:
-                    target = ("x", p, buf)
-                label = ((), (a,) if pat else (), ())
-                tname = (
-                    yname(*target[1:]) if target[0] == "y" else xname(*target[1:])
-                )
-                trans.append((name, label, tname))
-                if target not in seen:
-                    seen.add(target)
-                    todo.append(target)
+                target = ("y", p, buf, emitted[0]) if emitted else ("x", p, buf)
+                edge(node, ((), (a,) if pat else (), ()), target)
         else:
             _, q, buf, fx = node
-            name = yname(q, buf, fx)
-            states.append(name)
             for c in range(b):
                 if c == fx:
                     if len(buf) + 1 == k:
-                        target = ("x", q, ())
-                        label = ((c,), (), (0,))
+                        edge(node, ((c,), (), (0,)), ("x", q, ()))
                     else:
-                        target = ("x", q, buf + (c,))
-                        label = ((c,), (), ())
-                    tname = xname(*target[1:])
-                    trans.append((name, label, tname))
-                    if target not in seen:
-                        seen.add(target)
-                        todo.append(target)
+                        edge(node, ((c,), (), ()), ("x", q, buf + (c,)))
                 else:
                     label = ((c,), (), (1,) + buf + (c,))
-                    trans.append((name, label, "copy"))
+                    trans.append((name(node), label, "copy"))
                     have_copy = True
     if have_copy:
         states.append("copy")
         for c in range(b):
             trans.append(("copy", ((c,), (), (c,)), "copy"))
-    return KAutomaton(3, alph, states, xname(C.initial, ()), trans)
+    return KAutomaton(3, alph, states, name(start), trans)
 
 
 # ---------------------------------------------------------------------------

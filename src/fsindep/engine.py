@@ -9,26 +9,28 @@ and :func:`fsindep.automata.run` drives the engines.
 A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through
 the lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014) when the
 machine has a macro-step table (:class:`_MacroTable`), which the first
-such run builds: a one-tape machine with at most
-``_LOCKSTEP_MAX_STATES`` states has one, and so has a two-tape machine
-whose tapes keep a bounded lag (a synchronized relation, Frougny &
-Sakarovitch 1993), so that its states paired with the symbols of the
-tape that runs ahead number at most ``_LOCKSTEP_MAX_STATES``.  Either way
-the table, macro states times b or b**2 keys, must stay within
-``_LOCKSTEP_MAX_ENTRIES``; that rules out two-tape lock-step for
-alphabets past 181 symbols.  A window gathers output rows padded to the
-longest, so ``_WINDOW`` rows must stay within ``_WINDOW_TAG_BYTES``: 64
-one-byte tags a macro step.  Silent states and path recording
-do not matter.  The first run of at least ``_GRAM_MIN``
-symbols builds, from that table, its gram view (:class:`_Grams`): the
-same macro states, with every entry G consecutive keys, so that one
-gather moves the run G symbols on (multi-stride automata; Brodie, Taylor
-& Cytron 2006), with G as large as ``_GRAM_MAX_ENTRIES`` and
-``_GRAM_MAX_BYTES`` allow.  A window's work past the gathers that move
-it is one gather of padded output rows and, for each power-of-two
-checkpoint, one search and a walk of at most G keys, so it grows no
-faster than the gathers; hence windows of ``_WINDOW`` symbols.  Both
-engines give the same trace.
+such run builds, and the table has the run's state with no symbol
+pending.  A macro state is a machine state plus the symbols fed but not
+read yet: a one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states
+has a table of its states, and so has a two-tape machine whose tapes
+keep a bounded lag (a synchronized relation, Frougny & Sakarovitch 1993),
+so that the macro states its initial state reaches number at most
+``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b or
+b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
+two-tape lock-step for alphabets past 181 symbols.  When the engine
+stops, the pending symbols of the macro state it stops in go back to
+their sources.  A window gathers output rows padded to the longest, so
+``_WINDOW`` rows must stay within ``_WINDOW_TAG_BYTES``: 64 one-byte tags
+a macro step.  Silent states and path recording do not matter.  The
+first run of at least ``_GRAM_MIN`` symbols builds, from that table, its
+gram view (:class:`_Steps`): the same macro states, with every entry G
+consecutive keys, so that one gather moves the run G symbols on
+(multi-stride automata; Brodie, Taylor & Cytron 2006), with G as large
+as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  A window's work
+past the gathers that move it is one gather of padded output rows and,
+for each power-of-two checkpoint, one search and a walk of at most G
+keys, so it grows no faster than the gathers; hence windows of
+``_WINDOW`` symbols.  Both engines give the same trace.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blocks import digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
 
@@ -131,69 +134,16 @@ def _silent_closure(read, delta, emit, width):
 
 
 @dataclass(frozen=True, eq=False)
-class _MacroTable:
-    """Macro steps of a compiled machine: the table the lock-step engine runs.
+class _Steps:
+    """A lock-step table: every entry feeds ``span`` (G) consecutive keys.
 
-    A key is one tape-1 symbol (ell=1) or one zipped pair ``a1 * b + a2``
-    (ell=2).  A macro state is a machine state plus the symbols fed to it
-    but not read yet, all of one tape.  A macro step feeds one key and runs
-    the machine, silent steps included, until it needs a symbol not fed
-    yet.  Row ``rows - 1`` is an absorbing sink; a step goes there when it
-    meets a missing transition or a silent cycle, or stops at a state
-    without transitions with symbols still pending.  At flat index
-    ``m * keys + key``, ``nb`` holds the next macro state times ``keys``,
-    ``out_len`` counts the step's output tags and row ``tags`` holds them,
-    padded with zeros to the longest, ``cost`` is its machine steps and
-    ``path_off`` locates the states they reach in ``path_pool``,
-    ``reads1`` counts its tape-1 reads and ``cp_off`` lists the output
-    count right after each of them.  Per macro state, ``state`` is the
-    machine state and ``lag0``/``lag1`` the pending symbols of tape 1/2;
-    ``entry[q]`` is the macro state a run may enter at machine state q
-    (-1: none; on two tapes only the initial state, with nothing pending).
-    ``unit``: every step is one machine step that reads one tape-1 symbol.
-    ``span``: an entry feeds one key here and G in the gram view
-    (:attr:`grams`).
-    """
-
-    keys: int
-    rows: int
-    nb: np.ndarray
-    out_len: np.ndarray
-    tags: np.ndarray
-    cost: np.ndarray
-    path_off: np.ndarray
-    path_pool: np.ndarray
-    reads1: np.ndarray
-    cp_off: list
-    state: np.ndarray
-    lag0: list
-    lag1: list
-    entry: list
-    unit: bool
-    span = 1
-
-    @cached_property
-    def grams(self) -> _Grams | _MacroTable:
-        """The gram view of this table, built on first use (:func:`_gram_view`)."""
-        return _gram_view(self)
-
-
-@dataclass(frozen=True, eq=False)
-class _Grams:
-    """The gram view of a macro-step table X: the same macro states, with
-    every entry ``span`` (G) consecutive keys, a gram.
-
-    A gram's id is its keys, base-``X.keys`` digits with the first key first,
-    times ``place`` (``X.keys ** (G - 1)`` .. 1), so a row has ``keys`` =
-    ``X.keys ** G`` entries.  At flat index ``m * keys + gram``, ``nb`` holds
-    the macro state after the G macro steps times ``keys``, ``out_len``
-    counts their output tags and row ``tags`` holds them, padded with zeros
-    to the longest, ``cost`` is their machine steps and ``reads1`` their
-    tape-1 reads.  A gram that meets the sink part-way leads to the sink,
-    which absorbs.  The states visited and the checkpoint offsets stay in X:
-    a checkpoint walks its one gram through X's entries, and a window that
-    records the path expands all its grams into them.  When no gram of two
-    keys fits the bounds, the gram view is X itself.
+    The entry's id is its keys, base-``X.keys`` digits with the first key
+    first, times ``place`` (``X.keys ** (G - 1)`` .. 1), so a row has
+    ``keys`` = ``X.keys ** G`` entries, X being the key table (G = 1).  At
+    flat index ``m * keys + id``, ``nb`` holds the macro state after the G
+    macro steps times ``keys``, ``out_len`` counts their output tags and
+    row ``tags`` holds them, padded with zeros to the longest, ``cost`` is
+    their machine steps and ``reads1`` their tape-1 reads.
     """
 
     span: int
@@ -206,6 +156,41 @@ class _Grams:
     reads1: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class _MacroTable(_Steps):
+    """Macro steps of a compiled machine: the key table the lock-step engine runs.
+
+    A key is one tape-1 symbol (ell=1) or one zipped pair ``a1 * b + a2``
+    (ell=2).  A macro state is a machine state plus the symbols fed to it
+    but not read yet, all of one tape; ``states[m]`` records macro state m
+    as (machine state, pending tape-1 symbols, pending tape-2 symbols), and
+    ``ids`` maps a record to its row.  A run at machine state q enters
+    macro state (q, (), ()) when the table has it.  A macro step feeds one
+    key and runs the machine, silent steps included, until it needs a
+    symbol not fed yet.  Row ``rows - 1`` is an absorbing sink; a step goes
+    there when it meets a missing transition or a silent cycle, or stops at
+    a state without transitions with symbols still pending.  Besides the
+    fields of :class:`_Steps` (G = 1), ``path_off`` locates the states a
+    step reaches in ``path_pool`` and ``cp_off`` lists the output count
+    right after each of its tape-1 reads.  ``unit``: every step is one
+    machine step that reads one tape-1 symbol.  :attr:`grams` is the gram
+    view.
+    """
+
+    rows: int
+    path_off: np.ndarray
+    path_pool: np.ndarray
+    cp_off: list
+    states: list
+    ids: dict
+    unit: bool
+
+    @cached_property
+    def grams(self) -> _Steps:
+        """The gram view of this table, built on first use (:func:`_gram_view`)."""
+        return _gram_view(self)
+
+
 def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
     """The macro-step table of C, or None when it has more than
     ``_LOCKSTEP_MAX_STATES`` macro states, more than
@@ -216,7 +201,7 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
     are found by a breadth-first search from the initial state; they are
     finitely many exactly when the lag between the tapes is bounded.
     """
-    read, delta, emit, b, ell, initial = C.read, C.delta_list, C.emit_list, C.b, C.ell, C.initial
+    read, delta, emit, b, ell = C.read, C.delta_list, C.emit_list, C.b, C.ell
     sink, width = len(read) - 1, b**ell
     end, visited, tags = _silent_closure(read, delta, emit, width)
 
@@ -249,7 +234,7 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
         return None  # a silent cycle
 
     cap = min(_LOCKSTEP_MAX_STATES, _LOCKSTEP_MAX_ENTRIES // width)
-    order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(initial, (), ())]
+    order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(C.initial, (), ())]
     if len(order) > cap:
         return None
     ids = {m: i for i, m in enumerate(order)}
@@ -285,32 +270,37 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
         pool += out
         path_pool += path
     return _MacroTable(
+        span=1,
         keys=width,
-        rows=rows,
+        place=np.ones(1, dtype=np.intp),
         nb=nb,
         out_len=out_len,
         tags=_padded(np.array(pool, dtype=C.tag_dtype), out_len),
         cost=cost,
+        reads1=reads1,
+        rows=rows,
         path_off=path_off,
         path_pool=np.array(path_pool, dtype=np.intp),
-        reads1=reads1,
         cp_off=cp_off,
-        state=np.array([m[0] for m in order] + [sink], dtype=np.intp),
-        lag0=[len(m[1]) for m in order] + [0],
-        lag1=[len(m[2]) for m in order] + [0],
-        entry=list(range(sink)) if ell == 1 else [-1 if q != initial else 0 for q in range(sink)],
+        states=order + [(sink, (), ())],
+        ids=ids,
         unit=all(res is None or (len(res[1]) == 1 and len(res[3]) == 1) for res in steps),
     )
 
 
-def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
-    """The gram view of X, with G as large as the bounds allow.
+def _gram_view(X: _MacroTable) -> _Steps:
+    """The gram view of X: its macro states, with every entry a gram of G
+    keys, G as large as the bounds allow.
 
     G is the largest gram length, at most ``_CHUNK``, whose view has at
     most ``_GRAM_MAX_ENTRIES`` entries and at most ``_GRAM_MAX_BYTES``
     bytes: four intp arrays and a row as long as G of X's.  Below G = 2
     the view is X.  Every array comes from G gathers through X's tables, not
-    from one macro step at a time.
+    from one macro step at a time.  A gram that meets the sink part-way
+    leads to the sink, which absorbs.  The states visited and the
+    checkpoint offsets stay in X: a checkpoint walks its one gram through
+    X's entries, and a window that records the path expands all its grams
+    into them.
     """
     K, rows = X.keys, X.rows
     longest = X.tags.itemsize * X.tags.shape[1]  # bytes of one padded row
@@ -325,17 +315,17 @@ def _gram_view(X: _MacroTable) -> _Grams | _MacroTable:
     if G == 1:
         return X
     KG = K**G
-    digits = np.indices((K,) * G).reshape(G, KG)  # key i of every gram
+    grams = digits(np.arange(KG), G, K)  # key i of every gram
     E = np.empty((rows, KG, G), dtype=np.intp)  # X's entry for key i of every (row, gram)
     cur = np.arange(rows)[:, None] * K
     for i in range(G):
-        np.add(cur, digits[i], out=E[:, :, i])
+        np.add(cur, grams[:, i], out=E[:, :, i])
         cur = X.nb[E[:, :, i]]
     E = E.reshape(-1, G)
     lens = X.out_len[E]
     out_len = lens.sum(axis=1)
     tags = X.tags[E][np.arange(X.tags.shape[1]) < lens[:, :, None]]
-    return _Grams(
+    return _Steps(
         G, KG, K ** np.arange(G - 1, -1, -1), cur.ravel() // K * KG, out_len,
         _padded(tags, out_len), X.cost[E].sum(axis=1), X.reads1[E].sum(axis=1),
     )
@@ -355,13 +345,6 @@ def _gather(pool, off, lens, cum):
     at = np.repeat(off - cum + lens, lens)
     at += np.arange(at.size)
     return pool[at]
-
-
-def _last(tail, fed, n):
-    """The last n symbols of tail followed by fed."""
-    if n <= fed.size:
-        return fed[fed.size - n :]
-    return np.concatenate([tail[tail.size - (n - fed.size) :], fed])
 
 
 def _read_pattern(t, ell: int) -> tuple:
@@ -446,8 +429,9 @@ class CompiledAutomaton:
         """
         if n - r.consumed[0] >= _LOCKSTEP_MIN:
             X = self.macro
-            if X is not None and X.entry[r.q] >= 0:
-                self._lockstep(r, inputs, n - r.consumed[0], max_steps)
+            m0 = None if X is None else X.ids.get((r.q, (), ()))
+            if m0 is not None:
+                self._lockstep(r, inputs, m0, n - r.consumed[0], max_steps)
         self._scalar(r, inputs, n, max_steps)
 
     def outputs(self, r: _Run, alphabet: Alphabet) -> tuple:
@@ -548,9 +532,9 @@ class CompiledAutomaton:
         if path:
             r.path.append(np.array(path, dtype=np.intp))
 
-    def _lockstep(self, r, inputs, count, max_steps):
-        """Feed up to count keys to the macro-step table, a gram of G keys
-        per gather, in lock-step windows.
+    def _lockstep(self, r, inputs, m0, count, max_steps):
+        """Feed up to count keys to the macro-step table, from macro state
+        m0, a gram of G keys per gather, in lock-step windows.
 
         A count below ``_GRAM_MIN`` feeds the key table itself (G = 1), so
         short runs do not pay for building the gram view.  Windows are whole
@@ -560,17 +544,18 @@ class CompiledAutomaton:
         (one gather per gram), the chunk start states are stitched in order,
         and a second pass gathers the macro states the run really visits.  The
         window stops at the start of the gram that steps into the sink and of
-        the gram that would pass the step budget; the symbols from there on,
-        and those fed but not read yet, go back to their sources, and the
-        scalar loop halts inside that gram.  Outputs, step costs and tape-1
-        reads come from the gram view; the output is one gather of padded
-        rows, masked only when some gram of the window writes fewer tags than
-        the longest.  A checkpoint finds its gram by the running sum of tape-1
-        reads and walks that one gram through the key table for the output
-        count at its read.  Only a window that records the path expands its
-        grams into key-table entries, which give the states visited.  When
-        every macro step is one machine step (``X.unit``), the step budget
-        cuts the count up front, so windows need no running sum of step costs.
+        the gram that would pass the step budget; the symbols from there on go
+        back to their sources, after those the final macro state holds
+        pending, and the scalar loop halts inside that gram.  Outputs, step
+        costs and tape-1 reads come from the gram view; the output is one
+        gather of padded rows, masked only when some gram of the window writes
+        fewer tags than the longest.  A checkpoint finds its gram by the
+        running sum of tape-1 reads and walks that one gram through the key
+        table for the output count at its read.  Only a window that records
+        the path expands its grams into key-table entries, which give the
+        states visited.  When every macro step is one machine step
+        (``X.unit``), the step budget cuts the count up front, so windows need
+        no running sum of step costs.
         """
         X = self.macro
         V = X.grams if count >= _GRAM_MIN else X
@@ -578,24 +563,19 @@ class CompiledAutomaton:
         nb, tags = V.nb, V.tags
         col = np.arange(tags.shape[1])
         every = np.arange(X.rows) * K
-        src0 = inputs[0]
-        src1 = inputs[1] if self.ell == 2 else None
         if X.unit:
             count = min(count, max_steps - r.steps)
         count -= count % G
-        m0 = X.entry[r.q]
-        raw0 = raw1 = tail0 = tail1 = np.zeros(0, dtype=np.intp)
-        k = done = 0
+        raws, k, done = (), 0, 0
         while done < count:
             want = min(_WINDOW - _WINDOW % G, count - done)
-            raw0 = src0.take_available(want)
-            if src1 is None:
-                keys = raw0.astype(np.intp)
-            else:
-                raw1 = src1.take_available(raw0.size)
-                keys = raw0[: raw1.size].astype(np.intp)
+            raws = [inputs[0].take_available(want)]
+            keys = raws[0].astype(np.intp)
+            if self.ell == 2:
+                raws.append(inputs[1].take_available(raws[0].size))
+                keys = keys[: raws[1].size]
                 keys *= self.b
-                keys += raw1
+                keys += raws[1]
             m = keys.size // G  # whole grams
             if m == 0:
                 k = 0
@@ -633,7 +613,9 @@ class CompiledAutomaton:
                 written = int(lens.sum())
                 r.chunks.append(out.ravel() if written == out.size else out[col < lens[:, None]])
                 c0 = r.consumed[0]
-                read0 = k + X.lag0[m0] - X.lag0[m1]  # tape-1 symbols read
+                # a tape's symbols read: those fed, less the growth of its pending ones
+                was, now = X.states[m0], X.states[m1]
+                read0 = k + len(was[1]) - len(now[1])
                 if r.next_cp <= c0 + read0:
                     reads = V.reads1[idx]
                     cr = np.cumsum(reads)
@@ -666,27 +648,19 @@ class CompiledAutomaton:
                     else:
                         costs = X.cost[e]
                         r.path.append(_gather(X.path_pool, X.path_off[e], costs, np.cumsum(costs)))
-                r.q = int(X.state[m1])
-                r.consumed[0] += read0
+                r.q = X.states[m1][0]
                 r.steps += k if X.unit else int(spent[-1])
                 r.out_total += written
-                if src1 is not None:
-                    r.consumed[1] += k + X.lag1[m0] - X.lag1[m1]
-                    tail0 = _last(tail0, raw0[:k], X.lag0[m1])
-                    tail1 = _last(tail1, raw1[:k], X.lag1[m1])
+                for j in range(self.ell):
+                    r.consumed[j] += k + len(was[1 + j]) - len(now[1 + j])
                 m0 = m1
             done += k
             if k < want:
                 break
-        # symbols taken but not fed, and those fed but not read, go back
-        if src1 is None:
-            if k < raw0.size:
-                src0._unread(raw0[k:])
-        else:
-            for src, tail, raw in ((src0, tail0, raw0), (src1, tail1, raw1)):
-                back = np.concatenate([tail, raw[k:]])
-                if back.size:
-                    src._unread(back)
+        # symbols fed but not read, then those taken but not fed, go back
+        for src, pending, raw in zip(inputs, X.states[m0][1:], raws):
+            if pending or k < raw.size:
+                src._unread(np.concatenate([np.array(pending, dtype=raw.dtype), raw[k:]]))
 
     def _every_word(self, max_len: int):
         """Run the ell=1 machine on every input word of length 1..max_len.

@@ -268,14 +268,9 @@ class JoinSource(WordSource):
         # a run of n emitted symbols starting at the current parity uses
         # ceil/floor(n/2) symbols from the leading / trailing side
         lead_n, trail_n = (n + 1) // 2, n // 2
-        if self._parity == 0:
-            ax = self.x.take_available(lead_n)
-            ay = self.y.take_available(trail_n)
-            lead, trail = ax, ay
-        else:
-            ay = self.y.take_available(lead_n)
-            ax = self.x.take_available(trail_n)
-            lead, trail = ay, ax
+        first, second = (self.x, self.y) if self._parity == 0 else (self.y, self.x)
+        lead = first.take_available(lead_n)
+        trail = second.take_available(trail_n)
         if lead.size < lead_n or trail.size < trail_n:
             # one side ran dry: emit only the complete interleaved prefix
             n = max(min(2 * lead.size, 2 * trail.size + 1), 0)

@@ -423,9 +423,9 @@ def lockstep_calls(monkeypatch):
     calls = []
     original = CompiledAutomaton._lockstep
 
-    def spy(self, r, inputs, count, max_steps):
+    def spy(self, r, inputs, m0, count, max_steps):
         calls.append(count)
-        return original(self, r, inputs, count, max_steps)
+        return original(self, r, inputs, m0, count, max_steps)
 
     monkeypatch.setattr(CompiledAutomaton, "_lockstep", spy)
     return calls
@@ -744,10 +744,29 @@ def bounded_lag_machines(rng: random.Random) -> list:
         while True:
             M = rand_det_two_tape(rng, max(pending), 1.0)
             X = compile(M, 2).macro
-            if (max(X.lag0), max(X.lag1)) == pending:
+            if tuple(max(len(m[tape]) for m in X.states) for tape in (1, 2)) == pending:
                 break
         machines.append(M)
     return machines + [rand_det_two_tape(rng, lag, 0.97) for lag in range(4)]
+
+
+def test_a_macro_step_leaves_a_suffix_of_what_it_was_fed_pending():
+    """The give-back rule's premise: a macro step reads its pending symbols
+    and the key it is fed in order, so what stays pending on a tape is a
+    suffix of them, on tape 1 exactly ``reads1`` symbols shorter."""
+    for M in bounded_lag_machines(random.Random(8282)):
+        X, b = compile(M, 2).macro, M.alphabet.size
+        sink = X.rows - 1
+        for m, (_, p1, p2) in enumerate(X.states[:sink]):
+            for key in range(X.keys):
+                e = m * X.keys + key
+                target = int(X.nb[e]) // X.keys
+                if target == sink:
+                    continue
+                _, t1, t2 = X.states[target]
+                fed1, fed2 = p1 + (key // b,), p2 + (key % b,)
+                assert fed1[len(fed1) - len(t1) :] == t1 and fed2[len(fed2) - len(t2) :] == t2
+                assert len(fed1) - len(t1) == X.reads1[e]
 
 
 def test_two_tape_lockstep_matches_scalar_and_naive_on_random_machines(lockstep_calls):
@@ -812,8 +831,11 @@ def test_two_tape_lockstep_stops_before_a_dead_end_with_pending_symbols(lockstep
         b -,1,1 a
         """
     )  # reads y two symbols ahead of x, so x symbols are pending; z is a dead end
-    X = compile(M, 2).macro  # macro states: d1; d2 and b, each with x = 0 or 1 pending
-    assert X.lag0 == [0, 1, 1, 1, 1, 0] and X.lag1 == [0] * 6
+    X = compile(M, 2).macro  # macro states: d1; d2 and b, each with x = 0 or 1 pending; the sink
+    d1, d2, b, sink = 0, 1, 3, 5
+    assert X.states == [
+        (d1, (), ()), (d2, (0,), ()), (d2, (1,), ()), (b, (0,), ()), (b, (1,), ()), (sink, (), ())
+    ]
     for p in (300, _WINDOW - 1, _WINDOW, _WINDOW + 1):
         x = "0" * p + "1" + "0" * (2 * _WINDOW)
         y = rand_text(random.Random(p), 3 * _WINDOW, 2)
@@ -1076,7 +1098,7 @@ def checkpoint_offsets(M, texts, n):
     each of them.  A walk through the key table, one key at a time."""
     C = compile(M, len(texts))
     X, G = C.macro, gram_length(M, len(texts))
-    e, read, t, offsets = X.entry[C.initial] * X.keys, 0, 1, set()
+    e, read, t, offsets = X.ids[(C.initial, (), ())] * X.keys, 0, 1, set()
     for i, syms in enumerate(zip(*texts)):
         e += int("".join(syms), M.alphabet.size)
         read += int(X.reads1[e])
@@ -1134,7 +1156,7 @@ def test_step_budget_runs_out_in_the_gram_of_a_checkpoint(copy_aut, join_aut, lo
     assert len(lockstep_calls) == 2 * runs
 
 
-def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
+def test_pending_symbols_outlive_the_last_window(lockstep_calls):
     """The last window feeds fewer keys than the final macro state holds
     pending, so the pending symbols come partly from the window before."""
     rows = ["automaton k=3 alphabet=2 initial=x0"]
@@ -1146,13 +1168,9 @@ def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
     M = parse_automaton("\n".join(rows))
     X = compile(M, 2).macro
     assert X.rows == 32 and X.grams.span == 2
-    longer = []
-    last = engine._last
-    monkeypatch.setattr(
-        engine, "_last", lambda tail, fed, n: longer.append(n > fed.size) or last(tail, fed, n)
-    )
-    # after k keys, k mod 5 y symbols are pending; the last window feeds one
-    # gram, so it must end where more than G are pending
+    # after k keys, k mod 5 y symbols are pending; both runs feed the same
+    # whole grams, and the last window feeds one gram, so it must end where
+    # more than G are pending
     G = X.grams.span
     window = _WINDOW - _WINDOW % G
     w = next(w for w in range(1, 6) if (w * window + G) % 5 > G)
@@ -1161,8 +1179,11 @@ def test_pending_symbols_outlive_the_last_window(lockstep_calls, monkeypatch):
     for n in (w * window + G, w * window + G + 1):
         tr = check_engines(M, (x, y), n)
         assert not tr.halted and tr.consumed[0] == n
-    assert any(longer)
     assert len(lockstep_calls) == 2 * 2
+    m = X.ids[(0, (), ())]  # x0, nothing pending
+    for a1, a2 in zip(x[: w * window + G], y[: w * window + G]):
+        m = int(X.nb[m * X.keys + 2 * int(a1) + int(a2)]) // X.keys
+    assert len(X.states[m][2]) > G
 
 
 def test_only_runs_from_the_gram_budget_up_build_the_gram_view():

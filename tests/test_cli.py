@@ -81,6 +81,24 @@ def test_parse_generator_names_what_is_wrong():
             parse_generator(bad)
 
 
+def test_parse_generator_checks_seed_base_and_word():
+    cases = {
+        "rand:seed=x": "generator spec 'rand:seed=x': seed=x is not an integer",
+        "selfsim:b=x": "generator spec 'selfsim:b=x': b=x is not an integer",
+        "rand:b=1": "generator spec 'rand:b=1': b=1: alphabet size must be >= 2",
+        "rand:b=5000000000": "generator spec 'rand:b=5000000000': b=5000000000: alphabet size",
+        "file:path=w.txt,b=0": "generator spec 'file:path=w.txt,b=0': b=0: alphabet size",
+        "periodic:word=012": "generator spec 'periodic:word=012': word=012: character '2'",
+        "odd(periodic:word=2,b=2)": "generator spec 'periodic:word=2,b=2': word=2: character",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(ValueError) as e:
+            parse_generator(bad)
+        assert str(e.value).startswith(message), bad
+    assert parse_generator("periodic:word=012,b=3").canonical() == "periodic:word=012,b=3"
+    assert parse_generator("rand:seed=-3").canonical() == "rand:seed=-3"
+
+
 def test_generator_build_requires_seed_or_default():
     g = parse_generator("rand")
     with pytest.raises(ValueError):
@@ -541,6 +559,18 @@ def test_block_length_zero_exits_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("experiment", "measure-one", "-n", "64", "--trials", "2", "--jobs", "0"),
+        ("independence", "--x-gen", "rand", "--y-gen", "rand", "-n", "64", "--jobs", "-3"),
+    ],
+)
+def test_jobs_below_one_exit_2_before_any_output(argv, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("independence", "--x-gen", "rand", "--y-gen", "rand"),
         ("experiment", "measure-one", "--gen", "rand"),
     ],
@@ -667,6 +697,29 @@ def test_measure_one_rejects_a_bad_spec_before_any_worker(monkeypatch, capsys):
     assert run_cli(*args)[0] == 2
     assert pools == []
     assert capsys.readouterr().err == "error: unknown generator kind 'wat'\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("rand:seed=x", "seed=x is not an integer"),
+        ("selfsim:b=x", "b=x is not an integer"),
+        ("rand:b=1", "b=1: alphabet size must be >= 2, got 1"),
+        ("rand:b=5000000000", "b=5000000000: alphabet size 5000000000 too large"),
+    ],
+)
+def test_independence_rejects_a_bad_spec_parameter_before_any_worker(
+    spec, message, monkeypatch, capsys
+):
+    from concurrent import futures
+
+    pools = []
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    args = ("independence", "--x-gen", spec, "--y-gen", "rand", "-n", "64")
+    args += ("--trials", "2", "--jobs", "2")
+    assert run_cli(*args) == (2, "")
+    assert pools == []
+    assert capsys.readouterr().err == f"error: generator spec {spec!r}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,8 @@ from fsindep import (
     cond_encode,
     conditional_ratio,
     conditional_ratio_estimate,
+    copy_automaton,
+    even_projection_transducer,
     independence_report,
     match_run_automaton,
     match_run_compress,
@@ -321,6 +323,35 @@ def test_match_run_automaton_oracle_consumption_is_bounded():
 def test_match_run_automaton_rejects_large_windows():
     with pytest.raises(ValueError):
         match_run_automaton(odd_projection_transducer(A2), 4)
+
+
+def test_match_run_automaton_text_is_pinned():
+    """State names, state order and transitions, byte for byte: SHA-256
+    prefixes of ``to_text()`` for k = 1..3."""
+    silent = parse_automaton(
+        """
+        automaton k=2 alphabet=2 initial=a
+        a 0,0 s
+        a 1,- s
+        s -,1 a
+        """
+    )  # s moves without reading
+    pinned = {
+        "odd": ("d11ba1683505a0eb", "217537c9e3fb9f7e", "6db29e216d9fa660"),
+        "even": ("3fed5905cdc3f25b", "86045fa2ee993d28", "6b4675372ed00a34"),
+        "copy": ("a365153394416e79", "4ec433797c4731cb", "452cd51dd8dea0eb"),
+        "silent": ("d911ade5f259b90d", "c4967d01c7f549d1", "46ad24636d9f5605"),
+    }
+    machines = {
+        "odd": odd_projection_transducer(A2),
+        "even": even_projection_transducer(A2),
+        "copy": copy_automaton(A2),
+        "silent": silent,
+    }
+    for name, T in machines.items():
+        for k, want in zip((1, 2, 3), pinned[name]):
+            text = match_run_automaton(T, k).to_text()
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (name, k)
 
 
 # ---------------------------------------------------------------------------
