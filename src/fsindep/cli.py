@@ -277,8 +277,8 @@ def _fmt(v) -> str:
 
 
 def _emit_csv(rows, header, path, summary=()):
-    """Rows of values -> RFC-4180 style text (LF endings), atomically written;
-    if to a file, prints summary's (key, value) pairs, read only then, as a line."""
+    """Rows of values -> RFC-4180 style text (LF endings), written in one call but not
+    atomically; if to a file, prints summary's (key, value) pairs, read only then, as a line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -505,6 +505,14 @@ def _cmd_perfect_sequence(args) -> int:
 # argument parsing
 
 
+def _base(text: str) -> int:
+    """A --base value: an alphabet size, as Alphabet checks it."""
+    try:
+        return Alphabet(int(text)).size
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_csv(p):
     p.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
 
@@ -533,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="block statistics of a word file")
     p.add_argument("--word", required=True)
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     p.add_argument("--max-block", type=int, default=8)
     p.add_argument("--threshold", type=float, default=3.0)
     _add_csv(p)
@@ -548,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", required=True, help="2-tape transducer file")
     p.add_argument("--input", help="word file input")
     p.add_argument("--gen", help="generator spec input")
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     p.add_argument("-n", type=int, required=True)
     _add_csv(p)
     p.set_defaults(fn=_cmd_compress)
@@ -560,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", help="primary generator spec")
     p.add_argument("--ref", help="reference word file")
     p.add_argument("--ref-gen", help="reference generator spec")
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, default=8, help="block length")
     _add_csv(p)
@@ -579,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = experiments.add_parser("join-dependence", help="odd(x) given even(x), x self-similar")
     p.add_argument("-n", type=int, default=1 << 18)
     p.add_argument("-k", type=int, default=8)
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     _add_csv(p)
     p.set_defaults(fn=_cmd_join_dependence)
 
@@ -591,14 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = experiments.add_parser("join-normal", help="x self-similar: join(odd(x), even(x)) = x")
     p.add_argument("-n", type=int, default=1 << 18)
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     p.add_argument("--max-block", type=int, default=8)
     _add_csv(p)
     p.set_defaults(fn=_cmd_join_normal)
 
     p = sub.add_parser("perfect-sequence", help="stages of the perfect-word tower")
     p.add_argument("--stages", type=int, default=12)
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_base, default=2)
     _add_csv(p)
     p.set_defaults(fn=_cmd_perfect_sequence)
 

@@ -11,9 +11,11 @@ the lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014) when the
 machine has a macro-step table (:class:`_MacroTable`), which the first
 such run builds, and the table has the run's state with no symbol
 pending.  A macro state is a machine state plus the symbols fed but not
-read yet: a one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states
-has a table of its states, and so has a two-tape machine whose tapes
-keep a bounded lag (a synchronized relation, Frougny & Sakarovitch 1993),
+read yet, and one rule, :func:`_macro_step`, steps it: the key table and
+the losslessness check's word tables (``_every_word``) both come from it.
+A one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states has a
+table of its states, and so has a two-tape machine whose tapes keep a
+bounded lag (a synchronized relation, Frougny & Sakarovitch 1993),
 so that the macro states its initial state reaches number at most
 ``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b or
 b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
@@ -21,16 +23,18 @@ two-tape lock-step for alphabets past 181 symbols.  When the engine
 stops, the pending symbols of the macro state it stops in go back to
 their sources.  A window gathers output rows padded to the longest, so
 ``_WINDOW`` rows must stay within ``_WINDOW_TAG_BYTES``: 64 one-byte tags
-a macro step.  Silent states and path recording do not matter.  The
-first run of at least ``_GRAM_MIN`` symbols builds, from that table, its
-gram view (:class:`_Steps`): the same macro states, with every entry G
-consecutive keys, so that one gather moves the run G symbols on
+a macro step.  Silent states and path recording do not matter.  Every
+lock-step run feeds the table's gram view (:class:`_Steps`), built on
+first use whatever the run's length: the same macro states, with every
+entry G consecutive keys, so that one gather moves the run G symbols on
 (multi-stride automata; Brodie, Taylor & Cytron 2006), with G as large
-as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  A window's work
-past the gathers that move it is one gather of padded output rows and,
-for each power-of-two checkpoint, one search and a walk of at most G
-keys, so it grows no faster than the gathers; hence windows of
-``_WINDOW`` symbols.  Both engines give the same trace.
+as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  A gram keeps the
+key-table entries it passes through.  A window's work past the gathers
+that move it is one gather of padded output rows, for each power-of-two
+checkpoint one search and a walk of at most G of its gram's entries, and,
+when it records the path, one gather of its grams' entries, so it grows
+no faster than the gathers; hence windows of ``_WINDOW`` symbols.  Both
+engines give the same trace.
 """
 
 from __future__ import annotations
@@ -55,14 +59,10 @@ _WINDOW = 16384
 # gram; at _WINDOW, 12 and 24 won on neither engine workload
 _CHUNK = 16
 # Smaller budgets run the scalar loop.  On copy.aut, the odd projection and
-# join.aut, lock-step (key table, as below _GRAM_MIN) won from 180-380
-# symbols on with the table built, and from 300-500 with its build included.
+# join.aut, lock-step (gram view) won from 256-512 symbols on with the view
+# built, and from 1-1.5k with its build (0.3-0.4 ms) included, which a machine's
+# first lock-step run pays; every run of the engine workloads feeds 2**14 or more.
 _LOCKSTEP_MIN = 256
-# Smaller budgets feed the key table one key a gather.  On the same machines
-# the gram view won from 2-4k symbols on once built, and from 7-16k with its
-# build (about 0.25 ms) included; at 8192 it lost up to 18 % on a fresh
-# machine and won 20-22 % on one that had built it.
-_GRAM_MIN = 8192
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
 # (macro state, key) pairs in one macro-step table; each costs about 7 us
 # and 260 B to build, so a table costs at most about 0.25 s and 9 MiB
@@ -107,32 +107,6 @@ class _Run:
         self.reason = None  # halt reason, None while running or after a clean stop
 
 
-def _silent_closure(read, delta, emit, width):
-    """Where the silent chain from each state ends, and what it does on the way.
-
-    Returns three lists indexed by state number, the sink included: the
-    first state of the chain that is not silent (the state itself unless
-    it is silent; the sink when the chain runs into a cycle), the states
-    the chain steps to, and the output tags it writes (both empty on a
-    cycle).  ``delta`` and ``emit`` are the flat tables of
-    :class:`CompiledAutomaton`, whose row width is ``width``.
-    """
-    sink = len(read) - 1
-    end, visited, tags = list(range(sink + 1)), [()] * (sink + 1), [()] * (sink + 1)
-    done = [r != 0 for r in read]
-    for q in range(sink):
-        chain, p = {}, q
-        while not done[p] and p not in chain:
-            chain[p] = None
-            p = delta[p * width]
-        e, v, t = (end[p], visited[p], tags[p]) if done[p] else (sink, (), ())
-        for s in reversed(chain):
-            if e != sink:
-                v, t = (delta[s * width],) + v, emit[s * width] + t
-            end[s], visited[s], tags[s], done[s] = e, v, t, True
-    return end, visited, tags
-
-
 @dataclass(frozen=True, eq=False)
 class _Steps:
     """A lock-step table: every entry feeds ``span`` (G) consecutive keys.
@@ -143,7 +117,9 @@ class _Steps:
     flat index ``m * keys + id``, ``nb`` holds the macro state after the G
     macro steps times ``keys``, ``out_len`` counts their output tags and
     row ``tags`` holds them, padded with zeros to the longest, ``cost`` is
-    their machine steps and ``reads1`` their tape-1 reads.
+    their machine steps, ``reads1`` their tape-1 reads and row ``entries``
+    the flat index in X of each of the G macro steps, in the narrow dtype
+    for X's size (in X itself, one column: the entry's own index).
     """
 
     span: int
@@ -154,6 +130,7 @@ class _Steps:
     tags: np.ndarray
     cost: np.ndarray
     reads1: np.ndarray
+    entries: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +143,12 @@ class _MacroTable(_Steps):
     as (machine state, pending tape-1 symbols, pending tape-2 symbols), and
     ``ids`` maps a record to its row.  A run at machine state q enters
     macro state (q, (), ()) when the table has it.  A macro step feeds one
-    key and runs the machine, silent steps included, until it needs a
-    symbol not fed yet.  Row ``rows - 1`` is an absorbing sink; a step goes
-    there when it meets a missing transition or a silent cycle, or stops at
-    a state without transitions with symbols still pending.  Besides the
-    fields of :class:`_Steps` (G = 1), ``path_off`` locates the states a
-    step reaches in ``path_pool`` and ``cp_off`` lists the output count
-    right after each of its tape-1 reads.  ``unit``: every step is one
-    machine step that reads one tape-1 symbol.  :attr:`grams` is the gram
-    view.
+    key (:func:`_macro_step`).  Row ``rows - 1`` is an absorbing sink, where
+    the steps go that the rule rejects.  Besides the fields of
+    :class:`_Steps` (G = 1), ``path_off`` locates the states a step reaches
+    in ``path_pool`` and ``cp_off`` lists the output count right after each
+    of its tape-1 reads.  ``unit``: every step is one machine step that
+    reads one tape-1 symbol.  :attr:`grams` is the gram view.
     """
 
     rows: int
@@ -191,22 +165,36 @@ class _MacroTable(_Steps):
         return _gram_view(self)
 
 
-def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
-    """The macro-step table of C, or None when it has more than
-    ``_LOCKSTEP_MAX_STATES`` macro states, more than
-    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs or a macro step whose
-    output, in ``_WINDOW`` rows, would pass ``_WINDOW_TAG_BYTES``.
+def _macro_step(C: CompiledAutomaton):
+    """The macro-step rule of C, as a function ``step(q, p1, p2)``.
 
-    For ell=1 the macro states are the machine states.  For ell=2 they
-    are found by a breadth-first search from the initial state; they are
-    finitely many exactly when the lag between the tapes is bounded.
+    It runs C from machine state q on the pending tape-1 symbols p1 and
+    tape-2 symbols p2, silent steps included (q's own silent chain first),
+    until it needs a symbol not fed yet.  It returns (the machine state
+    reached, p1 and p2 left pending), the states visited, the output tags
+    written and the output count right after each tape-1 read; or None
+    when it meets a missing transition or a silent cycle, or stops at a
+    state without transitions with symbols still pending.  Each state's
+    silent chain is resolved once: ``end[q]`` is its first state that is
+    not silent (q unless q is silent; the sink on a cycle), ``visited[q]``
+    the states it steps to and ``tags[q]`` the tags it writes.
     """
-    read, delta, emit, b, ell = C.read, C.delta_list, C.emit_list, C.b, C.ell
-    sink, width = len(read) - 1, b**ell
-    end, visited, tags = _silent_closure(read, delta, emit, width)
+    read, delta, emit, b = C.read, C.delta_list, C.emit_list, C.b
+    sink, width = len(read) - 1, b**C.ell
+    end, visited, tags = list(range(sink + 1)), [()] * (sink + 1), [()] * (sink + 1)
+    done = [r != 0 for r in read]
+    for q in range(sink):
+        chain, p = {}, q
+        while not done[p] and p not in chain:
+            chain[p] = None
+            p = delta[p * width]
+        e, v, t = (end[p], visited[p], tags[p]) if done[p] else (sink, (), ())
+        for s in reversed(chain):
+            if e != sink:
+                v, t = (delta[s * width],) + v, emit[s * width] + t
+            end[s], visited[s], tags[s], done[s] = e, v, t, True
 
     def step(q, p1, p2):
-        """Run from q on the pending symbols p1, p2 until one more is needed."""
         path, out, cps = list(visited[q]), list(tags[q]), []
         q = end[q]
         while q != sink:
@@ -233,6 +221,21 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
             q = end[q]
         return None  # a silent cycle
 
+    return step
+
+
+def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
+    """The macro-step table of C, or None when it has more than
+    ``_LOCKSTEP_MAX_STATES`` macro states, more than
+    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs or a macro step whose
+    output, in ``_WINDOW`` rows, would pass ``_WINDOW_TAG_BYTES``.
+
+    For ell=1 the macro states are the machine states.  For ell=2 they
+    are found by a breadth-first search from the initial state; they are
+    finitely many exactly when the lag between the tapes is bounded.
+    """
+    b, ell, sink = C.b, C.ell, len(C.states)
+    width, step = b**ell, _macro_step(C)
     cap = min(_LOCKSTEP_MAX_STATES, _LOCKSTEP_MAX_ENTRIES // width)
     order = [(q, (), ()) for q in range(sink)] if ell == 1 else [(C.initial, (), ())]
     if len(order) > cap:
@@ -278,6 +281,7 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
         tags=_padded(np.array(pool, dtype=C.tag_dtype), out_len),
         cost=cost,
         reads1=reads1,
+        entries=np.arange(size, dtype=_dtype_for(size))[:, None],
         rows=rows,
         path_off=path_off,
         path_pool=np.array(path_pool, dtype=np.intp),
@@ -294,20 +298,20 @@ def _gram_view(X: _MacroTable) -> _Steps:
 
     G is the largest gram length, at most ``_CHUNK``, whose view has at
     most ``_GRAM_MAX_ENTRIES`` entries and at most ``_GRAM_MAX_BYTES``
-    bytes: four intp arrays and a row as long as G of X's.  Below G = 2
-    the view is X.  Every array comes from G gathers through X's tables, not
-    from one macro step at a time.  A gram that meets the sink part-way
-    leads to the sink, which absorbs.  The states visited and the
-    checkpoint offsets stay in X: a checkpoint walks its one gram through
-    X's entries, and a window that records the path expands all its grams
-    into them.
+    bytes: four intp arrays, a row as long as G of X's and G entries of X.
+    Below G = 2 the view is X.  Every array comes from G gathers through
+    X's tables, not from one macro step at a time.  A gram that meets the
+    sink part-way leads to the sink, which absorbs.  The states visited and
+    the checkpoint offsets stay in X, reached through the gram's
+    ``entries``.
     """
     K, rows = X.keys, X.rows
-    longest = X.tags.itemsize * X.tags.shape[1]  # bytes of one padded row
+    # the bytes a key adds to a gram: one padded row of X and one entry
+    per_key = X.tags.itemsize * X.tags.shape[1] + X.entries.itemsize
 
     def fits(G):
         size = rows * K**G
-        return size <= _GRAM_MAX_ENTRIES and size * (4 * 8 + G * longest) <= _GRAM_MAX_BYTES
+        return size <= _GRAM_MAX_ENTRIES and size * (4 * 8 + G * per_key) <= _GRAM_MAX_BYTES
 
     G = 1
     while G < _CHUNK and fits(G + 1):
@@ -328,6 +332,7 @@ def _gram_view(X: _MacroTable) -> _Steps:
     return _Steps(
         G, KG, K ** np.arange(G - 1, -1, -1), cur.ravel() // K * KG, out_len,
         _padded(tags, out_len), X.cost[E].sum(axis=1), X.reads1[E].sum(axis=1),
+        E.astype(X.entries.dtype),
     )
 
 
@@ -536,8 +541,8 @@ class CompiledAutomaton:
         """Feed up to count keys to the macro-step table, from macro state
         m0, a gram of G keys per gather, in lock-step windows.
 
-        A count below ``_GRAM_MIN`` feeds the key table itself (G = 1), so
-        short runs do not pay for building the gram view.  Windows are whole
+        The gram view is X itself (G = 1) only when no gram of two keys fits
+        its bounds; the run's length never chooses it.  Windows are whole
         grams, so at most G - 1 keys of count are left to the scalar loop.  A
         window's keys are packed into gram ids (at G = 1 the keys themselves)
         and cut into chunks; every chunk runs from all macro states at once
@@ -550,15 +555,14 @@ class CompiledAutomaton:
         costs and tape-1 reads come from the gram view; the output is one
         gather of padded rows, masked only when some gram of the window writes
         fewer tags than the longest.  A checkpoint finds its gram by the
-        running sum of tape-1 reads and walks that one gram through the key
-        table for the output count at its read.  Only a window that records
-        the path expands its grams into key-table entries, which give the
-        states visited.  When every macro step is one machine step
-        (``X.unit``), the step budget cuts the count up front, so windows need
-        no running sum of step costs.
+        running sum of tape-1 reads and walks that gram's key-table entries
+        for the output count at its read.  A window that records the path
+        gathers the entries of all its grams at once; they give the states
+        visited.  When every macro step is one machine step (``X.unit``), the
+        step budget cuts the count up front, so windows need no running sum
+        of step costs.
         """
-        X = self.macro
-        V = X.grams if count >= _GRAM_MIN else X
+        X, V = self.macro, self.macro.grams
         G, K, sink = V.span, V.keys, X.rows - 1
         nb, tags = V.nb, V.tags
         col = np.arange(tags.shape[1])
@@ -625,24 +629,15 @@ class CompiledAutomaton:
                         g = int(cr.searchsorted(t))  # is in gram g
                         t -= int(cr[g] - reads[g])
                         off = r.out_total + int(cum[g] - lens[g])
-                        e = int(idx[g]) // K * X.keys
-                        for key in keys[g].tolist():  # at most G key-table entries
-                            e += key
+                        for e in V.entries[idx[g]].tolist():  # at most G of them
                             if t <= X.reads1[e]:
                                 break
                             t -= int(X.reads1[e])
                             off += int(X.out_len[e])
-                            e = int(X.nb[e])
                         r.checkpoints.append((r.next_cp, off + X.cp_off[e][t - 1]))
                         r.next_cp *= 2
                 if r.path is not None:
-                    # the key-table entry of every key fed
-                    e = np.empty((idx.size, G), dtype=np.intp)
-                    at = idx // K * X.keys
-                    for i in range(G):
-                        e[:, i] = at + keys[: idx.size, i]
-                        at = X.nb[e[:, i]]
-                    e = e.ravel()
+                    e = V.entries[idx].ravel()  # the key-table entry of every key fed
                     if X.unit:
                         r.path.append(X.path_pool[X.path_off[e]])
                     else:
@@ -673,31 +668,28 @@ class CompiledAutomaton:
         back.  Values are int64 while the longest possible output fits 63
         bits, else Python ints in an object array.  Word i of length L is word
         i // b of length L - 1 followed by symbol i % b, so each length is one
-        gather from the one before.  The silent steps that :func:`run` fires
-        after a read (or at the start, or as the trailing flush) are resolved
-        once per state (:func:`_silent_closure`); a chain that ends on a
-        silent cycle leads to the sink, which halts the word and all its
-        extensions, as a missing transition does.  The step budget grows with
-        L, so it halts a word but not its extensions.
+        gather from the one before, through a table of one macro step
+        (:func:`_macro_step`) per (state, symbol).  The words start at the
+        initial state, whose macro steps fire its silent chain first; a macro
+        step the rule rejects leads to the sink, which halts the word and all
+        its extensions.  The step budget grows with L, so it halts a word but
+        not its extensions.
         """
         b, sink = self.b, len(self.states)
-        delta, emit = self.delta_list, self.emit_list
-        end, visited, tags = _silent_closure(self.read, delta, emit, b)
-        # one read from state j // b on symbol j % b, then its silent closure
-        nxt = np.array([end[d] for d in delta], dtype=np.intp)
-        cost = np.array([1 + len(visited[d]) for d in delta], dtype=np.intp)
-        tail = [emit[j] + tags[d] for j, d in enumerate(delta)]
-        q0, base = self.initial, max(self.n_out, 1) * b
-        tail_len = np.array([len(t) for t in tail], dtype=np.intp)
-        longest = len(tags[q0]) + max_len * int(tail_len.max())
-        dtype = np.int64 if base**longest <= 2**63 else object
+        step = _macro_step(self)
+        # one macro step from state j // b on symbol j % b
+        res = [step(q, (a,), ()) or ((sink,), (), ()) for q in range(sink + 1) for a in range(b)]
+        nxt = np.array([r[0][0] for r in res], dtype=np.intp)
+        cost = np.array([len(r[1]) for r in res], dtype=np.intp)
+        base = max(self.n_out, 1) * b
+        tail_len = np.array([len(r[2]) for r in res], dtype=np.intp)
+        dtype = np.int64 if base ** (max_len * int(tail_len.max())) <= 2**63 else object
         value_of = lambda t: sum(c * base**i for i, c in enumerate(reversed(t)))
-        tail_val = np.array([value_of(t) for t in tail], dtype=dtype)
+        tail_val = np.array([value_of(r[2]) for r in res], dtype=dtype)
         tail_scale = np.array([base**n for n in tail_len.tolist()], dtype=dtype)
-        q = np.array([end[q0]], dtype=np.intp)
-        n_steps = np.array([len(visited[q0])], dtype=np.intp)
-        out_len = np.array([len(tags[q0])], dtype=np.intp)
-        out = np.array([value_of(tags[q0])], dtype=dtype)
+        q = np.array([self.initial], dtype=np.intp)
+        n_steps = out_len = np.zeros(1, dtype=np.intp)
+        out = np.zeros(1, dtype=dtype)
         for L in range(1, max_len + 1):
             j = (q[:, None] * b + np.arange(b)).ravel()
             out = np.repeat(out, b) * tail_scale[j] + tail_val[j]

@@ -503,6 +503,12 @@ def test_compile_tables_are_pinned():
     written = np.concatenate([keys[:, 0::2], keys[:, 1::2], np.zeros((256, 4), dtype=int)])
     assert V.tags.tolist() == written.tolist()
     assert C.macro.tags.tolist() == [[0], [1], [0], [0], [0], [0]]
+    # the key-table entry of each key: from keep, keep * 2 + key at the
+    # 1st, 3rd, ... key and drop * 2 + key at the others; in the sink, 4 + key
+    at = np.array([0, 2] * 4)
+    assert V.entries.dtype == np.uint8
+    assert V.entries.tolist() == np.concatenate([keys + at, keys + 2 - at, keys + 4]).tolist()
+    assert C.macro.entries.tolist() == [[e] for e in range(6)]
     M = parse_automaton(CHAIN)
     assert 0 in compile(M, 1).read and not compile(M, 1).macro.unit
     assert compile(M, 1) is compile(M, 1)  # cached on the machine
@@ -953,8 +959,8 @@ def test_engines_agree_on_two_output_tapes(lockstep_calls):
     assert G > 1
     text = rand_text(random.Random(91), 2 * _WINDOW + 2 * G, 2)
     budgets = (
-        1, _LOCKSTEP_MIN - 1, _WINDOW - 1, _WINDOW + 1,
-        engine._GRAM_MIN + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
+        1, _LOCKSTEP_MIN - 1, _LOCKSTEP_MIN + G - 1, _WINDOW - 1, _WINDOW + 1,
+        _WINDOW - _WINDOW % G + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
     )
     for n in budgets:
         tr = check_engines(M, text, n)
@@ -982,8 +988,8 @@ def test_engines_agree_on_two_input_tapes_and_no_output_tape(lockstep_calls):
     rng = random.Random(92)
     x, y = rand_text(rng, 2 * _WINDOW + 2 * G, 2), rand_text(rng, 2 * _WINDOW + 2 * G, 2)
     budgets = (
-        1, _LOCKSTEP_MIN - 1, _WINDOW - 1, _WINDOW + 1,
-        engine._GRAM_MIN + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
+        1, _LOCKSTEP_MIN - 1, _LOCKSTEP_MIN + G - 1, _WINDOW - 1, _WINDOW + 1,
+        _WINDOW - _WINDOW % G + G - 1, 2 * _WINDOW + 1, 2 * _WINDOW + G + 1,
     )
     for n in budgets:
         tr = check_engines(M, (x, y), n)
@@ -1012,10 +1018,10 @@ def test_engines_agree_on_budgets_around_gram_boundaries(
     for M, text in machines:
         G = gram_length(M, 1 if isinstance(text, str) else 2)
         assert G > 1
-        # budgets = 0, 1 and G - 1 mod G around _GRAM_MIN, below which the
-        # key table runs, and around the end of the second gram window
+        # budgets = 0, 1 and G - 1 mod G around the first whole grams past
+        # _LOCKSTEP_MIN, and around the ends of the first and second gram windows
         budgets = []
-        for edge in (engine._GRAM_MIN, 2 * (_WINDOW - _WINDOW % G)):
+        for edge in (_LOCKSTEP_MIN + 2 * G, _WINDOW - _WINDOW % G, 2 * (_WINDOW - _WINDOW % G)):
             base = edge - edge % G
             budgets += [e + r for e in (base - G, base) for r in (0, 1, G - 1)]
         for n in budgets:
@@ -1186,16 +1192,6 @@ def test_pending_symbols_outlive_the_last_window(lockstep_calls):
     assert len(X.states[m][2]) > G
 
 
-def test_only_runs_from_the_gram_budget_up_build_the_gram_view():
-    M = copy_automaton(A2)
-    text = rand_text(random.Random(87), engine._GRAM_MIN, 2)
-    run(M, 1, [lit(text)], engine._GRAM_MIN - 1)
-    X = compile(M, 1).macro
-    assert "grams" not in vars(X)  # the cached view is not built yet
-    run(M, 1, [lit(text)], engine._GRAM_MIN)
-    assert vars(X)["grams"].span > 1
-
-
 def test_tables_past_the_gram_bound_feed_one_key_a_gather(lockstep_calls):
     rng = random.Random(85)
     b = 10
@@ -1212,9 +1208,14 @@ def test_tables_past_the_gram_bound_feed_one_key_a_gather(lockstep_calls):
     assert len(lockstep_calls) == 2 * 2
 
 
+def loud_copier() -> KAutomaton:
+    """Writes every symbol it reads 40 times: a gram view whose byte bound,
+    not its entry bound, sets G."""
+    return KAutomaton(2, A2, ["s"], "s", [("s", ((a,), (a,) * 40), "s") for a in range(2)])
+
+
 def test_gram_views_stay_within_their_bounds(copy_aut, join_aut):
-    # 40 output symbols a key: the byte bound, not the entry bound, sets G
-    loud = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), (a,) * 40), "s") for a in range(2)])
+    loud = loud_copier()
     machines = (
         (copy_aut, 1), (odd_projection_transducer(A2), 1), (join_aut, 2),
         (budget_chain_machine(5), 1), (parse_automaton(CHAIN), 1), (loud, 1),
@@ -1224,12 +1225,34 @@ def test_gram_views_stay_within_their_bounds(copy_aut, join_aut):
         V = X.grams
         assert 1 < V.span <= engine._CHUNK
         assert X.rows * V.keys <= _GRAM_MAX_ENTRIES
-        arrays = (V.nb, V.out_len, V.tags, V.cost, V.reads1)
+        arrays = (V.nb, V.out_len, V.tags, V.cost, V.reads1, V.entries)
         assert sum(a.nbytes for a in arrays) <= _GRAM_MAX_BYTES
     assert X.rows * V.keys * X.keys <= _GRAM_MAX_ENTRIES  # loud: a longer gram had fit
     text = rand_text(random.Random(86), _WINDOW + 3, 2)
     tr = check_engines(loud, text, len(text), naive=False)
     assert tr.output.to_text() == "".join(a * 40 for a in text)
+
+
+def test_gram_entries_are_the_key_table_walk_of_their_keys(copy_aut, join_aut):
+    rng = random.Random(94)
+    machines = [
+        (copy_aut, 1), (odd_projection_transducer(A2), 1), (join_aut, 2),
+        (parse_automaton(CHAIN), 1), (loud_copier(), 1),
+    ]
+    machines += [(rand_det_solid(rng, 0.9), 1) for _ in range(4)]
+    machines += [(rand_det_with_silent_states(rng), 1) for _ in range(4)]
+    machines += [(M, 2) for M in bounded_lag_machines(random.Random(8282))]
+    for M, ell in machines:
+        X = compile(M, ell).macro
+        V = X.grams
+        assert V.entries.dtype == np.min_scalar_type(X.rows * X.keys - 1)
+        assert V.entries.shape == (X.rows * V.keys, V.span)
+        for i, row in enumerate(V.entries.tolist()):
+            e, walk = i // V.keys * X.keys, []
+            for key in np.unravel_index(i % V.keys, (X.keys,) * V.span):
+                walk.append(e + int(key))
+                e = int(X.nb[walk[-1]])
+            assert row == walk, (M.to_text(), i)
 
 
 def rare_long_output_machine(L: int, b: int) -> KAutomaton:
@@ -1341,49 +1364,52 @@ def budget_chain_machine(chain: int) -> KAutomaton:
     return KAutomaton(2, A2, ["s", *cs], "s", trans)
 
 
+# machines whose silent steps the losslessness check must resolve
+SILENT_FIXTURES = {
+    "initial on a silent cycle": """
+        automaton k=2 alphabet=2 initial=a
+        a -,0 b
+        b -,- a
+        c 0,0 c
+        """,
+    "silent chain into a state without transitions": """
+        automaton k=2 alphabet=2 initial=a
+        a 0,0 a
+        a 1,1 e
+        e -,10 z
+        """,
+    "silent self-loop after a 1": """
+        automaton k=2 alphabet=2 initial=a
+        a 0,1 a
+        a 1,- e
+        e -,0 e
+        """,
+    "outputs of a read and its silent chain in order": """
+        automaton k=2 alphabet=3 initial=a
+        a 0,0 e
+        e -,1 f
+        f -,0 a
+        a 1,001 a
+        a 2,100 a
+        """,
+    "silent initial chain": """
+        automaton k=2 alphabet=3 initial=i
+        i -,2 j
+        j -,- a
+        a 0,0 a
+        a 1,1 a
+        a 2,- a
+        """,
+}
+
+
 def test_losslessness_check_matches_per_word_oracle():
     rng = random.Random(505)
     cases = [(rand_det_solid(rng, p), 8) for p in (0.6, 0.8, 0.95, 1.0) for _ in range(8)]
     cases += [(rand_det_with_silent_states(rng), 8) for _ in range(24)]
     cases += [(rand_det_silent_chains(rng, 2), 8) for _ in range(24)]
     cases += [(rand_det_silent_chains(rng, 3), 5) for _ in range(16)]
-    fixed = {
-        "initial on a silent cycle": """
-            automaton k=2 alphabet=2 initial=a
-            a -,0 b
-            b -,- a
-            c 0,0 c
-            """,
-        "silent chain into a state without transitions": """
-            automaton k=2 alphabet=2 initial=a
-            a 0,0 a
-            a 1,1 e
-            e -,10 z
-            """,
-        "silent self-loop after a 1": """
-            automaton k=2 alphabet=2 initial=a
-            a 0,1 a
-            a 1,- e
-            e -,0 e
-            """,
-        "outputs of a read and its silent chain in order": """
-            automaton k=2 alphabet=3 initial=a
-            a 0,0 e
-            e -,1 f
-            f -,0 a
-            a 1,001 a
-            a 2,100 a
-            """,
-        "silent initial chain": """
-            automaton k=2 alphabet=3 initial=i
-            i -,2 j
-            j -,- a
-            a 0,0 a
-            a 1,1 a
-            a 2,- a
-            """,
-    }
-    cases += [(parse_automaton(text), 6) for text in fixed.values()]
+    cases += [(parse_automaton(text), 6) for text in SILENT_FIXTURES.values()]
     collapsing = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), ()), "s") for a in (0, 1)])
     cases += [(collapsing, 3), (odd_projection_transducer(Alphabet(3)), 4)]
     cases += [(copy_automaton(Alphabet(3)), 5), (odd_projection_transducer(A2), 0)]
@@ -1393,6 +1419,35 @@ def test_losslessness_check_matches_per_word_oracle():
         assert got == naive_bounded_losslessness_check(M, max_len), M.to_text()
         lossless += got.lossless
     assert len(cases) >= 100 and 10 <= lossless <= len(cases) - 10
+
+
+def test_every_word_at_length_one_is_the_key_table_row_of_the_initial_state(
+    copy_aut, monkeypatch
+):
+    rng = random.Random(95)
+    machines = [
+        copy_aut, odd_projection_transducer(A2), parse_automaton(CHAIN), loud_copier(),
+        budget_chain_machine(5),
+    ]
+    machines += [parse_automaton(text) for text in SILENT_FIXTURES.values()]
+    machines += [rand_det_solid(rng, 0.8) for _ in range(4)]
+    machines += [rand_det_with_silent_states(rng) for _ in range(4)]
+    machines += [rand_det_silent_chains(rng, b) for b in (2, 3) for _ in range(8)]
+    for M in machines:
+        C = compile(M, 1)
+        X, b, sink = C.macro, C.b, len(C.states)
+        row = X.ids[(C.initial, (), ())] * X.keys + np.arange(b)
+        q, out, out_len, _ = next(C._every_word(1))
+        assert q.tolist() == [X.states[m][0] for m in (X.nb[row] // X.keys).tolist()]
+        assert out_len.tolist() == X.out_len[row].tolist()
+        for a in range(b):  # one output tape: the tags are the symbols
+            tags = [int(out[a]) // b**i % b for i in reversed(range(out_len[a]))]
+            assert tags == X.tags[row[a], : out_len[a]].tolist(), M.to_text()
+        # the step counts, through the step budget each length is checked against
+        for budget in range(int(X.cost[row].max()) + 2):
+            monkeypatch.setattr(engine, "_step_budget", lambda n, n_states: budget)
+            *_, finished = next(C._every_word(1))
+            assert finished.tolist() == ((q != sink) & (X.cost[row] <= budget)).tolist()
 
 
 def test_losslessness_check_on_both_sides_of_63_output_bits():

@@ -406,6 +406,31 @@ def test_an_experiment_refuses_an_option_it_does_not_read(argv, named, capsys):
     assert named in capsys.readouterr().err
 
 
+# every command with a --base option; an input file that does not exist,
+# since argparse refuses the option before any file is opened
+_BASE_COMMANDS = [
+    ("stats", "--word", "missing.word"),
+    ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--gen", "rand:seed=3", "-n", "8"),
+    ("compress", "--automaton", str(FIXTURES / "copy.aut"), "--input", "missing.word", "-n", "8"),
+    ("condcompress", "--gen", "rand:seed=1", "--ref-gen", "rand:seed=2", "-n", "8"),
+    ("experiment", "join-dependence", "-n", "64", "-k", "4"),
+    ("experiment", "join-normal", "-n", "64"),
+    ("perfect-sequence", "--stages", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _BASE_COMMANDS)
+@pytest.mark.parametrize("base, message", [("1", "must be >= 2"), ("x", "invalid literal")])
+def test_base_is_checked_where_it_is_parsed(argv, base, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--base", base])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --base" in err and message in err
+    assert "selfsim" not in err  # no spec the user did not type
+
+
 # Invocations of every command that, taken together, take each path that
 # reads an option: compress reads --base only for an --input word file.
 # WORD is a word file and OUT a path to write.

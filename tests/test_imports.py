@@ -33,13 +33,28 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _attributes_read(trees) -> set:
+    """Every attribute name the library reads (``x.a += 1`` reads x.a)."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+    return read
+
+
 def test_every_private_name_is_referenced():
     """Each private module-level function, class and constant, and each
     private method, defined in a module is used somewhere in the library
     beyond its definition, as a name read or an attribute; and each private
     attribute stored on self is read somewhere in the library."""
-    paths = sorted(SRC.glob("*.py"))
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    trees = _trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -61,14 +76,32 @@ def test_every_private_name_is_referenced():
     dead = [f"{module}: {name}" for module, name in defined if _private(name) and name not in used]
     assert dead == []
     # and each private attribute a method stores on self is read somewhere
-    stored, read = set(), set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
-                read.add(node.target.attr)  # x.a += 1 reads x.a
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                read.add(node.attr)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id == "self":
-                    stored.add(node.attr)
-    assert sorted(a for a in stored - read if _private(a)) == []
+    stored = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    assert sorted(a for a in stored - _attributes_read(trees) if _private(a)) == []
+
+
+def test_every_field_of_a_private_class_is_read():
+    """Each field of a private dataclass and each ``__slots__`` name of a
+    private class is read, as an attribute, somewhere in the library, so a
+    field that only tests read cannot outlive the code that read it."""
+    trees = _trees()
+    fields = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _private(node.name)):
+                continue
+            dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body:
+                if dataclass and isinstance(item, ast.AnnAssign):
+                    fields.append((module, node.name, item.target.id))
+                elif isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
+                    fields += [(module, node.name, elt.value) for elt in item.value.elts]
+    assert len(fields) >= 20  # _Run's slots, _Steps' and _MacroTable's fields
+    read = _attributes_read(trees)
+    assert [f"{m}: {c}.{f}" for m, c, f in fields if f not in read] == []
