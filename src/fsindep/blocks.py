@@ -68,17 +68,25 @@ def digit_runs(vals, widths, b: int) -> np.ndarray:
     one value after another; a width of 0 writes nothing.
 
     Values are taken longest first, so the ones with a j-th last digit are
-    a prefix, and only the digits written are computed.
+    a prefix, and only the digits written are computed.  Two widths are
+    put in that order by a partition, more by a sort.
     """
     widths = np.asarray(widths)
-    order = np.argsort(widths, kind="stable")[::-1]  # narrow ints sort stably by radix
+    tally = np.bincount(widths, minlength=1)
+    spread = np.count_nonzero(tally)  # how many widths occur
+    order = slice(None)  # one width: any order is longest first
+    if spread == 2:
+        longest = widths == len(tally) - 1
+        order = np.concatenate((np.flatnonzero(longest), np.flatnonzero(~longest)))
+    elif spread > 2:
+        order = np.argsort(widths, kind="stable")[::-1]  # narrow ints sort stably by radix
     ends = np.cumsum(widths, dtype=np.intp)
     out = np.empty(int(ends[-1]) if ends.size else 0, dtype=_dtype_for(b))
     ends = ends[order]
     rest = np.array(vals)[order]
     q = np.empty_like(rest)
     # have[L]: how many values are L digits wide or wider
-    have = np.cumsum(np.bincount(widths, minlength=1)[::-1])[::-1].tolist()
+    have = np.cumsum(tally[::-1])[::-1].tolist()
     for j in range(1, len(have)):
         r, t, at = rest[: have[j]], q[: have[j]], ends[: have[j]]
         np.floor_divide(r, b, out=t)

@@ -549,9 +549,10 @@ class PrefixCode:
     and ``_count`` hold the first value (Python ints past int64) and the
     number of the codewords of each length 0 .. Lmax; ``_row_of`` maps a
     condition to its row (-1 until built), and rows past ``len(_count)`` are
-    scratch.  A build checks Kraft exactly in integers, also under python
-    -O, and refuses before it allocates when the store (2 + 2 x 1..4 B per
-    block and condition) and a batch's scratch would pass _STORE_CAP bytes.
+    scratch.  A build checks Kraft exactly (one int64 comparison a row, Python
+    ints for the rows it flags and past int64), also under python -O, and
+    refuses before it allocates when the store (2 + 2 x 1..4 B per block and
+    condition) and a batch's scratch would pass _STORE_CAP bytes.
     ``codebook`` derives a row's codewords, as a reference.
     """
 
@@ -658,9 +659,11 @@ class PrefixCode:
         count = np.bincount(cells.reshape(-1), minlength=m * span).reshape(m, span)[:, 1:]
         first = _firsts(count, b)
         # Kraft, exactly: at a row's longest length L the next free value
-        # sum(count_l * b**(L - l)) must not pass b**L
-        used = (first[r, top] + count[r, top]).tolist()
-        for v, L, u in zip(v_ids.tolist(), top.tolist(), used):
+        # sum(count_l * b**(L - l)) must not pass b**L; an int64 first means b**L < 2**63
+        used = first[r, top] + count[r, top]
+        if first.dtype == np.int64:
+            r = np.flatnonzero(used > np.int64(b) ** top)
+        for v, L, u in zip(v_ids[r].tolist(), top[r].tolist(), used[r].tolist()):
             if u > b**L:
                 raise ValueError(
                     f"Kraft violation for condition block {v}: "
@@ -729,15 +732,15 @@ def cond_decode(
 ) -> FiniteWord:
     """Decode n symbols (n/k blocks) from a cond_encode stream.
 
-    Canonical decoding from the code's store, one step per block: the next
-    W compressed symbols, read as a base-b number w (W is the longest
-    codeword of the conditions that occur, zeros past the end), fall below
-    the limit (first + count) * b**(W - L) exactly from the codeword length
-    L being read on, so one bisect over the row's limits for L = 0 .. W
-    gives L and w // b**(W - L) + ``_starts`` the block's place.  The limits
-    and offsets of the rows that occur become Python lists once, and the
-    window is read as Python ints.  A window that starts no codeword or a
-    truncated final codeword raises DecodeDeadEnd, as does trailing data.
+    Canonical decoding from the code's store: the next W compressed
+    symbols, read as a base-b number w (W is the longest codeword of the
+    conditions that occur, zeros past the end), fall below the limit
+    (first + count) * b**(W - L) exactly from the codeword length L being
+    read on, so one bisect over the row's limits (Python lists, made for the
+    rows that occur) gives L.  The walk records where each block starts;
+    numpy then takes the lengths, checks them and gathers each block's place
+    w // b**(W - L) + ``_starts`` and id.  A window that starts no codeword,
+    a truncated final codeword or trailing data raises DecodeDeadEnd.
     """
     model = code.model
     k, b = model.k, model.alphabet.size
@@ -748,7 +751,8 @@ def cond_decode(
         raise ValueError(f"length {n} is not a multiple of block length {k}")
     size = len(compressed)
     rows = code._rows(aligned_ids(y.take(n), k, b))
-    present = np.flatnonzero(np.bincount(rows, minlength=code._count.shape[0]))
+    occurs = np.bincount(rows, minlength=code._count.shape[0]) > 0
+    present = np.flatnonzero(occurs)
     count = code._count[present]
     width = int(np.flatnonzero(count.any(axis=0))[-1]) if present.size else 0
     count = count[:, : width + 1]
@@ -759,29 +763,31 @@ def cond_decode(
     for j in range(width):
         window *= b
         window += padded[j : j + size + 1]
+    scale = np.array([b ** (width - L) for L in range(width + 1)], dtype=dtype)
+    limits = ((first + count) * scale).tolist()
+    at = np.cumsum(occurs)[rows] - 1  # each block's row among the rows that occur
     # a memoryview reads Python ints without converting the whole window
-    window = window.tolist() if dtype is object else memoryview(window)
-    scale = [b ** (width - L) for L in range(width + 1)]
-    # per row that occurs: the limits of lengths 0 .. width, and for each
-    # length the flat index in the store's order of the block of value 0
-    limits = (first + count) * np.array(scale, dtype=dtype)
-    offsets = (present * code._size)[:, None] + _starts(count, first)
-    forms = list(zip(limits.tolist(), offsets.tolist()))
-    picks = []
-    pos = 0
-    for c in np.searchsorted(present, rows).tolist():
-        limits, off = forms[c]
-        w = window[pos]
-        L = bisect_right(limits, w)
-        if L > width:
-            raise DecodeDeadEnd(f"no codeword starts at compressed symbol {pos}")
-        if pos + L > size:
-            raise DecodeDeadEnd("compressed stream ended inside a codeword")
-        picks.append(off[L] + w // scale[L])
-        pos += L
-    if pos != size:
-        raise DecodeDeadEnd(f"{size - pos} trailing symbols after the last block")
-    blocks = code._order.reshape(-1)[np.asarray(picks, dtype=np.int64)]
+    reads = window.tolist() if dtype is object else memoryview(window)
+    starts, pos = [], 0
+    try:
+        for c in at.tolist():
+            starts.append(pos)
+            pos += bisect_right(limits[c], reads[pos])
+        starts.append(pos)
+    except IndexError:  # past the end, after a block the checks below refuse
+        pass
+    starts = np.fromiter(starts, np.int64, len(starts))
+    lengths = np.diff(starts)
+    bad = np.flatnonzero((lengths > width) | (starts[1:] > size))
+    if bad.size:
+        i = bad[0]
+        if lengths[i] > width:
+            raise DecodeDeadEnd(f"no codeword starts at compressed symbol {starts[i]}")
+        raise DecodeDeadEnd("compressed stream ended inside a codeword")
+    if starts[-1] != size:
+        raise DecodeDeadEnd(f"{size - starts[-1]} trailing symbols after the last block")
+    places = _starts(count, first)[at, lengths] + window[starts[:-1]] // scale[lengths]
+    blocks = code._order.reshape(-1)[(places + rows * code._size).astype(np.int64, copy=False)]
     return FiniteWord(model.alphabet, digits(blocks, k, b).reshape(-1))
 
 

@@ -119,7 +119,7 @@ class NormalityReport:
 def normality_report(
     w: FiniteWord, max_block: int, threshold: float = 3.0
 ) -> NormalityReport:
-    """Discrepancies at block lengths 1 .. min(max_block, |w|).
+    """Discrepancies at block lengths 1 .. min(max_block, |w|); w must be nonempty.
 
     Lengths are walked from the longest down.  The aligned table of a
     length ell whose double was counted is the sum of the double's table
@@ -130,6 +130,8 @@ def normality_report(
     if max_block < 1:
         raise ValueError("max_block must be at least 1")
     n, b = len(w), w.alphabet.size
+    if n == 0:  # no block length is checked, so no verdict
+        raise ValueError("normality needs a nonempty word")
     top = min(max_block, n)
     _table_guard(b, top)
     disc, limits, doubles = {}, {}, {}

@@ -66,12 +66,14 @@ def test_digits_of_python_ints_past_64_bits():
 @pytest.mark.parametrize("b", [2, 3, 10])
 def test_digit_runs_write_each_value_at_its_own_width(b):
     rng = random.Random(b)
-    for n in (0, 1, 7, 300):
-        widths = [rng.choice((0, 1, 2, 5, 9, 13)) for _ in range(n)]
-        vals = [rng.randrange(b**w) for w in widths]
-        want = [d for v, w in zip(vals, widths) for d in _naive_digits(v, b, w)]
-        got = digit_runs(np.array(vals, dtype=np.int64), np.array(widths, dtype=np.int16), b)
-        assert got.dtype == _dtype_for(b) and got.tolist() == want
+    # widths of one value, of two (a partition orders them), and of more (a sort)
+    for choices in ((0,), (5,), (8, 9), (0, 4), (13, 1), (0, 1, 2, 5, 9, 13), (3, 7, 8)):
+        for n in (0, 1, 7, 300):
+            widths = [rng.choice(choices) for _ in range(n)]
+            vals = [rng.randrange(b**w) for w in widths]
+            want = [d for v, w in zip(vals, widths) for d in _naive_digits(v, b, w)]
+            got = digit_runs(np.array(vals, dtype=np.int64), np.array(widths, dtype=np.int16), b)
+            assert got.dtype == _dtype_for(b) and got.tolist() == want
     # values past 64 bits come as Python ints in an object array
     vals, widths = [2**70 + 5, 3, 0, b**80 - 1], [72 if b == 2 else 70, 2, 0, 80]
     want = [d for v, w in zip(vals, widths) for d in _naive_digits(v, b, w)]

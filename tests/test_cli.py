@@ -209,6 +209,18 @@ def test_stats_flags_constant_word(tmp_path):
     assert "flagged" in text
 
 
+def test_stats_and_join_normal_refuse_an_empty_word(tmp_path, capsys):
+    w, csv_path = tmp_path / "empty.word", tmp_path / "out.csv"
+    w.write_text("\n")
+    for argv in (
+        ("stats", "--word", str(w), "--csv", str(csv_path)),
+        ("experiment", "join-normal", "-n", "0"),
+    ):
+        assert run_cli(*argv) == (2, "")
+        assert "error: normality needs a nonempty word" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_stats_missing_file_exits_2(tmp_path):
     rc, _ = run_cli("stats", "--word", str(tmp_path / "none.txt"))
     assert rc == 2

@@ -650,10 +650,16 @@ def test_cond_decode_rejects_truncated_and_padded_streams():
     lengths, codewords = sparse.codebook(0)
     assert sum(Fraction(1, 2 ** int(L)) for L in lengths) < 1
     assert codewords == [(0,), (1, 0, 0, 0)]
-    with pytest.raises(DecodeDeadEnd):
+    with pytest.raises(DecodeDeadEnd, match="^no codeword starts at compressed symbol 0$"):
         cond_decode(word("1111"), lit("0"), sparse, 1)
-    with pytest.raises(DecodeDeadEnd):
+    with pytest.raises(DecodeDeadEnd, match="^no codeword starts at compressed symbol 1$"):
         cond_decode(word("0111"), lit("00"), sparse, 2)
+    with pytest.raises(DecodeDeadEnd, match="^compressed stream ended inside a codeword$"):
+        cond_decode(word("0100"), lit("00"), sparse, 2)
+    # no blocks: only the empty stream decodes
+    assert cond_decode(word(""), lit(""), sparse, 0) == word("")
+    with pytest.raises(DecodeDeadEnd, match="^2 trailing symbols after the last block$"):
+        cond_decode(word("10"), lit(""), sparse, 0)
 
 
 def _check_codec_against_oracles(x: FiniteWord, y: FiniteWord, code) -> list:
@@ -790,18 +796,97 @@ def test_code_store_grows_over_calls_and_batches_like_the_naive_codebook(batch):
         assert code._lengths.shape[0] == built.size  # codebook built nothing new
 
 
-@pytest.mark.parametrize("b, k", [(2, 1), (3, 1), (2, 8)])
-def test_cond_decode_refuses_every_truncation_and_a_trailing_symbol(b, k):
-    x, y, n = _codec_pair(b, k, 0.1, blocks=40)
-    code = build_prefix_code(train_model(x.prefix(n), y.prefix(n), k))
+def _decode_case(case):
+    """(x, y, code, n) for a codec case: (b, k) of a trained code over 40
+    blocks with 10 % flips, or "past-int64", 16 blocks under the b = 2,
+    k = 3 model of test_codec_keeps_codewords_exact_past_int64."""
+    if case != "past-int64":
+        b, k = case
+        x, y, n = _codec_pair(b, k, 0.1, blocks=40)
+        return x, y, build_prefix_code(train_model(x.prefix(n), y.prefix(n), k)), n
+    alpha, n = Alphabet(2), 48
+    rng = np.random.default_rng(33)
+    yd = rng.integers(0, 2, n)
+    xd = np.where(yd == 1, 1, rng.integers(0, 2, n))
+    xd[np.flatnonzero(yd == 1)[n // 4]] = 0  # one codeword of about 100 symbols
+    code = build_prefix_code(ConditionalModel(alpha, 3, np.array([[0.5, 1e-30], [0.5, 1 - 1e-9]])))
+    return (LiteralSource(FiniteWord(alpha, xd)), LiteralSource(FiniteWord(alpha, yd)), code, n)
+
+
+DECODE_CASES = [(2, 1), (3, 1), (2, 8), (3, 5), "past-int64"]
+
+
+def _case_id(case) -> str:
+    return case if isinstance(case, str) else "{}-{}".format(*case)
+
+
+@pytest.mark.parametrize("case", DECODE_CASES, ids=_case_id)
+def test_cond_decode_refuses_every_truncation_and_a_trailing_symbol(case):
+    x, y, code, n = _decode_case(case)
+    b = code.model.alphabet.size
     comp, _ = cond_encode(x.clone(), y.clone(), code, n)
     assert cond_decode(comp, y.clone(), code, n) == x.prefix(n)
+    if case == "past-int64":
+        assert len(comp) > 64  # some codeword is past int64
     for cut in range(len(comp)):
         with pytest.raises(DecodeDeadEnd):
             cond_decode(comp.segment(1, cut), y.clone(), code, n)
     for a in range(b):
-        with pytest.raises(DecodeDeadEnd, match="trailing"):
+        with pytest.raises(DecodeDeadEnd, match="^1 trailing symbols after the last block$"):
             cond_decode(comp + FiniteWord(Alphabet(b), [a]), y.clone(), code, n)
+
+
+def _reference_decode(comp: list, v_ids: list, books: dict) -> list:
+    """Block ids read from comp by the codeword tables books[v] (codeword to
+    block, and the codeword lengths in ascending order), or the
+    DecodeDeadEnd message cond_decode gives: a block starts no codeword when
+    no codeword of its condition begins the rest of the stream padded with
+    zeros, and the stream ends inside one when the codeword found passes
+    its end."""
+    pad = comp + [0] * max(books[v][1][-1] for v in v_ids)
+    pos, out = 0, []
+    for v in v_ids:
+        book, lengths = books[v]
+        L = next((L for L in lengths if tuple(pad[pos : pos + L]) in book), None)
+        if L is None:
+            return f"no codeword starts at compressed symbol {pos}"
+        if pos + L > len(comp):
+            return "compressed stream ended inside a codeword"
+        out.append(book[tuple(pad[pos : pos + L])])
+        pos += L
+    if pos != len(comp):
+        return f"{len(comp) - pos} trailing symbols after the last block"
+    return out
+
+
+@pytest.mark.parametrize("case", DECODE_CASES, ids=_case_id)
+def test_cond_decode_of_cut_and_changed_streams_matches_the_codeword_tables(case):
+    """Every truncation and every one-symbol change of an encoded stream
+    decodes to the blocks, or fails with the message and the position, that
+    the codeword tables give."""
+    x, y, code, n = _decode_case(case)
+    b, k = code.model.alphabet.size, code.model.k
+    comp = cond_encode(x.clone(), y.clone(), code, n)[0].data.tolist()
+    v_ids = aligned_ids(y.prefix(n).data, k, b).tolist()
+    books = {}
+    for v in set(v_ids):
+        lengths, codewords = code.codebook(v)
+        book = {cw: u for u, cw in enumerate(codewords) if cw is not None}
+        books[v] = book, sorted(set(lengths.tolist()) - {-1})
+    streams = [comp[:cut] for cut in range(len(comp))]
+    streams += [
+        comp[:i] + [a] + comp[i + 1 :] for i in range(len(comp)) for a in range(b) if a != comp[i]
+    ]
+    failures = 0
+    for s in streams:
+        want = _reference_decode(s, v_ids, books)
+        try:
+            got = cond_decode(FiniteWord(Alphabet(b), s), y.clone(), code, n)
+            got = aligned_ids(got.data, k, b).tolist()
+        except DecodeDeadEnd as e:
+            got, failures = str(e), failures + 1
+        assert got == want, s
+    assert failures >= len(comp)  # every cut fails
 
 
 def _store_models(b: int) -> dict:

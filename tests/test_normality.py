@@ -100,6 +100,12 @@ def test_normality_report_blocks_longer_than_word_are_skipped():
     assert max(rep.discrepancies) <= 4
 
 
+def test_normality_report_refuses_an_empty_word():
+    # no block length can be checked, so there is no verdict to give
+    with pytest.raises(ValueError, match="^normality needs a nonempty word$"):
+        normality_report(word(""), max_block=8)
+
+
 def test_normality_report_halving_matches_block_counts(monkeypatch):
     """Every length's table equals block_counts' table, derived from its
     double or not, also when n // ell is odd and when max_block > |w|;
