@@ -280,8 +280,10 @@ class RunTrace:
     """Outcome of a budgeted deterministic run.
 
     checkpoints holds (symbols consumed on tape 1, total output symbols)
-    snapshots at each power of two plus a final snapshot.  halted is True
-    when the run stopped for any reason other than reaching the budget.
+    snapshots at each power of two plus a final snapshot, which replaces
+    the one at its own count: output written after the last read counts.
+    halted is True when the run stopped for any reason other than reaching
+    the budget.
     """
 
     final_state: str
@@ -341,8 +343,9 @@ def run(
         names, path = np.array(M.states, dtype=object), []
         while r.path:  # each chunk is freed once named
             path += names[r.path.pop(0)].tolist()
-    if not r.checkpoints or r.checkpoints[-1] != (r.consumed[0], r.out_total):
-        r.checkpoints.append((r.consumed[0], r.out_total))
+    if r.checkpoints and r.checkpoints[-1][0] == r.consumed[0]:
+        r.checkpoints.pop()
+    r.checkpoints.append((r.consumed[0], r.out_total))
     return RunTrace(
         final_state=M.states[r.q],
         consumed=tuple(r.consumed),

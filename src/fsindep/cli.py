@@ -71,22 +71,22 @@ class DomainFailure(RuntimeError):
 
 # _estimate's constants: tracemalloc peaks of the commands plus a margin
 _BASE_BYTES = 1 << 20  # argument parsing, compiled tables, engine windows
-_PREFIX_BYTES = 3  # per symbol a command takes from a source
-_ATOM_BYTES = 3  # per symbol a rand or periodic atom produces
-_TOWER_BYTES = 3  # per tower symbol: the stages, and the build of the last
-_FILE_BYTES = 3  # per byte of a word file, read whole
+# per symbol a command takes from a source, a rand or periodic atom
+# produces or a tower holds (its stages, and the build of the last), and
+# per byte of a word file, read whole
+_SYMBOL_BYTES = 3
 
 
 def _estimate(n: int, specs, workers: int = 1, extra: int = 0) -> int:
     """Bytes for n symbols of each of specs on each of workers, plus extra;
     a worker holds one tower per base, as long as the most specs read of it."""
     reads = {}
-    per_worker = sum(_PREFIX_BYTES * n + spec.atom_bytes(n, reads) for spec in specs)
+    per_worker = sum(_SYMBOL_BYTES * n + spec.atom_bytes(n, reads) for spec in specs)
     for b, m in reads.items():
         tower = b  # whole stages: the first b**j >= m symbols
         while tower < m:
             tower *= b
-        per_worker += _TOWER_BYTES * tower
+        per_worker += _SYMBOL_BYTES * tower
     return _BASE_BYTES + workers * per_worker + extra
 
 
@@ -150,8 +150,8 @@ class GeneratorSpec:
             reads[b] = max(reads.get(b, 0), n)
             return 0
         if self.kind == "file":
-            return _FILE_BYTES * os.path.getsize(self.get("path"))
-        return _ATOM_BYTES * n
+            return _SYMBOL_BYTES * os.path.getsize(self.get("path"))
+        return _SYMBOL_BYTES * n
 
     def build(self, default_seed=None):
         b = int(self.get("b", "2"))

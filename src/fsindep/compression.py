@@ -265,12 +265,15 @@ def match_run_decompress(
     comp = compressed.data
     nz = np.flatnonzero(comp != 0)
     f = TransducerOutputSource(T, x)
-    if nz.size == 0:
-        return FiniteWord(compressed.alphabet, f.take(int(comp.size) * k))
-    i = int(nz[0])
-    if int(comp[i]) != 1:
+    i = int(nz[0]) if nz.size else comp.size  # the flag's position; past the end if none
+    if i < comp.size and int(comp[i]) != 1:
         raise DecodeDeadEnd(f"expected a 1 flag at position {i + 1}, found {int(comp[i])}")
-    head = f.take(i * k)
+    head = f.take_available(i * k)
+    if head.size < i * k:
+        raise TransducerHalted(
+            f"prediction stream ended after {head.size} of the {i * k} symbols "
+            "decompression needs"
+        )
     return FiniteWord(compressed.alphabet, np.concatenate([head, comp[i + 1 :]]))
 
 
@@ -912,6 +915,8 @@ def bounded_losslessness_check(M: KAutomaton, max_len: int) -> LosslessnessRepor
     """
     if M.k != 2:
         raise ValueError("losslessness check needs a 2-tape transducer")
+    if max_len < 1:
+        raise ValueError("losslessness check needs max_len of at least 1")
     C = compile(M, 1)
     b = M.alphabet.size
     if b**max_len > 2**18:

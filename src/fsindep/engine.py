@@ -15,26 +15,27 @@ read yet, and one rule, :func:`_macro_step`, steps it: the key table and
 the losslessness check's word tables (``_every_word``) both come from it.
 A one-tape machine with at most ``_LOCKSTEP_MAX_STATES`` states has a
 table of its states, and so has a two-tape machine whose tapes keep a
-bounded lag (a synchronized relation, Frougny & Sakarovitch 1993),
-so that the macro states its initial state reaches number at most
+bounded lag (a synchronized relation, Frougny & Sakarovitch 1993), so
+that the macro states its initial state reaches number at most
 ``_LOCKSTEP_MAX_STATES``.  Either way the table, macro states times b or
 b**2 keys, must stay within ``_LOCKSTEP_MAX_ENTRIES``; that rules out
-two-tape lock-step for alphabets past 181 symbols.  When the engine
-stops, the pending symbols of the macro state it stops in go back to
-their sources.  A window gathers output rows padded to the longest, so
-``_WINDOW`` rows must stay within ``_WINDOW_TAG_BYTES``: 64 one-byte tags
-a macro step.  Silent states and path recording do not matter.  Every
-lock-step run feeds the table's gram view (:class:`_Steps`), built on
-first use whatever the run's length: the same macro states, with every
-entry G consecutive keys, so that one gather moves the run G symbols on
-(multi-stride automata; Brodie, Taylor & Cytron 2006), with G as large
-as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  A gram keeps the
-key-table entries it passes through.  A window's work past the gathers
-that move it is one gather of padded output rows, for each power-of-two
-checkpoint one search and a walk of at most G of its gram's entries, and,
-when it records the path, one gather of its grams' entries, so it grows
-no faster than the gathers; hence windows of ``_WINDOW`` symbols.  Both
-engines give the same trace.
+two-tape lock-step for alphabets past 181 symbols.  When the engine stops,
+the pending symbols of the macro state it stops in go back to their
+sources.  A window gathers output rows and, when it records the path, rows
+of visited states, each padded to the longest, so ``_WINDOW`` rows must
+stay within ``_WINDOW_TAG_BYTES``: 64 one-byte tags or states a macro
+step.  Every lock-step run feeds the table's gram view (:class:`_Steps`),
+built on first use whatever the run's length: the same macro states, with
+every entry G consecutive keys, so that one gather moves the run G
+symbols on (multi-stride automata; Brodie, Taylor & Cytron 2006), with G
+as large as ``_GRAM_MAX_ENTRIES`` and ``_GRAM_MAX_BYTES`` allow.  A gram
+keeps the key-table entries it passes through.  A window's work past the
+gathers that move it is one gather of padded output rows, for each
+power-of-two checkpoint one search and a walk of at most G of its gram's
+entries, and, when it records the path, one gather of its grams' entries
+and one of their rows of visited states, so it grows no faster than the
+gathers; hence windows of ``_WINDOW`` symbols.  Both engines give the same
+trace.
 """
 
 from __future__ import annotations
@@ -64,16 +65,19 @@ _CHUNK = 16
 # first lock-step run pays; every run of the engine workloads feeds 2**14 or more.
 _LOCKSTEP_MIN = 256
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
-# (macro state, key) pairs in one macro-step table; each costs about 7 us
-# and 260 B to build, so a table costs at most about 0.25 s and 9 MiB
+# (macro state, key) pairs in one macro-step table.  An entry costs about
+# 7 us and 260 B to build (0.25 s and 9 MiB at the cap) and keeps at most
+# 226 B (7.1 MiB): four intp counts, its index and three rows of at most 64 B
+# (tags, visited states, and one-byte output counts at its tape-1 reads)
 _LOCKSTEP_MAX_ENTRIES = 1 << 15
 # bytes of one window's output rows, each padded to the longest: _WINDOW
 # key-table rows, or _WINDOW / G gram rows each at most G times as long, so
-# a key-table row holds at most 64 B, and a table at the entry cap 2 MiB.
-# 1 MiB is what the CLI's memory estimate grants engine windows
-# (cli._BASE_BYTES); the mask of a window that needs one has as many
-# elements.  A longer output, even on one rare transition, would pad every
-# row of every window, so such a machine runs the scalar loop: on 2**16
+# a key-table row holds at most 64 B; so does one of visited states, which
+# a window that records the path gathers.  1 MiB is what the CLI's memory
+# estimate grants engine windows (cli._BASE_BYTES); the mask of a window
+# that needs one has as many elements.  A longer output, even on one rare
+# transition, would pad every row of every window, so such a machine runs
+# the scalar loop (as does one visiting more states a step): on 2**16
 # binary symbols, a machine writing 65 tags a symbol took 125-217 ms there
 # against 23-25 ms on lock-step that gathered only the tags written, and
 # one writing 65 tags on its first symbol and 1 after 23-39 against 2.3-2.6.
@@ -145,16 +149,16 @@ class _MacroTable(_Steps):
     macro state (q, (), ()) when the table has it.  A macro step feeds one
     key (:func:`_macro_step`).  Row ``rows - 1`` is an absorbing sink, where
     the steps go that the rule rejects.  Besides the fields of
-    :class:`_Steps` (G = 1), ``path_off`` locates the states a step reaches
-    in ``path_pool`` and ``cp_off`` lists the output count right after each
-    of its tape-1 reads.  ``unit``: every step is one machine step that
+    :class:`_Steps` (G = 1), rows padded like ``tags`` hold the states a
+    step reaches (``visited``, in the narrow dtype for |Q| + 1 states) and
+    its output count right after each tape-1 read (``read_out``, in that of
+    the longest output).  ``unit``: every step is one machine step that
     reads one tape-1 symbol.  :attr:`grams` is the gram view.
     """
 
     rows: int
-    path_off: np.ndarray
-    path_pool: np.ndarray
-    cp_off: list
+    visited: np.ndarray
+    read_out: np.ndarray
     states: list
     ids: dict
     unit: bool
@@ -227,8 +231,8 @@ def _macro_step(C: CompiledAutomaton):
 def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
     """The macro-step table of C, or None when it has more than
     ``_LOCKSTEP_MAX_STATES`` macro states, more than
-    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs or a macro step whose
-    output, in ``_WINDOW`` rows, would pass ``_WINDOW_TAG_BYTES``.
+    ``_LOCKSTEP_MAX_ENTRIES`` (macro state, key) pairs or a step whose output
+    or visited states, in ``_WINDOW`` rows, pass ``_WINDOW_TAG_BYTES``.
 
     For ell=1 the macro states are the machine states.  For ell=2 they
     are found by a breadth-first search from the initial state; they are
@@ -257,35 +261,32 @@ def _macro_table(C: CompiledAutomaton) -> Optional[_MacroTable]:
             steps.append(res)
     rows = len(order) + 1
     size = rows * width
-    longest = max((len(res[2]) for res in steps if res is not None), default=0)
-    if _WINDOW * longest * C.tag_dtype.itemsize > _WINDOW_TAG_BYTES:
-        return None
     nb = np.full(size, (rows - 1) * width, dtype=np.intp)
-    cost, out_len, path_off, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(4))
-    pool, path_pool, cp_off = [], [], [()] * size
+    cost, out_len, reads1 = (np.zeros(size, dtype=np.intp) for _ in range(3))
+    pools = ([], [], [])  # visited states, tags, output counts at tape-1 reads
     for j, res in enumerate(steps):
-        if res is None:
-            continue
-        target, path, out, cps = res
-        nb[j] = target * width
-        cost[j], out_len[j], path_off[j] = len(path), len(out), len(path_pool)
-        reads1[j], cp_off[j] = len(cps), tuple(cps)
-        pool += out
-        path_pool += path
+        if res is not None:
+            nb[j] = res[0] * width
+            cost[j], out_len[j], reads1[j] = map(len, res[1:])
+            for pool, rec in zip(pools, res[1:]):
+                pool += rec
+    state_dtype = np.dtype(_dtype_for(sink + 1))
+    for lens, dtype in ((cost, state_dtype), (out_len, C.tag_dtype)):
+        if _WINDOW * int(lens.max()) * dtype.itemsize > _WINDOW_TAG_BYTES:
+            return None
     return _MacroTable(
         span=1,
         keys=width,
         place=np.ones(1, dtype=np.intp),
         nb=nb,
         out_len=out_len,
-        tags=_padded(np.array(pool, dtype=C.tag_dtype), out_len),
+        tags=_padded(np.array(pools[1], dtype=C.tag_dtype), out_len),
         cost=cost,
         reads1=reads1,
         entries=np.arange(size, dtype=_dtype_for(size))[:, None],
         rows=rows,
-        path_off=path_off,
-        path_pool=np.array(path_pool, dtype=np.intp),
-        cp_off=cp_off,
+        visited=_padded(np.array(pools[0], dtype=state_dtype), cost),
+        read_out=_padded(np.array(pools[2], dtype=_dtype_for(int(out_len.max()) + 1)), reads1),
         states=order + [(sink, (), ())],
         ids=ids,
         unit=all(res is None or (len(res[1]) == 1 and len(res[3]) == 1) for res in steps),
@@ -301,9 +302,9 @@ def _gram_view(X: _MacroTable) -> _Steps:
     bytes: four intp arrays, a row as long as G of X's and G entries of X.
     Below G = 2 the view is X.  Every array comes from G gathers through
     X's tables, not from one macro step at a time.  A gram that meets the
-    sink part-way leads to the sink, which absorbs.  The states visited and
-    the checkpoint offsets stay in X, reached through the gram's
-    ``entries``.
+    sink part-way leads to the sink, which absorbs.  The rows of visited
+    states and of output counts at tape-1 reads stay in X, reached through
+    the gram's ``entries``.
     """
     K, rows = X.keys, X.rows
     # the bytes a key adds to a gram: one padded row of X and one entry
@@ -326,9 +327,8 @@ def _gram_view(X: _MacroTable) -> _Steps:
         np.add(cur, grams[:, i], out=E[:, :, i])
         cur = X.nb[E[:, :, i]]
     E = E.reshape(-1, G)
-    lens = X.out_len[E]
-    out_len = lens.sum(axis=1)
-    tags = X.tags[E][np.arange(X.tags.shape[1]) < lens[:, :, None]]
+    out_len = X.out_len[E].sum(axis=1)
+    tags = _unpadded(X.tags, X.out_len, E, int(out_len.sum()))
     return _Steps(
         G, KG, K ** np.arange(G - 1, -1, -1), cur.ravel() // K * KG, out_len,
         _padded(tags, out_len), X.cost[E].sum(axis=1), X.reads1[E].sum(axis=1),
@@ -337,19 +337,23 @@ def _gram_view(X: _MacroTable) -> _Steps:
 
 
 def _padded(pool, lens):
-    """Rows of ``pool``'s first ``lens[0]`` tags, its next ``lens[1]`` and so
+    """Rows of ``pool``'s first ``lens[0]`` cells, its next ``lens[1]`` and so
     on, padded with zeros to the longest."""
     rows = np.zeros((lens.size, int(lens.max(initial=0))), dtype=pool.dtype)
     rows[np.arange(rows.shape[1]) < lens[:, None]] = pool
     return rows
 
 
-def _gather(pool, off, lens, cum):
-    """``pool[off[i] : off[i] + lens[i]]`` for every i, back to back;
-    ``cum`` is the running sum of ``lens``."""
-    at = np.repeat(off - cum + lens, lens)
-    at += np.arange(at.size)
-    return pool[at]
+def _unpadded(rows, lens, at, total):
+    """The first ``lens[i]`` cells of padded row i of ``rows``, for every i
+    in ``at``, back to back; ``total`` is their count, and ``lens`` is read
+    only when some row is not full.  np.take moves whole rows, where
+    ``rows[at]`` and a broadcast compare with lens step a cell at a time."""
+    got = np.take(rows, at, axis=0)
+    if total == got.size:
+        return got.ravel()
+    w = got.shape[-1]
+    return got[np.take(np.arange(w) < np.arange(w + 1)[:, None], np.take(lens, at), axis=0)]
 
 
 def _read_pattern(t, ell: int) -> tuple:
@@ -557,15 +561,14 @@ class CompiledAutomaton:
         fewer tags than the longest.  A checkpoint finds its gram by the
         running sum of tape-1 reads and walks that gram's key-table entries
         for the output count at its read.  A window that records the path
-        gathers the entries of all its grams at once; they give the states
-        visited.  When every macro step is one machine step (``X.unit``), the
-        step budget cuts the count up front, so windows need no running sum
-        of step costs.
+        gathers the entries of all its grams at once, and then their padded
+        rows of visited states, read back like the output.  When every macro
+        step is one machine step (``X.unit``), the step budget cuts the count
+        up front, so windows need no running sum of step costs.
         """
         X, V = self.macro, self.macro.grams
         G, K, sink = V.span, V.keys, X.rows - 1
-        nb, tags = V.nb, V.tags
-        col = np.arange(tags.shape[1])
+        nb = V.nb
         every = np.arange(X.rows) * K
         if X.unit:
             count = min(count, max_steps - r.steps)
@@ -613,9 +616,9 @@ class CompiledAutomaton:
             if k:
                 m1 = int(nb[idx[-1]]) // K
                 lens = V.out_len[idx]
-                out = tags[idx]
                 written = int(lens.sum())
-                r.chunks.append(out.ravel() if written == out.size else out[col < lens[:, None]])
+                r.chunks.append(_unpadded(V.tags, V.out_len, idx, written))
+                steps = k if X.unit else int(spent[-1])
                 c0 = r.consumed[0]
                 # a tape's symbols read: those fed, less the growth of its pending ones
                 was, now = X.states[m0], X.states[m1]
@@ -634,17 +637,13 @@ class CompiledAutomaton:
                                 break
                             t -= int(X.reads1[e])
                             off += int(X.out_len[e])
-                        r.checkpoints.append((r.next_cp, off + X.cp_off[e][t - 1]))
+                        r.checkpoints.append((r.next_cp, off + int(X.read_out[e, t - 1])))
                         r.next_cp *= 2
                 if r.path is not None:
                     e = V.entries[idx].ravel()  # the key-table entry of every key fed
-                    if X.unit:
-                        r.path.append(X.path_pool[X.path_off[e]])
-                    else:
-                        costs = X.cost[e]
-                        r.path.append(_gather(X.path_pool, X.path_off[e], costs, np.cumsum(costs)))
+                    r.path.append(_unpadded(X.visited, X.cost, e, steps))
                 r.q = X.states[m1][0]
-                r.steps += k if X.unit else int(spent[-1])
+                r.steps += steps
                 r.out_total += written
                 for j in range(self.ell):
                     r.consumed[j] += k + len(was[1 + j]) - len(now[1 + j])

@@ -9,7 +9,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from .blocks import _count_ids, aligned_ids, sliding_ids
+from .blocks import _count_ids, _horner, aligned_ids, digits, sliding_ids
 from .words import Alphabet, FiniteWord, MAX_TEXT_ALPHABET
 
 #: largest block table we are willing to allocate
@@ -175,21 +175,16 @@ def occurrence_profile(k: int, r: int, b: int) -> Dict[int, int]:
         raise ValueError("alphabet size must be at least 2")
     if b**k > _TABLE_CAP:
         raise ValueError(f"enumeration {b}**{k} exceeds cap {_TABLE_CAP}")
-    total = b**k
-    npos = k - r + 1
-    block_mod = b**r
+    total, npos, blocks = b**k, k - r + 1, b**r
     hist = np.zeros(npos + 1, dtype=np.int64)
-    chunk = 1 << 18
+    # a chunk's words times max(blocks, windows): at most 2**18 counts or ids
+    chunk = max(1, (1 << 18) // max(blocks, npos))
     for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        # windows[p] = value of the length-r window at offset p (from the left)
-        windows = np.empty((npos, ids.size), dtype=np.int64)
-        for p in range(npos):
-            shift = b ** (k - r - p)
-            windows[p] = (ids // shift) % block_mod
-        for u in range(block_mod):
-            occ_counts = (windows == u).sum(axis=0)
-            hist += np.bincount(occ_counts, minlength=npos + 1)
+        words = digits(np.arange(start, min(start + chunk, total)), k, b)
+        # one id per (word, window): the word's place in the chunk, then the block
+        ids = _horner(lambda j: words[:, j : j + npos], r, b).astype(np.intp)
+        ids += np.arange(0, words.shape[0] * blocks, blocks)[:, None]
+        hist += np.bincount(_count_ids(ids.ravel(), words.shape[0] * blocks), minlength=npos + 1)
     return {j: int(c) for j, c in enumerate(hist)}
 
 

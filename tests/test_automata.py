@@ -379,6 +379,18 @@ def test_run_checkpoints_are_powers_of_two(copy_aut):
     assert all(c[1] == c[0] for c in tr.checkpoints)  # copy: out = in
 
 
+def test_run_keeps_one_snapshot_per_count(lockstep_calls):
+    # a 0 written after each read: an in-run snapshot at c holds 2c - 1
+    # symbols, and the final one, at a power of two too, replaces it
+    M = parse_automaton("automaton k=2 alphabet=2 initial=q0\nq0 0,0 q1\nq0 1,1 q1\nq1 -,0 q0\n")
+    text = rand_text(random.Random(19), 4096, 2)
+    for n in (7, 8, 9, 2048, 2049):
+        tr = check_engines(M, text, n)
+        powers = [2**j for j in range(n.bit_length()) if 2**j < n]
+        assert tr.checkpoints == [(c, 2 * c - 1) for c in powers] + [(n, 2 * n)]
+    assert len(lockstep_calls) == 2 * 2
+
+
 def test_run_agrees_with_naive_stepper_on_fixtures(join_aut, copy_aut):
     rng = random.Random(17)
     for M, ell in ((join_aut, 2), (copy_aut, 1)):
@@ -509,8 +521,19 @@ def test_compile_tables_are_pinned():
     assert V.entries.dtype == np.uint8
     assert V.entries.tolist() == np.concatenate([keys + at, keys + 2 - at, keys + 4]).tolist()
     assert C.macro.entries.tolist() == [[e] for e in range(6)]
+    # keep steps to drop and writes one tag with its read, drop steps to keep
+    # and writes none; the sink's rows are padding
+    assert C.macro.visited.dtype == C.macro.read_out.dtype == np.uint8
+    assert C.macro.visited.tolist() == [[1], [1], [0], [0], [0], [0]]
+    assert C.macro.read_out.tolist() == [[1], [1], [0], [0], [0], [0]]
     M = parse_automaton(CHAIN)
-    assert 0 in compile(M, 1).read and not compile(M, 1).macro.unit
+    X = compile(M, 1).macro
+    assert 0 in compile(M, 1).read and not X.unit
+    # from q0 the silent step to q1 writes 1, then q1 reads into q2: rows of
+    # two states and one count, padded with zeros from q1 and q2 on
+    assert X.visited.tolist() == [[1, 2]] * 2 + [[2, 0]] * 4 + [[0, 0]] * 2
+    assert X.tags.tolist() == [[1, 0], [1, 1]] + [[0, 0], [1, 0]] * 2 + [[0, 0]] * 2
+    assert X.read_out.tolist() == [[2]] * 2 + [[1]] * 4 + [[0]] * 2
     assert compile(M, 1) is compile(M, 1)  # cached on the machine
 
 
@@ -1287,6 +1310,18 @@ def test_a_window_of_padded_output_rows_stays_within_its_bound(lockstep_calls, m
     assert peaks[widest] - peaks[1] <= 2 * _WINDOW_TAG_BYTES + 2 * 8 * _WINDOW
     assert peaks[widest] - peaks[1] >= _WINDOW_TAG_BYTES  # loud: the rows were padded
     assert len(lockstep_calls) == 2 * 3  # check_engines' two and the traced run
+    # visited states take the same bound: from c1 a macro step visits the
+    # rest of the chain, then reads 1 and visits it all, 2 * chain + 1 states
+    # in one-byte rows; a machine with a longer one runs the scalar loop
+    text = rand_text(random.Random(92), 2 * _LOCKSTEP_MIN, 2)
+    for chain in (widest // 2 - 1, widest // 2):
+        M = budget_chain_machine(chain)
+        X = compile(M, 1).macro
+        assert (X is not None) == (2 * chain + 1 <= widest)
+        assert X is None or X.visited.shape[1] == 2 * chain + 1
+        del lockstep_calls[:]
+        check_engines(M, text, len(text))
+        assert len(lockstep_calls) == (0 if X is None else 2)
 
 
 def test_the_scalar_loop_lists_one_window_of_output_at_a_time():
@@ -1412,7 +1447,7 @@ def test_losslessness_check_matches_per_word_oracle():
     cases += [(parse_automaton(text), 6) for text in SILENT_FIXTURES.values()]
     collapsing = KAutomaton(2, A2, ["s"], "s", [("s", ((a,), ()), "s") for a in (0, 1)])
     cases += [(collapsing, 3), (odd_projection_transducer(Alphabet(3)), 4)]
-    cases += [(copy_automaton(Alphabet(3)), 5), (odd_projection_transducer(A2), 0)]
+    cases += [(copy_automaton(Alphabet(3)), 5)]
     lossless = 0
     for M, max_len in cases:
         got = bounded_losslessness_check(M, max_len)

@@ -527,6 +527,15 @@ def test_compress_copy_ratio_is_one():
     assert "1.0" in text
 
 
+def test_compress_prints_one_row_per_count(tmp_path):
+    # the machine writes a 0 after each read: the final row at n = 8 counts it
+    aut = tmp_path / "pad.aut"
+    aut.write_text("automaton k=2 alphabet=2 initial=q0\nq0 0,0 q1\nq0 1,1 q1\nq1 -,0 q0\n")
+    rc, text = run_cli("compress", "--automaton", str(aut), "--gen", "rand:seed=1", "-n", "8")
+    assert rc == 0
+    assert text.split() == ["n_in,n_out,ratio", "1,1,1.0", "2,3,1.5", "4,7,1.75", "8,16,2.0"]
+
+
 def test_compress_rejects_three_tape_machine():
     rc, _ = run_cli(
         "compress",

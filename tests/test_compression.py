@@ -201,6 +201,15 @@ def test_match_run_decompress_refuses_a_flag_other_than_1():
         match_run_decompress(T, 4, comp, RandomSource(A3, seed=1))
 
 
+def test_match_run_decompress_raises_when_prediction_dries_up():
+    # T(x) holds 2 symbols; all zeros and a flag after 2 zeros each need 4
+    T = odd_projection_transducer(A2)
+    for comp in (word("00"), word("0011")):
+        with pytest.raises(TransducerHalted, match="ended after 2 of the 4 symbols"):
+            match_run_decompress(T, 2, comp, lit("0000"))
+    assert match_run_decompress(T, 2, word("0011"), lit("00000000")) == word("00001")
+
+
 def test_match_run_round_trip_exhaustive_small():
     """All 256 possible targets of length 8 survive the round trip."""
     k = 4
@@ -1237,6 +1246,21 @@ def test_copy_transducer_is_lossless(copy_aut):
     rep = bounded_losslessness_check(copy_aut, 8)
     assert rep.lossless and rep.counterexample is None
     assert rep.words_checked == sum(2**L for L in range(1, 9))
+
+
+def test_losslessness_check_refuses_a_horizon_below_1(copy_aut):
+    for max_len in (0, -3):
+        with pytest.raises(ValueError, match="max_len of at least 1"):
+            bounded_losslessness_check(copy_aut, max_len)
+
+
+def test_conditional_ratio_keeps_one_snapshot_per_count(join_aut):
+    # join.aut writes y's symbol after each read of x: an in-run snapshot
+    # misses it, and the final one at n = 1024 replaces the in-run one there
+    x, y = RandomSource(A2, seed=5), RandomSource(A2, seed=6)
+    est = conditional_ratio(join_aut, x, y, 1024)
+    assert est.checkpoints == [(2**j, 2 ** (j + 1) - 1) for j in range(10)] + [(1024, 2048)]
+    assert est.output_symbols == 2048
 
 
 def test_odd_projection_is_lossy():
