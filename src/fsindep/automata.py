@@ -22,7 +22,7 @@ Text format::
 Deterministic machines may contain silent steps (all input labels
 empty); :func:`run` runs them as they are.
 
-:func:`run` compiles a machine once (:func:`compile`) and ends every run
+:func:`run` compiles equal machines once (:func:`compile`) and ends every run
 with one scalar loop over the compiled tables; a long run of a machine
 with a macro-step table goes through a lock-step engine first (the rule
 in full is in :mod:`fsindep.engine`).
@@ -30,6 +30,7 @@ in full is in :mod:`fsindep.engine`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -71,7 +72,7 @@ def _normalize_label(label, k: int, alphabet: Alphabet) -> Label:
 
 
 class KAutomaton:
-    """Immutable k-tape automaton over a shared alphabet."""
+    """Immutable k-tape automaton over a shared alphabet; equal ones share a compiled form."""
 
     def __init__(self, k, alphabet, states, initial, transitions):
         k = int(k)
@@ -86,18 +87,12 @@ class KAutomaton:
             raise ValueError("automaton needs at least one state")
         self.states = tuple(names)
         self._id = {s: i for i, s in enumerate(names)}
-        if isinstance(initial, str):
-            initial = [initial]
-        init = []
-        for s in initial:
+        self.initial = tuple(dict.fromkeys([initial] if isinstance(initial, str) else initial))
+        for s in self.initial:
             if s not in self._id:
                 raise ValueError(f"unknown initial state {s!r}")
-            if s not in init:
-                init.append(s)
-        if not init:
+        if not self.initial:
             raise ValueError("automaton needs at least one initial state")
-        self.initial = tuple(init)
-        seen = set()
         trans = []
         for item in transitions:
             if isinstance(item, Transition):
@@ -106,18 +101,24 @@ class KAutomaton:
                 src, label, dst = item
             if src not in self._id or dst not in self._id:
                 raise ValueError(f"transition references unknown state: {src} -> {dst}")
-            label = _normalize_label(label, k, alphabet)
-            t = Transition(src, label, dst)
-            if t not in seen:  # exact duplicates carry no information
-                seen.add(t)
-                trans.append(t)
-        self.transitions = tuple(trans)
-        self._out = {s: [] for s in self.states}
+            trans.append(Transition(src, _normalize_label(label, k, alphabet), dst))
+        self.transitions = tuple(dict.fromkeys(trans))  # exact duplicates carry no information
+        out = {s: [] for s in self.states}
         for t in self.transitions:
-            self._out[t.source].append(t)
-        # per input-tape count: DeterminismReport, CompiledAutomaton
-        self._reports = {}
-        self._compiled = {}
+            out[t.source].append(t)
+        self._out = {s: tuple(ts) for s, ts in out.items()}
+        self._hash = hash((k, alphabet, self.states, self.initial, self.transitions))
+
+    def __setattr__(self, name, value):
+        if "_hash" in self.__dict__:  # set last in __init__
+            raise AttributeError(f"KAutomaton is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # a copy in another process hashes its strings afresh
+        return KAutomaton, (self.k, self.alphabet, self.states, self.initial, self.transitions)
 
     def out(self, state: str) -> Sequence[Transition]:
         return self._out[state]
@@ -176,15 +177,9 @@ def parse_automaton(text: str) -> KAutomaton:
         raise ValueError("missing automaton header line")
     k, b, initial = header
     alphabet = Alphabet(b)
-    states = []
-    for src, _, dst in rows:
-        for s in (src, dst):
-            if s not in states:
-                states.append(s)
-    for s in initial.split(","):
-        if s not in states:
-            states.append(s)
-    return KAutomaton(k, alphabet, states, initial.split(","), rows)
+    # states in order of first mention, then initial states no row mentions
+    states = dict.fromkeys([s for src, _, dst in rows for s in (src, dst)] + initial.split(","))
+    return KAutomaton(k, alphabet, list(states), initial.split(","), rows)
 
 
 def load_automaton(path) -> KAutomaton:
@@ -252,7 +247,7 @@ def check_l_deterministic(M: KAutomaton, ell: int) -> DeterminismReport:
 
 def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     """The compiled form of the ell-deterministic machine M
-    (:func:`fsindep.engine.build`), built once and cached on M.
+    (:func:`fsindep.engine.build`), shared by every machine equal to M.
 
     Raises NotDeterministicError when M is not ell-deterministic, and
     ValueError for an ell outside {1, 2}, which the engine does not run.
@@ -260,19 +255,26 @@ def compile(M: KAutomaton, ell: int) -> CompiledAutomaton:
     ell = int(ell)
     if ell not in (1, 2):
         raise ValueError(f"the run engine takes 1 or 2 input tapes, not {ell}")
-    C = M._compiled.get(ell)
-    if C is None:
-        # the report is kept on M, so a machine that fails is checked once
-        report = M._reports.get(ell)
-        if report is None:
-            report = M._reports[ell] = check_l_deterministic(M, ell)
-        if not report.deterministic:
-            kinds = sorted({v.kind for v in report.violations})
-            raise NotDeterministicError(
-                f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
-            )
-        C = M._compiled[ell] = build(M, ell)
+    C = _compiled(M, ell)
+    if isinstance(C, DeterminismReport):
+        kinds = sorted({v.kind for v in C.violations})
+        raise NotDeterministicError(
+            f"automaton is not deterministic on {ell} input tapes; violations: {kinds}"
+        )
     return C
+
+
+# The last (machine, ell) pairs compiled, or the reports of their failed gates.
+# An entry holds at most a 7.1 MiB macro table (_LOCKSTEP_MAX_ENTRIES), a 0.1 MiB
+# gram view and scalar tables the size of the dense transition table.
+_COMPILED_MAX = 8
+
+
+@functools.lru_cache(maxsize=_COMPILED_MAX)
+def _compiled(M: KAutomaton, ell: int):
+    """M's compiled form on ell input tapes, or the report of its failed gate."""
+    report = check_l_deterministic(M, ell)
+    return build(M, ell) if report.deterministic else report
 
 
 @dataclass
@@ -319,11 +321,11 @@ def run(
     'no-transition', 'input-exhausted', 'silent-cycle' or 'step-budget'.
     Each input source is left just after its last consumed symbol.
 
-    Engine: the machine is compiled once (:func:`compile`), and a run of
-    at least ``_LOCKSTEP_MIN`` symbols of a machine with a macro-step
-    table goes through the lock-step engine before the scalar loop that
-    ends every run (the rule in full is in :mod:`fsindep.engine`).  Both
-    give the same trace.
+    Engine: equal machines share one compiled form (:func:`compile`), and
+    a run of at least ``_LOCKSTEP_MIN`` symbols of a machine with a
+    macro-step table goes through the lock-step engine before the scalar
+    loop that ends every run (the rule in full is in :mod:`fsindep.engine`).
+    Both give the same trace.
     """
     C = compile(M, ell)
     if len(inputs) != C.ell:

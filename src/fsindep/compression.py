@@ -207,10 +207,12 @@ def match_run_compress(
     While y agrees with T(x), each completed k-symbol window emits a
     single 0.  At the first disagreement, at position m = k*p + r with
     1 <= r <= k, the output becomes 0^p then a 1 flag, then y[k*p+1 ..]
-    copied verbatim.  Decompression needs only T, k and x, so the scheme
-    is lossless given the reference.  Both sources are consumed; T(x) is
-    predicted and compared window by window, and prediction stops at the
-    first mismatch.
+    copied verbatim.  When y agrees throughout but n is not a multiple of
+    k, the unfinished last window counts as the disagreement: 0^(n//k),
+    the flag, then its n % k symbols.  Decompression needs only T, k and
+    x, so the scheme is lossless given the reference.  Both sources are
+    consumed; T(x) is predicted and compared window by window, and
+    prediction stops at the first mismatch.
     """
     k = int(k)
     if k < 1:
@@ -234,18 +236,11 @@ def match_run_compress(
                 "with no mismatch"
             )
         done += pred.size
-    if m0 is not None:
-        p = m0 // k
-        out = np.concatenate(
-            [
-                np.zeros(p, dtype=y_arr.dtype),
-                np.array([1], dtype=y_arr.dtype),
-                y_arr[k * p :],
-            ]
-        )
-    else:
-        m0, p = n, None  # no mismatch: every checkpoint lies before one
-        out = np.zeros(n // k, dtype=y_arr.dtype)
+    if m0 is None:  # an unfinished last window is written out like a mismatch
+        m0 = n - n % k
+    p = m0 // k
+    flag = np.ones(int(m0 < n), dtype=y_arr.dtype)  # none when every window matched
+    out = np.concatenate([np.zeros(p, dtype=y_arr.dtype), flag, y_arr[k * p :]])
 
     def out_at(c):
         if c <= m0:  # a mismatch is at input position m0 + 1
@@ -281,9 +276,10 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     """Materialize the match-run compressor as a 3-tape machine.
 
     Tape 1 reads y, tape 2 reads x, tape 3 is the output; the machine is
-    deterministic on its two input tapes.  State space is roughly
-    |T| * b**k, so only small windows (k <= 3) are supported.  T must
-    emit at most one symbol per transition.
+    deterministic on its two input tapes, and writes what match_run_compress
+    does when k divides n (it cannot tell where y ends).  State space is
+    roughly |T| * b**k, so only small windows (k <= 3) are supported.  T
+    must emit at most one symbol per transition.
     """
     if T.k != 2:
         raise ValueError("need a 2-tape transducer")
@@ -730,6 +726,21 @@ def cond_encode(
     return FiniteWord(model.alphabet, out), _block_estimate(n, k, lengths)
 
 
+@dataclass(frozen=True)
+class _Digits:
+    """cond_decode's window past int64: W digits from a position on as one int, made where read."""
+
+    padded: np.ndarray
+    powers: np.ndarray
+
+    def __getitem__(self, at):  # a position, or an array of them
+        if isinstance(at, np.ndarray):
+            return np.array([self[i] for i in at.tolist()], dtype=object)
+        if at + self.powers.size > self.padded.size:
+            raise IndexError(at)  # past the end, as in the int64 window
+        return int(self.padded[at : at + self.powers.size] @ self.powers)
+
+
 def cond_decode(
     compressed: FiniteWord, y: WordSource, code: PrefixCode, n: int
 ) -> FiniteWord:
@@ -762,15 +773,17 @@ def cond_decode(
     first = code._first[present, : width + 1]
     dtype = np.int64 if b**width < 2**63 else object
     padded = np.concatenate((compressed.data.astype(dtype), np.zeros(width, dtype=dtype)))
-    window = np.zeros(size + 1, dtype=dtype)
-    for j in range(width):
-        window *= b
-        window += padded[j : j + size + 1]
     scale = np.array([b ** (width - L) for L in range(width + 1)], dtype=dtype)
+    if dtype is object:
+        window = reads = _Digits(padded, scale[1:])
+    else:
+        window = np.zeros(size + 1, dtype=dtype)
+        for j in range(width):
+            window *= b
+            window += padded[j : j + size + 1]
+        reads = memoryview(window)  # reads Python ints without converting the whole window
     limits = ((first + count) * scale).tolist()
     at = np.cumsum(occurs)[rows] - 1  # each block's row among the rows that occur
-    # a memoryview reads Python ints without converting the whole window
-    reads = window.tolist() if dtype is object else memoryview(window)
     starts, pos = [], 0
     try:
         for c in at.tolist():

@@ -3,13 +3,13 @@
 :func:`build` turns an ell-deterministic machine into a
 :class:`CompiledAutomaton`: flat Python tables for one scalar loop, which
 ends every run, so every halt and the trailing flush happen there.
-:func:`fsindep.automata.compile` checks and caches the compiled form,
-and :func:`fsindep.automata.run` drives the engines.
+:func:`fsindep.automata.compile` checks and shares the compiled form
+among equal machines, and :func:`fsindep.automata.run` drives the engines.
 
 A run with at least ``_LOCKSTEP_MIN`` tape-1 symbols to go goes through
 the lock-step engine first (Mytkowicz, Musuvathi & Schulte 2014) when the
 machine has a macro-step table (:class:`_MacroTable`), which the first
-such run builds, and the table has the run's state with no symbol
+such run of equal machines builds, and it has the run's state with no symbol
 pending.  A macro state is a machine state plus the symbols fed but not
 read yet, and one rule, :func:`_macro_step`, steps it: the key table and
 the losslessness check's word tables (``_every_word``) both come from it.
@@ -59,10 +59,10 @@ _WINDOW = 16384
 # lock-step chunk length (gathers per window and pass), and the longest
 # gram; at _WINDOW, 12 and 24 won on neither engine workload
 _CHUNK = 16
-# Smaller budgets run the scalar loop.  On copy.aut, the odd projection and
-# join.aut, lock-step (gram view) won from 256-512 symbols on with the view
-# built, and from 1-1.5k with its build (0.3-0.4 ms) included, which a machine's
-# first lock-step run pays; every run of the engine workloads feeds 2**14 or more.
+# Smaller budgets run the scalar loop.  With the macro table and gram view
+# built, lock-step won from 512 symbols on copy.aut and the odd projection and
+# from 256 on join.aut (medians of 40 runs); with their build (0.2-0.4 ms),
+# which only the first run of a machine or an equal one pays, from 512-2k.
 _LOCKSTEP_MIN = 256
 _LOCKSTEP_MAX_STATES = 128  # lock-step work grows with |Q|; past ~160 states it loses
 # (macro state, key) pairs in one macro-step table.  An entry costs about
@@ -83,8 +83,8 @@ _LOCKSTEP_MAX_ENTRIES = 1 << 15
 # one writing 65 tags on its first symbol and 1 after 23-39 against 2.3-2.6.
 _WINDOW_TAG_BYTES = 1 << 20
 # (macro state, gram) pairs and bytes in one gram view.  Longer grams save
-# less per window than they cost to build: the benchmark's transduce cycle,
-# which builds four views, ran alike from 2**8 to 2**10 entries and about
+# less per window than they cost to build: transduce (four builds a cycle before
+# equal machines shared views) ran alike from 2**8 to 2**10 entries and about
 # 12 % slower at 2**12, where small commands also passed their memory estimate.
 _GRAM_MAX_ENTRIES = 1 << 10
 _GRAM_MAX_BYTES = 1 << 16

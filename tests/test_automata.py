@@ -25,8 +25,9 @@ from fsindep import (
     run,
     word,
 )
+import fsindep.automata as automata
 import fsindep.engine as engine
-from fsindep.automata import compile
+from fsindep.automata import _COMPILED_MAX, compile
 from fsindep.engine import (
     _GRAM_MAX_BYTES,
     _GRAM_MAX_ENTRIES,
@@ -430,6 +431,16 @@ TRACE_FIELDS = (
 
 
 @pytest.fixture
+def no_compiled_forms():
+    """Starts from an empty table of compiled forms and leaves none behind:
+    a test that counts gate calls needs its machines uncompiled, and forms
+    built under patched engine bounds must not serve later tests."""
+    automata._compiled.cache_clear()
+    yield
+    automata._compiled.cache_clear()
+
+
+@pytest.fixture
 def lockstep_calls(monkeypatch):
     """Records the symbol count of every lock-step call."""
     calls = []
@@ -534,12 +545,10 @@ def test_compile_tables_are_pinned():
     assert X.visited.tolist() == [[1, 2]] * 2 + [[2, 0]] * 4 + [[0, 0]] * 2
     assert X.tags.tolist() == [[1, 0], [1, 1]] + [[0, 0], [1, 0]] * 2 + [[0, 0]] * 2
     assert X.read_out.tolist() == [[2]] * 2 + [[1]] * 4 + [[0]] * 2
-    assert compile(M, 1) is compile(M, 1)  # cached on the machine
+    assert compile(M, 1) is compile(M, 1)  # built once
 
 
-def test_determinism_gate_runs_once_per_machine(monkeypatch):
-    import fsindep.automata as automata
-
+def test_determinism_gate_runs_once_per_machine(monkeypatch, no_compiled_forms):
     calls = []
     original = automata.check_l_deterministic
 
@@ -564,6 +573,125 @@ def test_determinism_gate_runs_once_per_machine(monkeypatch):
         with pytest.raises(NotDeterministicError, match="same-input"):
             call()
     assert calls == [1, 1]
+    # nor is a machine equal to one checked before
+    run(copy_automaton(A2), 1, [lit("01")], 2)
+    with pytest.raises(NotDeterministicError, match="same-input"):
+        compile(KAutomaton(2, A2, ["s"], "s", bad.transitions), 1)
+    assert calls == [1, 1]
+
+
+def test_equal_machines_share_one_compiled_form():
+    odd = odd_projection_transducer(A2)
+    for twin in (
+        odd_projection_transducer(A2),
+        parse_automaton(odd.to_text()),
+        KAutomaton(2, A2, odd.states, "keep", reversed(odd.transitions[::-1])),
+    ):
+        assert twin is not odd and twin == odd and hash(twin) == hash(odd)
+        assert compile(twin, 1) is compile(odd, 1)
+        assert compile(twin, 1).macro.grams is compile(odd, 1).macro.grams
+    assert len({odd, odd_projection_transducer(A2), copy_automaton(A2)}) == 2
+
+
+def test_machines_that_differ_in_one_field_do_not_share_a_compiled_form():
+    odd = odd_projection_transducer(A2)
+    trans = [(t.source, t.label, t.target) for t in odd.transitions]
+    relabelled = [trans[0][:1] + (((0,), (1,)),) + trans[0][2:]] + trans[1:]
+    others = [
+        KAutomaton(2, A2, ["drop", "keep"], "keep", trans),  # state order
+        KAutomaton(2, A2, odd.states, "drop", trans),  # initial state
+        KAutomaton(2, Alphabet(3), odd.states, "keep", trans),  # alphabet
+        KAutomaton(2, A2, odd.states, "keep", relabelled),  # one output label
+        KAutomaton(2, A2, odd.states, "keep", trans[::-1]),  # transition order
+    ]
+    C = compile(odd, 1)
+    for i, M in enumerate(others):
+        assert M != odd and compile(M, 1) is not C, i
+        # each serves its own equal twin
+        twin = KAutomaton(M.k, M.alphabet, M.states, M.initial, M.transitions)
+        assert twin == M and hash(twin) == hash(M) and compile(twin, 1) is compile(M, 1), i
+    # the renumbered machine runs its own tables: drop is state 0 there
+    assert compile(others[0], 1).states == ("drop", "keep") and compile(others[0], 1).initial == 1
+    # an isolated state is not in the machine's text, but it takes a number
+    lone = KAutomaton(2, A2, ["x"] + list(odd.states), "keep", trans)
+    assert parse_automaton(lone.to_text()) == odd != lone
+    assert compile(lone, 1).initial == 1 and compile(odd, 1).initial == 0
+
+
+def test_a_machine_served_from_the_table_runs_like_the_naive_stepper():
+    rng = random.Random(2727)
+    for trial in range(6):
+        M = rand_det_solid(rng, 0.97 if trial % 2 else 1.0)
+        text = rand_text(rng, 2 * _LOCKSTEP_MIN + trial, 2)
+        check_engines(M, text, len(text) - trial)
+        twin = KAutomaton(M.k, M.alphabet, list(M.states), M.initial[0], list(M.transitions))
+        assert compile(twin, 1) is compile(M, 1)
+        for n in (len(text) - trial, len(text) // 2):
+            check_engines(twin, text, n)
+
+
+def test_a_machine_is_immutable_once_built():
+    M = copy_automaton(A2)
+    for name, value in (("k", 3), ("states", ("t",)), ("initial", ("t",)), ("new", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(M, name, value)
+    assert M == copy_automaton(A2) and not hasattr(M, "new")
+    with pytest.raises(AttributeError):
+        M.out("s").append(None)  # a state's transitions are a tuple
+
+
+def test_a_machine_unpickled_under_another_hash_seed_hashes_like_its_equals():
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle, sys; from fsindep import Alphabet, odd_projection_transducer as odd\n"
+        "M = pickle.loads(sys.stdin.buffer.read()); N = odd(Alphabet(2))\n"
+        "print(M == N, hash(M) == hash(N), len({M, N}))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+    for seed in ("0", "12345"):
+        env["PYTHONHASHSEED"] = seed
+        got = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(odd_projection_transducer(A2)),
+            env=env, capture_output=True, check=True,
+        )
+        assert got.stdout.decode().split() == ["True", "True", "1"], seed
+
+
+def test_the_table_of_compiled_forms_keeps_at_most_its_cap(no_compiled_forms):
+    import gc
+    import tracemalloc
+
+    text = rand_text(random.Random(28), 2 * _LOCKSTEP_MIN, 2)
+
+    def machine(i):  # odd projections, distinct by their state names
+        keep, drop = f"keep{i}", f"drop{i}"
+        trans = [(keep, ((a,), (a,)), drop) for a in range(2)]
+        return KAutomaton(2, A2, [keep, drop], keep, trans + [(drop, ((a,), ()), keep) for a in range(2)])
+
+    def compile_and_run(machines):
+        for i in machines:
+            M = machine(i)
+            assert compile(M, 1).macro.grams.span > 1  # the view is built
+            run(M, 1, [lit(text)], len(text))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        base = compile_and_run([])
+        full = compile_and_run(range(_COMPILED_MAX)) - base
+        assert automata._compiled.cache_info().currsize == _COMPILED_MAX
+        # an entry's gram view alone, 768 entries of four intp counts, takes 24 KiB
+        assert full >= _COMPILED_MAX * 24 * 1024
+        after = compile_and_run(range(_COMPILED_MAX, 3 * _COMPILED_MAX)) - base
+        assert automata._compiled.cache_info().currsize == _COMPILED_MAX
+        assert after <= full + full // 8
+    finally:
+        tracemalloc.stop()
 
 
 def test_not_deterministic_error_is_a_value_error(shuffle_aut):
@@ -1286,7 +1414,9 @@ def rare_long_output_machine(L: int, b: int) -> KAutomaton:
     return KAutomaton(2, Alphabet(b), ["s", "t"], "s", trans)
 
 
-def test_a_window_of_padded_output_rows_stays_within_its_bound(lockstep_calls, monkeypatch):
+def test_a_window_of_padded_output_rows_stays_within_its_bound(
+    lockstep_calls, monkeypatch, no_compiled_forms
+):
     from fsindep.cli import _BASE_BYTES
 
     assert _WINDOW_TAG_BYTES <= _BASE_BYTES  # the memory estimate's engine windows

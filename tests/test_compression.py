@@ -223,6 +223,32 @@ def test_match_run_round_trip_exhaustive_small():
         assert match_run_decompress(T, k, comp, x.clone()) == word(bits)
 
 
+def test_match_run_round_trip_keeps_an_unfinished_last_window():
+    """Every n in 0..3k, with y equal to T(x) and with y off at its last or
+    first symbol: the round trip gives y back, and a y that matches
+    throughout ends, when k does not divide n, with the flag and n % k
+    symbols."""
+    T = odd_projection_transducer(A2)
+    x = RandomSource(A2, seed=9)
+    for k in range(1, 5):
+        for n in range(3 * k + 1):
+            good = OddSource(x.clone()).take(n)
+            for flip in (None, n - 1, 0):
+                y = good.copy()
+                if flip is not None and n:
+                    y[flip] ^= 1
+                comp, est = match_run_compress(T, k, LiteralSource(word(y)), x.clone(), n)
+                assert match_run_decompress(T, k, comp, x.clone()) == word(y), (k, n, flip)
+                assert est.output_symbols == len(comp) and est.checkpoints[-1] == (n, len(comp))
+                if flip is None or not n:
+                    tail = [1] + y[n - n % k :].tolist() if n % k else []
+                    assert comp.data.tolist() == [0] * (n // k) + tail, (k, n)
+    # the odd projection, k = 4 and n = 10 on seed 9: 0 0, the flag, 2 symbols
+    comp, _ = match_run_compress(T, 4, OddSource(x.clone()), x.clone(), 10)
+    assert comp.to_text() == "00111"
+    assert match_run_decompress(T, 4, comp, x.clone()).to_text() == "0010101111"
+
+
 def test_match_run_checkpoints_are_consistent():
     x = RandomSource(A2, seed=12)
     _, est = match_run_compress(
