@@ -33,13 +33,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .words import Alphabet, FiniteWord
-from .sources import WordSource
-from .engine import CompiledAutomaton, _read_pattern, _Run, _step_budget, build
+from .sources import NotDeterministicError, WordSource
+
+if TYPE_CHECKING:
+    from .engine import CompiledAutomaton
 
 Label = tuple  # k-tuple of symbol tuples; () is the empty word
 
@@ -208,8 +210,9 @@ class DeterminismReport:
         return self.deterministic
 
 
-class NotDeterministicError(ValueError):
-    """An operation needed a deterministic machine and got something else."""
+def _read_pattern(t, ell: int) -> tuple:
+    """The input tapes, among the first ell, that transition t reads."""
+    return tuple(j for j in range(ell) if t.label[j])
 
 
 def check_l_deterministic(M: KAutomaton, ell: int) -> DeterminismReport:
@@ -273,6 +276,8 @@ _COMPILED_MAX = 8
 @functools.lru_cache(maxsize=_COMPILED_MAX)
 def _compiled(M: KAutomaton, ell: int):
     """M's compiled form on ell input tapes, or the report of its failed gate."""
+    from .engine import build  # the engine loads with the first machine compiled
+
     report = check_l_deterministic(M, ell)
     return build(M, ell) if report.deterministic else report
 
@@ -327,6 +332,8 @@ def run(
     loop that ends every run (the rule in full is in :mod:`fsindep.engine`).
     Both give the same trace.
     """
+    from .engine import _Run, _step_budget
+
     C = compile(M, ell)
     if len(inputs) != C.ell:
         raise ValueError(f"expected {ell} input sources, got {len(inputs)}")

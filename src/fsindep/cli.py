@@ -33,32 +33,21 @@ from dataclasses import dataclass
 
 from .words import Alphabet, word, read_word_file, write_word_file
 from .sources import (
+    DecodeDeadEnd,
     EvenSource,
     JoinSource,
+    NotDeterministicError,
     OddSource,
     PeriodicSource,
     RandomSource,
     SourceExhausted,
+    TransducerHalted,
     derive_seed,
     file_source,
 )
-from .automata import (
-    NotDeterministicError,
-    check_l_deterministic,
-    load_automaton,
-    odd_projection_transducer,
-)
-from .perfect import SelfSimilarSource, build_sequence, is_perfect
-from .normality import _TABLE_CAP, _table_guard, normality_report
-from .compression import (
-    DecodeDeadEnd,
-    TransducerHalted,
-    conditional_ratio_estimate,
-    independence_report,
-    match_run_compress,
-    plain_ratio,
-    unconditional_ratio_estimate,
-)
+
+# Each command imports the machines, towers, statistics and codecs it runs
+# in its own body, so a command loads only the modules its work needs.
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -156,6 +145,8 @@ class GeneratorSpec:
     def build(self, default_seed=None):
         b = int(self.get("b", "2"))
         if self.kind == "selfsim":
+            from .perfect import SelfSimilarSource
+
             return SelfSimilarSource(b)
         if self.kind == "rand":
             seed = self.get("seed")
@@ -320,11 +311,15 @@ def _table_bytes(b: int, max_block: int, n: int) -> int:
     largest, which is live with the next length's.  Traced over 1-2 random
     symbols per entry, a report peaks at 13.4 B/entry at most (b = 2, even
     top length; 12.8 at b = 16, top length 5): a 19 % margin."""
+    from .normality import _TABLE_CAP
+
     ell = max(0, min(max_block, n, _TABLE_CAP.bit_length()))
     return 16 * min(b**ell, _TABLE_CAP)
 
 
 def _cmd_stats(args) -> int:
+    from .normality import normality_report
+
     # the file holds one byte per symbol, plus at most a line terminator
     size = os.path.getsize(args.word)
     tables = _table_bytes(args.base, args.max_block, size)
@@ -343,6 +338,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_check_automaton(args) -> int:
+    from .automata import check_l_deterministic, load_automaton
+
     M = load_automaton(args.automaton)
     report = check_l_deterministic(M, args.ell)
     print(f"deterministic: {'yes' if report.deterministic else 'no'}")
@@ -369,6 +366,9 @@ def _input_spec(args, gen_opt="--gen", file_opt="--input") -> GeneratorSpec:
 
 
 def _cmd_compress(args) -> int:
+    from .automata import load_automaton
+    from .compression import plain_ratio
+
     M = load_automaton(args.automaton)
     spec = _input_spec(args)
     _check_memory(_estimate(args.n, [spec]))
@@ -380,6 +380,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_condcompress(args) -> int:
+    from .compression import conditional_ratio_estimate
+
     specs = [_input_spec(args), _input_spec(args, "--ref-gen", "--ref")]
     _check_memory(_estimate(args.n, specs))
     x, y = (spec.build() for spec in specs)
@@ -404,6 +406,8 @@ def _run_trials(args, fn, specs, *fixed):
 
 
 def _independence_trial(packed):
+    from .compression import independence_report
+
     (x, y), n, k, seed, trial = packed
     sx, sy = x.build(derive_seed(seed, trial, 0)), y.build(derive_seed(seed, trial, 1))
     rep = independence_report(sx, sy, n, k)
@@ -428,6 +432,9 @@ def _gap_summary(rows):
 
 
 def _cmd_join_dependence(args) -> int:
+    from .automata import odd_projection_transducer
+    from .compression import independence_report, match_run_compress
+
     x = f"selfsim:b={args.base}"
     odd, even = (parse_generator(f"{half}({x})") for half in ("odd", "even"))
     # the match run predicts odd(x) as odd(even(x)), which reads 4n symbols
@@ -454,6 +461,8 @@ def _cmd_join_dependence(args) -> int:
 
 
 def _measure_one_trial(packed):
+    from .compression import unconditional_ratio_estimate
+
     (gen,), n, k, seed, trial = packed
     src = gen.build(derive_seed(seed, trial, 0))
     return (trial, n, k, unconditional_ratio_estimate(src, n, k).final_ratio)
@@ -472,6 +481,8 @@ def _cmd_measure_one(args) -> int:
 
 
 def _cmd_join_normal(args) -> int:
+    from .normality import _table_guard, normality_report
+
     x = f"selfsim:b={args.base}"
     _table_guard(args.base, min(args.max_block, args.n))  # before any source is built
     specs = [parse_generator(s) for s in (x, f"join(odd({x}),even({x}))")]
@@ -488,6 +499,8 @@ def _cmd_join_normal(args) -> int:
 
 
 def _cmd_perfect_sequence(args) -> int:
+    from .perfect import build_sequence, is_perfect
+
     tower = args.base ** (args.stages + 1)  # stages 1 .. s fill b**(s + 1) symbols
     _check_memory(_estimate(tower, [parse_generator(f"selfsim:b={args.base}")]))
     stages = build_sequence(args.stages, base=args.base)

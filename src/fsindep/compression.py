@@ -26,17 +26,8 @@ import numpy as np
 
 from .blocks import _count_ids, _horner, aligned_ids, digit_runs, digits
 from .words import Alphabet, FiniteWord, _dtype_for
-from .sources import WordSource
+from .sources import DecodeDeadEnd, TransducerHalted, WordSource
 from .automata import KAutomaton, compile, run
-from .engine import _WINDOW, _Run
-
-
-class TransducerHalted(RuntimeError):
-    """The transducer run died before delivering the requested symbols."""
-
-
-class DecodeDeadEnd(RuntimeError):
-    """A compressed stream walked off the code tree (corrupt or mismatched)."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +168,8 @@ class TransducerOutputSource(WordSource):
         self._extra = np.zeros(0, self._compiled.tag_dtype)  # output beyond the last request
 
     def _produce(self, n):
+        from .engine import _WINDOW, _Run  # loaded by compile in __init__
+
         parts = [self._extra]
         have = self._extra.size
         while have < n and not self._dead:
@@ -220,6 +213,8 @@ def match_run_compress(
     n = int(n)
     if n < 0:
         raise ValueError("budget must be nonnegative")
+    from .engine import _WINDOW
+
     y_arr = y.take(n)
     f = TransducerOutputSource(T, x)
     m0 = None  # 0-based offset of the first mismatch
@@ -276,8 +271,11 @@ def match_run_automaton(T: KAutomaton, k: int) -> KAutomaton:
     """Materialize the match-run compressor as a 3-tape machine.
 
     Tape 1 reads y, tape 2 reads x, tape 3 is the output; the machine is
-    deterministic on its two input tapes, and writes what match_run_compress
-    does when k divides n (it cannot tell where y ends).  State space is
+    deterministic on its two input tapes.  It writes what match_run_compress
+    does on every y that disagrees with T(x) somewhere in its n symbols, and
+    on every y when k divides n.  It cannot tell where y ends, so on a y that
+    agrees throughout with n % k > 0 it writes only the 0^(n//k), without the
+    compressor's flag and n % k tail.  State space is
     roughly |T| * b**k, so only small windows (k <= 3) are supported.  T
     must emit at most one symbol per transition.
     """

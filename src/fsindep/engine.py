@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .automata import _read_pattern
 from .blocks import digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
@@ -354,11 +355,6 @@ def _unpadded(rows, lens, at, total):
         return got.ravel()
     w = got.shape[-1]
     return got[np.take(np.arange(w) < np.arange(w + 1)[:, None], np.take(lens, at), axis=0)]
-
-
-def _read_pattern(t, ell: int) -> tuple:
-    """The input tapes, among the first ell, that transition t reads."""
-    return tuple(j for j in range(ell) if t.label[j])
 
 
 def build(M, ell: int) -> CompiledAutomaton:

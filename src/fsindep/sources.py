@@ -20,6 +20,20 @@ class SourceExhausted(Exception):
     """A finite source was asked for more symbols than it holds."""
 
 
+# the errors the CLI maps to exit code 3 live here, so that it can name them
+# without importing the machines and codecs that raise them
+class NotDeterministicError(ValueError):
+    """An operation needed a deterministic machine and got something else."""
+
+
+class TransducerHalted(RuntimeError):
+    """The transducer run died before delivering the requested symbols."""
+
+
+class DecodeDeadEnd(RuntimeError):
+    """A compressed stream walked off the code tree (corrupt or mismatched)."""
+
+
 class WordSource:
     """Base class managing the read buffer; subclasses implement _produce."""
 

@@ -309,27 +309,40 @@ def test_match_run_zero_budget():
 
 
 def test_match_run_automaton_agrees_with_streaming():
+    # the machine cannot tell where y ends: where y agrees with T(x) throughout
+    # and k does not divide n, it writes the compressor's output without its
+    # flag and its n % k tail; wherever y disagrees, the outputs agree exactly
+    from fsindep import run
+
     rng = random.Random(77)
     T = odd_projection_transducer(A2)
+    seen = set()
     for k in (1, 2, 3):
         A = match_run_automaton(T, k)
         assert check_l_deterministic(A, 2).deterministic
-        for trial in range(25):
-            n = k * rng.randint(1, 12)
+        for trial in range(48):
+            n = k * rng.randint(1, 12) + trial % k  # k | n on every k-th trial
             x_text = "".join(rng.choice("01") for _ in range(4 * n + 8))
-            if trial % 2:
-                y_arr = OddSource(lit(x_text)).take(n)  # full agreement
-                if trial % 4 == 1 and n:
-                    y_arr[rng.randrange(n)] ^= 1  # forced mismatch
-                y_text = "".join(str(s) for s in y_arr.tolist())
+            pred = OddSource(lit(x_text)).take(n)
+            y_arr = pred.copy()
+            if trial % 4 == 1:
+                y_arr[rng.randrange(n)] ^= 1  # forced mismatch, whole windows or tail
+            elif trial % 4 in (0, 2):
+                y_arr = np.array([rng.randrange(2) for _ in range(n)], dtype=pred.dtype)
+            y_text = "".join(str(s) for s in y_arr.tolist())
+            comp, est = match_run_compress(T, k, lit(y_text), lit(x_text), n)
+            tr = run(A, 2, [lit(y_text), lit(x_text)], n)
+            diff = np.flatnonzero(y_arr != pred)
+            if diff.size:
+                seen.add("window" if diff[0] < n - n % k else "tail")
+                want = comp.data.tolist()
             else:
-                y_text = "".join(rng.choice("01") for _ in range(n))
-            comp, est = match_run_compress(
-                T, k, lit(y_text), lit(x_text), n
-            )
-            tr = conditional_ratio(A, lit(y_text), lit(x_text), n)
-            assert tr.output_symbols == est.output_symbols, (k, x_text, y_text)
-            assert not tr.halted
+                seen.add("agree" if n % k == 0 else "agree, k does not divide n")
+                want = comp.data.tolist()[: n // k]
+                assert want == [0] * (n // k)
+            assert tr.outputs[0].data.tolist() == want, (k, x_text, y_text)
+            assert not tr.halted and est.output_symbols == len(comp)
+    assert seen == {"window", "tail", "agree", "agree, k does not divide n"}
 
 
 def test_match_run_automaton_output_stream_matches():

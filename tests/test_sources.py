@@ -96,6 +96,22 @@ def test_random_source_matches_the_splitmix64_oracle(seed):
         assert s.clone().take(9).tolist() == [z % b for z in mixed[:9]], b
 
 
+@pytest.mark.parametrize("seed", [2**64 - 2, 2**64 - 0x9E3779B97F4A7C15 * 3 % 2**64, 2**63 + 1])
+def test_random_source_streams_across_chunks_after_partial_takes(seed):
+    # seeds near 2**64, and one whose counter wraps at its third symbol; two
+    # pops fill a 1024-symbol buffer, so the takes after them start inside it
+    # and their fresh symbols start and end inside 2**16-symbol mixing chunks
+    sizes = (5, 1020, (1 << 16) + 3, 1, (1 << 16) - 2)
+    mixed = naive_splitmix64(seed, 2 + sum(sizes))
+    for b in (2, 3, 7):
+        s = RandomSource(Alphabet(b), seed)
+        got = [s.pop(), s.pop()]
+        for n in sizes:
+            got += s.take(n).tolist()
+            assert s.clone().take(n).tolist() == [z % b for z in mixed[:n]], (b, n)
+        assert got == [z % b for z in mixed], b
+
+
 def test_random_source_take_has_a_bounded_peak_per_symbol():
     import tracemalloc
 
