@@ -12,6 +12,7 @@ what its module holds now.
 """
 
 import importlib
+import sys
 
 # module -> the names the package exports from it
 _EXPORTS = {
@@ -34,16 +35,18 @@ _EXPORTS = {
     "conditional_ratio_estimate unconditional_ratio_estimate IndependenceReport "
     "independence_report LosslessnessReport bounded_losslessness_check",
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(sys.modules.get(home) or importlib.import_module(home), name)
 
 
 def __dir__():

@@ -282,6 +282,32 @@ def _compiled(M: KAutomaton, ell: int):
     return build(M, ell) if report.deterministic else report
 
 
+class _Run:
+    """Where a run stands; both engines (:mod:`fsindep.engine`) advance it in place."""
+
+    __slots__ = (
+        "q", "consumed", "steps", "chunks", "out_total",
+        "checkpoints", "next_cp", "path", "reason",
+    )
+
+    def __init__(self, q: int, ell: int, record_path: bool):
+        self.q = q
+        self.consumed = [0] * ell
+        self.steps = 0
+        self.chunks = []  # tagged output arrays, in order
+        self.out_total = 0
+        self.checkpoints = []
+        self.next_cp = 1
+        # state numbers visited, as int arrays in order
+        self.path = [np.array([q], dtype=np.intp)] if record_path else None
+        self.reason = None  # halt reason, None while running or after a clean stop
+
+
+def _step_budget(n: int, n_states: int) -> int:
+    """The step budget of a run with tape-1 budget n, unless one is given."""
+    return 64 * n + 4 * n_states + 64
+
+
 @dataclass
 class RunTrace:
     """Outcome of a budgeted deterministic run.
@@ -332,8 +358,6 @@ def run(
     loop that ends every run (the rule in full is in :mod:`fsindep.engine`).
     Both give the same trace.
     """
-    from .engine import _Run, _step_budget
-
     C = compile(M, ell)
     if len(inputs) != C.ell:
         raise ValueError(f"expected {ell} input sources, got {len(inputs)}")

@@ -27,7 +27,7 @@ import numpy as np
 from .blocks import _count_ids, _horner, aligned_ids, digit_runs, digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import DecodeDeadEnd, TransducerHalted, WordSource
-from .automata import KAutomaton, compile, run
+from .automata import KAutomaton, _Run, compile, run
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,10 @@ class TransducerOutputSource(WordSource):
     def __init__(self, T: KAutomaton, x: WordSource):
         if T.k != 2:
             raise ValueError("need a 2-tape transducer")
+        from .engine import _WINDOW  # compile below loads the engine anyway
+
         self._compiled = compile(T, 1)
+        self._window = _WINDOW
         if x.alphabet != T.alphabet:
             raise ValueError("source alphabet does not match the transducer")
         super().__init__(T.alphabet)
@@ -168,14 +171,12 @@ class TransducerOutputSource(WordSource):
         self._extra = np.zeros(0, self._compiled.tag_dtype)  # output beyond the last request
 
     def _produce(self, n):
-        from .engine import _WINDOW, _Run  # loaded by compile in __init__
-
         parts = [self._extra]
         have = self._extra.size
         while have < n and not self._dead:
             r = _Run(self._state, 1, False)
             r.next_cp = sys.maxsize  # the stream keeps no checkpoints
-            self._compiled.advance(r, [self.x], max(n - have, _WINDOW), sys.maxsize)
+            self._compiled.advance(r, [self.x], max(n - have, self._window), sys.maxsize)
             self._state = r.q
             self._dead = r.reason is not None
             parts.extend(r.chunks)

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automata import _read_pattern
+from .automata import _read_pattern, _Run, _step_budget
 from .blocks import digits
 from .words import Alphabet, FiniteWord, _dtype_for
 from .sources import WordSource
@@ -89,27 +89,6 @@ _WINDOW_TAG_BYTES = 1 << 20
 # 12 % slower at 2**12, where small commands also passed their memory estimate.
 _GRAM_MAX_ENTRIES = 1 << 10
 _GRAM_MAX_BYTES = 1 << 16
-
-
-class _Run:
-    """Where a run stands; both engines advance it in place."""
-
-    __slots__ = (
-        "q", "consumed", "steps", "chunks", "out_total",
-        "checkpoints", "next_cp", "path", "reason",
-    )
-
-    def __init__(self, q: int, ell: int, record_path: bool):
-        self.q = q
-        self.consumed = [0] * ell
-        self.steps = 0
-        self.chunks = []  # tagged output arrays, in order
-        self.out_total = 0
-        self.checkpoints = []
-        self.next_cp = 1
-        # state numbers visited, as int arrays in order
-        self.path = [np.array([q], dtype=np.intp)] if record_path else None
-        self.reason = None  # halt reason, None while running or after a clean stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -692,8 +671,3 @@ class CompiledAutomaton:
             q = nxt[j]
             n_steps = np.repeat(n_steps, b) + cost[j]
             yield q, out, out_len, (q != sink) & (n_steps <= _step_budget(L, sink))
-
-
-def _step_budget(n: int, n_states: int) -> int:
-    """The step budget of a run with tape-1 budget n, unless one is given."""
-    return 64 * n + 4 * n_states + 64

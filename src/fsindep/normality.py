@@ -176,24 +176,17 @@ def occurrence_profile(k: int, r: int, b: int) -> Dict[int, int]:
     if b**k > _TABLE_CAP:
         raise ValueError(f"enumeration {b}**{k} exceeds cap {_TABLE_CAP}")
     total, npos, blocks = b**k, k - r + 1, b**r
-    # a dense (word, block) table walks every pair, a sort of each word's
-    # window ids only the windows, about log2(windows) times: take the fewer
-    dense = blocks <= npos * npos.bit_length()
     hist = np.zeros(npos + 1, dtype=np.int64)
-    chunk = max(1, (1 << 18) // (max(blocks, npos) if dense else npos))  # 2**18 cells
+    chunk = max(1, (1 << 18) // npos)  # a chunk's words times windows: at most 2**18 ids
     for start in range(0, total, chunk):
         words = digits(np.arange(start, min(start + chunk, total)), k, b)
+        # each word's window ids, sorted: a run of j equal ids is a block
+        # that occurs j times in the word
         ids = _horner(lambda j: words[:, j : j + npos], r, b)
-        if dense:  # one id per (word, window): the word's place in the chunk, then the block
-            ids = ids.astype(np.intp)
-            ids += np.arange(0, words.shape[0] * blocks, blocks)[:, None]
-            occurs = _count_ids(ids.ravel(), words.shape[0] * blocks)
-        else:  # a run of j equal sorted ids is a block that occurs j times in the word
-            ids.sort(axis=1)
-            starts = np.ones(ids.shape, dtype=bool)
-            np.not_equal(ids[:, 1:], ids[:, :-1], out=starts[:, 1:])
-            occurs = np.diff(np.flatnonzero(starts), append=ids.size)
-        hist += np.bincount(occurs, minlength=npos + 1)
+        ids.sort(axis=1)
+        starts = np.ones(ids.shape, dtype=bool)
+        np.not_equal(ids[:, 1:], ids[:, :-1], out=starts[:, 1:])
+        hist += np.bincount(np.diff(np.flatnonzero(starts), append=ids.size), minlength=npos + 1)
     hist[0] = total * blocks - hist[1:].sum()  # the pairs that do not occur
     return {j: int(c) for j, c in enumerate(hist)}
 

@@ -228,9 +228,8 @@ def test_occurrence_profile_pinned():
 
 
 def test_occurrence_profile_matches_naive_enumeration():
-    # (1, 1, 2), (4, 2, 3) and the last three count sorted window ids, the rest a dense table
     cases = [(1, 1, 2), (4, 1, 2), (5, 2, 2), (6, 3, 2), (4, 1, 3), (4, 2, 3)]
-    for k, r, b in cases + [(4, 4, 2), (6, 4, 2), (5, 3, 3)]:
+    for k, r, b in cases + [(4, 4, 2), (6, 4, 2), (5, 3, 3)]:  # and blocks past the windows
         assert occurrence_profile(k, r, b) == naive_profile(k, r, b), (k, r, b)
 
 
